@@ -24,8 +24,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 from pathlib import Path
 
-from .config import ResourceConfig
 from .errors import EngineMismatchError, InputError
+from .groups import _factorint
 
 
 @dataclass(frozen=True)
@@ -289,7 +289,6 @@ def scan_exceptional(
     shards: int = 1,
     workers: int = 1,
     checkpoint: str | Path | None = None,
-    config: ResourceConfig | None = None,
 ) -> ScanReport:
     """Even n in [lo, hi] with no witness, plus the witness map for the rest.
 
@@ -298,7 +297,6 @@ def scan_exceptional(
     worker processes and each completed shard is checkpointed.  The merged
     report is independent of shard count and worker count.
     """
-    del config  # budget-free: cost is linear in the range for E1
     if not 8 <= lo <= hi:
         raise InputError(f"need 8 <= lo <= hi, got [{lo}, {hi}]")
     if engine not in ("e1", "e2", "both"):
@@ -356,21 +354,6 @@ def scan_exceptional(
     return ScanReport(lo, hi, engine, tuple(exc), wit)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def sufficient_filters(n: int) -> frozenset[str]:
     """Which of the five closed-form sufficient conditions hold for n.
 
@@ -381,14 +364,14 @@ def sufficient_filters(n: int) -> frozenset[str]:
         raise InputError("need n >= 5")
     tags = set()
     even = n % 2 == 0
-    if even and not _is_prime(n - 1):
+    if even and _factorint(n - 1) != {n - 1: 1}:
         tags.add("cond1")
-    if even and n % 3 != 0 and not _is_prime(n - 3):
+    if even and n % 3 != 0 and _factorint(n - 3) != {n - 3: 1}:
         tags.add("cond2")
     if even:
         q = 3
         while q * q + 2 * q <= n:
-            if _is_prime(q) and n % (q * q) == 2 * q:
+            if _factorint(q) == {q: 1} and n % (q * q) == 2 * q:
                 tags.add("cond3")
                 break
             q += 2

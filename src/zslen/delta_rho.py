@@ -22,7 +22,7 @@ from math import gcd
 
 from .config import ResourceConfig, default_config
 from .errors import BudgetExceededError, InputError
-from .groups import AbelianGroup, cyclic, direct_sum_with_embeddings, make_group
+from .groups import AbelianGroup, _factorint, cyclic, direct_sum_with_embeddings, make_group
 from .lengths import min_delta_of_atoms
 from .sequences import GSequence, SupportSet, enumerate_atoms, full_support
 
@@ -209,19 +209,6 @@ def one_in_delta_rho(group: AbelianGroup) -> bool:
     return not (group.is_cyclic and group.order() in _EXCEPTIONAL_CYCLIC_ORDERS)
 
 
-def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-        p += 1 if p == 2 else 2
-    return True
-
-
 def delta_rho(group: AbelianGroup, *, config: ResourceConfig | None = None) -> DeltaRhoResult:
     """Star set, divisor-closure upper bound, and the exact set when a
     structure theorem settles it; otherwise sandwich bounds only."""
@@ -242,7 +229,7 @@ def delta_rho(group: AbelianGroup, *, config: ResourceConfig | None = None) -> D
         return DeltaRhoResult(one, one, one, "theorem-rank2")
     if r == 3 and factors[0] == 2 and factors[1] == 2 and factors[2] >= 4:
         return DeltaRhoResult(one, one, one, "theorem-C2C2C2n")
-    if r >= 2 and len(set(factors)) == 1 and _is_prime_power(factors[0]) and factors[0] >= 3:
+    if r >= 2 and len(set(factors)) == 1 and len(_factorint(factors[0])) == 1 and factors[0] >= 3:
         return DeltaRhoResult(one, one, one, "theorem-ppower")
     star = delta_rho_star(group, config=cfg)
     conjectured = frozenset({1}) if group.order() > 4 else None

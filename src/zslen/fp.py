@@ -21,7 +21,7 @@ from math import gcd
 
 from .config import ResourceConfig, default_config
 from .errors import BudgetExceededError, CompletenessError, InputError
-from .lengths import LengthSet, _functional_gcd
+from .lengths import LengthSet, _functional_gcd, _lengths_of, _product_bits
 from .delta_rho import gcd_closure
 
 
@@ -167,37 +167,15 @@ def fp_length_set(
     cls, val = x[0] % q, x[1]
     if val < 0:
         raise InputError("values are nonnegative")
-    if (cls, val) == (0, 0):
-        return LengthSet.of([0])
-    memo: dict[tuple[int, int], frozenset[int]] = {(0, 0): frozenset({0})}
-    stack = [(cls, val)]
-    while stack:
-        cur = stack[-1]
-        if cur in memo:
-            stack.pop()
-            continue
-        c, v = cur
-        ready = True
-        out: set[int] = set()
-        for ac, av in atoms:
-            if av > v:
-                break  # atoms sorted by value
-            prev = ((c - ac) % q, v - av)
-            got = memo.get(prev)
-            if got is None:
-                stack.append(prev)
-                ready = False
-            else:
-                out.update(k + 1 for k in got)
-        if ready:
-            memo[cur] = frozenset(out)
-            stack.pop()
-            if len(memo) > cfg.max_states:
-                raise BudgetExceededError("fp length memo entries", cfg.max_states)
-    result = memo[(cls, val)]
-    if not result:
+
+    def mul(p, a):
+        return ((p[0] + a[0]) % q, p[1] + a[1])
+
+    weighted = [(a, a[1]) for a in atoms]
+    bits = _product_bits((0, 0), weighted, val, mul, cfg.max_states).get((cls, val), 0)
+    if not bits:
         raise InputError(f"element {x} is not in the monoid")
-    return LengthSet.of(result)
+    return LengthSet(_lengths_of(bits))
 
 
 def fp_min_delta(monoid: FPMonoid, atoms: list[tuple[int, int]]) -> int | None:

@@ -8,6 +8,14 @@ equals the gcd of all distances, which is the minimum distance.  The gcd of a
 linear functional over a lattice is reached on any generating set, so no
 individual factorizations ever need to be expanded.
 
+Sets of lengths come from one engine, :func:`_product_bits`: a dynamic
+program over the products of a list of atoms that stores each length set as
+an int with bit k set when some factorization has k atoms, so that
+``L(p * a)`` collects ``L(p) << 1`` over all atoms ``a``.  Zero-sum length
+sets, the extreme-elasticity witness, rank-one length sets and the
+exhaustive ``min Δ`` oracle in :mod:`zslen.verify` all call it; it holds the
+only ``max_states`` check.
+
 Rational quantities use :class:`fractions.Fraction` throughout; no floating
 point enters any invariant computation.
 """
@@ -16,7 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd
+from operator import add, le
 
 from .config import ResourceConfig, default_config
 from .errors import BudgetExceededError, InputError
@@ -259,6 +269,71 @@ def min_delta(support: SupportSet, *, config: ResourceConfig | None = None) -> i
 
 # -- length sets -------------------------------------------------------------
 
+def _product_bits(zero, atoms, bound: int, mul, max_states: float) -> dict:
+    """Length bitsets of every product of atoms whose grade is at most ``bound``.
+
+    ``atoms`` holds ``(a, w)`` pairs with a positive weight ``w``; the grade of
+    a product is the sum of its atoms' weights.  ``mul(p, a)`` is the product
+    of ``p`` and the atom ``a``, or None outside the region of interest.  Bit
+    k of ``bits[p]`` is set when ``p`` has a factorization into k atoms, so
+    ``bits[p * a] |= bits[p] << 1`` over all atoms.  Products are expanded in
+    order of grade, which completes every bitset before it is extended.
+    Storing more than ``max_states`` products raises
+    :class:`BudgetExceededError`.
+    """
+    atoms = sorted(atoms, key=lambda aw: aw[1])
+    bits = {zero: 1}
+    layers = {0: [zero]}
+    grades = [0]
+    while grades:
+        grade = heappop(grades)
+        for p in layers.pop(grade):
+            shifted = bits[p] << 1
+            for a, w in atoms:
+                g = grade + w
+                if g > bound:
+                    break
+                q = mul(p, a)
+                if q is None:
+                    continue
+                old = bits.get(q)
+                if old is not None:
+                    bits[q] = old | shifted
+                    continue
+                bits[q] = shifted
+                if len(bits) > max_states:
+                    raise BudgetExceededError("length-set memo entries", max_states)
+                layer = layers.get(g)
+                if layer is None:
+                    layers[g] = [q]
+                    heappush(grades, g)
+                else:
+                    layer.append(q)
+    return bits
+
+
+def _lengths_of(bits: int) -> tuple[int, ...]:
+    """The set bits of a length bitset, in increasing order."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(out)
+
+
+def _submultiset_bits(target: tuple[int, ...], vectors, cfg: ResourceConfig) -> int:
+    """Length bitset of ``target`` as a sum of the given vectors."""
+
+    def mul(p, a):
+        q = tuple(map(add, p, a))
+        return q if all(map(le, q, target)) else None
+
+    weighted = [(a, sum(a)) for a in vectors if all(map(le, a, target))]
+    zero = (0,) * len(target)
+    return _product_bits(zero, weighted, sum(target), mul, cfg.max_states).get(target, 0)
+
+
 def _check_same_support(seq: GSequence, atoms: AtomSet):
     if seq.support != atoms.support:
         raise InputError("sequence and atom set must share a support set")
@@ -267,80 +342,17 @@ def _check_same_support(seq: GSequence, atoms: AtomSet):
 def length_set(seq: GSequence, atoms: AtomSet, *, config: ResourceConfig | None = None) -> LengthSet:
     """Exact set of factorization lengths of a zero-sum sequence.
 
-    Memoized over sub-multisets: every factorization is an atom plus a
-    factorization of the remainder, and keying on the remaining multiset
-    collapses permuted factorizations.
+    One length bitset per sub-multiset of the sequence, built up from the
+    empty product: keying on the multiset collapses permuted factorizations.
     """
     cfg = config or default_config()
     _check_same_support(seq, atoms)
     if not seq.is_zero_sum():
         raise InputError("length sets are defined for zero-sum sequences only")
-    v0 = seq.multiplicities
-    k = len(v0)
-    zero = (0,) * k
-    usable = [a for a in atoms.mult_vectors if all(x <= y for x, y in zip(a, v0))]
-    memo: dict[tuple[int, ...], frozenset[int]] = {zero: frozenset({0})}
-    stack = [v0]
-    while stack:
-        v = stack[-1]
-        if v in memo:
-            stack.pop()
-            continue
-        ready = True
-        out: set[int] = set()
-        for a in usable:
-            w = tuple(x - y for x, y in zip(v, a))
-            if any(x < 0 for x in w):
-                continue
-            got = memo.get(w)
-            if got is None:
-                stack.append(w)
-                ready = False
-            else:
-                out.update(x + 1 for x in got)
-        if ready:
-            memo[v] = frozenset(out)
-            stack.pop()
-            if len(memo) > cfg.max_states:
-                raise BudgetExceededError("length-set memo entries", cfg.max_states)
-    result = memo[v0]
-    if not result:
+    bits = _submultiset_bits(seq.multiplicities, atoms.mult_vectors, cfg)
+    if not bits:
         raise InputError("sequence admits no factorization over the given atoms")
-    return LengthSet.of(result)
-
-
-def _can_factor(v0: tuple[int, ...], vectors: list[tuple[int, ...]], cfg: ResourceConfig) -> bool:
-    """Whether ``v0`` is a sum of vectors from the given list."""
-    zero = tuple(0 for _ in v0)
-    memo: dict[tuple[int, ...], bool] = {zero: True}
-    stack = [v0]
-    while stack:
-        v = stack[-1]
-        if v in memo:
-            stack.pop()
-            continue
-        ready = True
-        ok = False
-        for a in vectors:
-            w = tuple(x - y for x, y in zip(v, a))
-            if any(x < 0 for x in w):
-                continue
-            got = memo.get(w)
-            if got is None:
-                stack.append(w)
-                ready = False
-            elif got:
-                ok = True
-                break
-        if ok:
-            memo[v] = True
-            stack.pop()
-        elif ready:
-            memo[v] = False
-            stack.pop()
-        if len(memo) > cfg.max_states:
-            raise BudgetExceededError("factorization memo entries", cfg.max_states)
-    return memo[v0]
+    return LengthSet(_lengths_of(bits))
 
 
 def max_elasticity_witness(seq: GSequence, atoms: AtomSet, *, config: ResourceConfig | None = None) -> bool:
@@ -354,9 +366,10 @@ def max_elasticity_witness(seq: GSequence, atoms: AtomSet, *, config: ResourceCo
     if seq.length == 0:
         return False
     D = atoms.davenport
+    v = seq.multiplicities
     longest = [a.multiplicities for a in atoms if a.length == D]
     pairs = [a.multiplicities for a in atoms if a.length == 2]
-    return _can_factor(seq.multiplicities, longest, cfg) and _can_factor(seq.multiplicities, pairs, cfg)
+    return bool(_submultiset_bits(v, longest, cfg)) and bool(_submultiset_bits(v, pairs, cfg))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
+from operator import add
 from typing import Callable
 
 from .cf import min_delta_pair, min_delta_sym_quad, scan_exceptional, sufficient_filters
@@ -21,7 +22,7 @@ from .delta_rho import delta_rho, delta_rho_star, divisor_closure, gcd_closure, 
 from .errors import BudgetExceededError, EngineMismatchError, InputError
 from .fp import FPMonoid, delta_rho_star_product, fp_length_set, local_profile
 from .groups import AbelianGroup, cyclic, make_group
-from .lengths import length_set, min_delta, min_delta_of_atoms, sumset
+from .lengths import _lengths_of, _product_bits, length_set, min_delta, min_delta_of_atoms, sumset
 from .sequences import GSequence, SupportSet, enumerate_atoms
 
 
@@ -103,7 +104,7 @@ def suite_cyclic_table(cfg: ResourceConfig) -> VerifySuite:
 def suite_cf_scan(cfg: ResourceConfig) -> VerifySuite:
     suite = VerifySuite("cf-scan")
     try:
-        report = scan_exceptional(8, 3000, engine="both", config=cfg)
+        report = scan_exceptional(8, 3000, engine="both")
     except EngineMismatchError as exc:
         suite.checks.append(Check("engines E1 and E2 agree on [8,3000]",
                                   "agree", str(exc), False))
@@ -232,26 +233,11 @@ def small_groups(max_order: int) -> list[AbelianGroup]:
 
 
 def _exhaustive_lengths(atoms, bound: int) -> dict[tuple[int, ...], frozenset[int]]:
-    """L(B) for every product of atoms with |B| <= bound (forward DP)."""
-    k = len(atoms.support.elements)
-    zero = (0,) * k
-    table: dict[tuple[int, ...], set[int]] = {zero: {0}}
-    by_size: dict[int, list[tuple[int, ...]]] = {0: [zero]}
-    for size in range(0, bound + 1):
-        for v in by_size.get(size, []):
-            lengths = table[v]
-            for vec, alen in zip(atoms.mult_vectors, atoms.lengths):
-                nsize = size + alen
-                if nsize > bound:
-                    continue
-                w = tuple(x + y for x, y in zip(v, vec))
-                got = table.get(w)
-                if got is None:
-                    table[w] = {x + 1 for x in lengths}
-                    by_size.setdefault(nsize, []).append(w)
-                else:
-                    got.update(x + 1 for x in lengths)
-    return {v: frozenset(ls) for v, ls in table.items()}
+    """L(B) for every product of atoms with |B| <= bound (never truncated)."""
+    zero = (0,) * len(atoms.support.elements)
+    weighted = list(zip(atoms.mult_vectors, atoms.lengths))
+    bits = _product_bits(zero, weighted, bound, lambda p, a: tuple(map(add, p, a)), inf)
+    return {v: frozenset(_lengths_of(b)) for v, b in bits.items()}
 
 
 def observed_min_delta(atoms, bound: int) -> int | None:
@@ -470,7 +456,7 @@ def suite_props(cfg: ResourceConfig, seed: int = 90521) -> VerifySuite:
         "[]", _fmt(sandwich_bad), not sandwich_bad))
 
     # closed-form filters are sound: every filter hit has a witness
-    report = scan_exceptional(8, 3000, engine="e1", config=cfg)
+    report = scan_exceptional(8, 3000, engine="e1")
     filter_bad = [
         n for n in range(8, 3001, 2)
         if sufficient_filters(n) & {"cond1", "cond2", "cond3", "cond4"}

@@ -80,6 +80,28 @@ def brute_length_set(seq: GSequence, atom_vectors: list[tuple[int, ...]]) -> set
     return lengths
 
 
+def brute_fp_length_set(atoms: list[tuple[int, int]], q: int, x: tuple[int, int]) -> set[int]:
+    """Lengths of all factorizations of ``x = (class, value)`` over
+    ``(class, value)`` atoms, enumerated with non-increasing atom index: a
+    factorization counts when its values sum to the value of ``x`` and its
+    classes to the class of ``x`` mod q (no memoization)."""
+    lengths: set[int] = set()
+    target_cls, target_val = x
+
+    def rec(val: int, cls: int, max_idx: int, used: int):
+        if val == target_val:
+            if (cls - target_cls) % q == 0:
+                lengths.add(used)
+            return
+        for j in range(max_idx, -1, -1):
+            ac, av = atoms[j]
+            if val + av <= target_val:
+                rec(val + av, cls + ac, j, used + 1)
+
+    rec(0, 0, len(atoms) - 1, 0)
+    return lengths
+
+
 def brute_aap(values: tuple[int, ...], d: int):
     """Best AAP decomposition by exhaustive split search.
 

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from zslen.config import ResourceConfig
 from zslen.errors import BudgetExceededError, CompletenessError, InputError
 from zslen.fp import (
     FPMonoid,
@@ -14,6 +15,16 @@ from zslen.fp import (
     local_profile,
     transfer_obstruction,
 )
+
+from oracles import brute_fp_length_set
+
+TEST_MONOIDS = [
+    FPMonoid.of(1, [(0, 3), (0, 5)]),
+    FPMonoid.of(2, [(1, 3), (0, 5)]),
+    FPMonoid.of(1, [(0, 2), (0, 3)]),
+    FPMonoid.of(3, [(1, 4), (2, 7), (0, 9)]),
+    FPMonoid.of(2, [(0, 4), (1, 6), (1, 9)]),
+]
 
 
 def test_construction_validation():
@@ -62,6 +73,30 @@ def test_fp_length_set_examples():
     assert fp_length_set(twisted, (0, 0)).values == (0,)
     with pytest.raises(InputError):
         fp_length_set(numeric, (0, 4))  # not representable
+
+
+def test_fp_length_set_matches_brute_force():
+    for mono in TEST_MONOIDS:
+        q = mono.unit_modulus
+        atoms = fp_atoms(mono, 8 * mono.max_value * q)
+        for val in range(0, 31):
+            for cls in range(q):
+                want = brute_fp_length_set(atoms, q, (cls, val))
+                if want:
+                    assert set(fp_length_set(mono, (cls, val)).values) == want
+                else:
+                    with pytest.raises(InputError):
+                        fp_length_set(mono, (cls, val))
+
+
+def test_fp_length_set_budget():
+    numeric = FPMonoid.of(1, [(0, 3), (0, 5)])
+    # 50 states pass the atoms' reachability check (cap 40) and the small
+    # element, so the length engine's own check is the one that fires
+    tight = ResourceConfig(max_states=50)
+    assert fp_length_set(numeric, (0, 15), config=tight).values == (3, 5)
+    with pytest.raises(BudgetExceededError):
+        fp_length_set(numeric, (0, 300), config=tight)
 
 
 def test_fp_membership():

@@ -120,6 +120,39 @@ def test_max_elasticity_witness():
     assert max_elasticity_witness(b, enumerate_atoms(sup))
 
 
+def test_max_elasticity_witness_matches_brute_force():
+    rng = random.Random(2017)
+    checked = 0
+    for factors, size in [([4], 2), ([6], 2), ([5], 3), ([2, 2], 3), ([2, 4], 2), ([8], 2)]:
+        G = make_group(factors)
+        elems = list(G.elements())
+        for _ in range(4):
+            sup = SupportSet.of(G, rng.sample(elems, size))
+            atoms = enumerate_atoms(sup)
+            if not atoms.atoms:
+                continue
+            longest = [a.multiplicities for a in atoms if a.length == atoms.davenport]
+            pairs = [a.multiplicities for a in atoms if a.length == 2]
+            for _ in range(3):
+                total = [0] * len(sup.elements)
+                for _ in range(rng.randint(1, 4)):
+                    total = [x + y for x, y in zip(total, rng.choice(longest + pairs + list(atoms.mult_vectors)))]
+                b = GSequence(sup, tuple(total))
+                want = bool(brute_length_set(b, longest)) and bool(brute_length_set(b, pairs))
+                assert max_elasticity_witness(b, atoms) == want
+                checked += 1
+    assert checked >= 30
+
+
+def test_max_elasticity_witness_budget():
+    sup, b = make(cyclic(10), [(1,), (9,)], [10, 10])
+    atoms = enumerate_atoms(sup)
+    # the length-2 run stores the 11 products 1^i 9^i, the longest-atom run 4
+    assert max_elasticity_witness(b, atoms, config=ResourceConfig(max_states=11))
+    with pytest.raises(BudgetExceededError):
+        max_elasticity_witness(b, atoms, config=ResourceConfig(max_states=2))
+
+
 def test_length_set_conventions():
     assert LengthSet.of([0]).rho() == 1
     assert LengthSet.of([2, 4, 8]).delta() == (2, 4)
