@@ -251,6 +251,8 @@ def _shard_ranges(lo: int, hi: int, shards: int) -> list[tuple[int, int]]:
 
 
 def _load_checkpoint(path: Path) -> dict[tuple[int, int], tuple[str, list[int], dict[int, int]]]:
+    """Completed shards whose data record matches its digest; a line that
+    does not parse (a torn write) is skipped, so its shard is recomputed."""
     done: dict[tuple[int, int], tuple[str, list[int], dict[int, int]]] = {}
     data_path = path.with_suffix(path.suffix + ".data")
     if not path.exists() or not data_path.exists():
@@ -258,10 +260,13 @@ def _load_checkpoint(path: Path) -> dict[tuple[int, int], tuple[str, list[int], 
     hashes = {}
     for line in path.read_text().splitlines():
         parts = line.split()
-        if len(parts) == 3:
+        if len(parts) == 3 and parts[0].isdigit() and parts[1].isdigit():
             hashes[(int(parts[0]), int(parts[1]))] = parts[2]
     for line in data_path.read_text().splitlines():
-        rec = json.loads(line)
+        try:
+            rec = json.loads(line)
+        except ValueError:
+            continue
         key = (rec["lo"], rec["hi"])
         if key not in hashes:
             continue
@@ -272,13 +277,23 @@ def _load_checkpoint(path: Path) -> dict[tuple[int, int], tuple[str, list[int], 
     return done
 
 
+def _append_line(path: Path, line: str):
+    """Append one line, first ending a torn last line of the file."""
+    with path.open("a+b") as fh:
+        end = fh.seek(0, 2)
+        if end:
+            fh.seek(end - 1)
+            if fh.read(1) != b"\n":
+                line = "\n" + line
+        fh.write(line.encode() + b"\n")
+
+
 def _append_checkpoint(path: Path, lo: int, hi: int, exceptional: list[int], witnesses: dict[int, int]):
     payload = ",".join(map(str, exceptional))
     digest = hashlib.sha256(payload.encode()).hexdigest()
-    with path.open("a") as fh:
-        fh.write(f"{lo} {hi} {digest}\n")
-    with path.with_suffix(path.suffix + ".data").open("a") as fh:
-        fh.write(json.dumps({"lo": lo, "hi": hi, "exceptional": exceptional, "witnesses": witnesses}) + "\n")
+    _append_line(path, f"{lo} {hi} {digest}")
+    record = {"lo": lo, "hi": hi, "exceptional": exceptional, "witnesses": witnesses}
+    _append_line(path.with_suffix(path.suffix + ".data"), json.dumps(record))
 
 
 def scan_exceptional(

@@ -51,9 +51,7 @@ def _emit(args, payload: dict, lines: list[str] | None = None):
 
 
 def _config_from(args):
-    return default_config().with_overrides(
-        max_atoms=args.budget_atoms, max_length=args.budget_length
-    )
+    return default_config().with_overrides(max_atoms=args.budget_atoms)
 
 
 def cmd_atoms(args) -> int:
@@ -118,10 +116,8 @@ def cmd_delta_rho(args) -> int:
 
 
 def cmd_cf_scan(args) -> int:
-    cfg = _config_from(args)
-    hi = args.hi if args.hi is not None else cfg.scan_hi
     report = scan_exceptional(
-        args.lo, hi, engine=args.engine, shards=args.shards,
+        args.lo, args.hi, engine=args.engine, shards=args.shards,
         workers=args.workers, checkpoint=args.checkpoint,
     )
     lines = [str(n) for n in report.exceptional]
@@ -175,7 +171,10 @@ def cmd_fp(args) -> int:
         _emit(args, payload)
         return EXIT_OK
     if args.fp_cmd == "obstruction":
-        d_list = [int(t) for t in args.d.split(",") if t.strip()]
+        try:
+            d_list = [int(t) for t in args.d.split(",") if t.strip()]
+        except ValueError:
+            raise InputError(f"bad integer list {args.d!r}") from None
         report = transfer_obstruction(d_list)
         payload = {
             "d": list(report.d_list),
@@ -194,7 +193,7 @@ def cmd_verify(args) -> int:
         return EXIT_OK
     names = list(SUITES) if args.all or not args.suites else args.suites
     cfg = _config_from(args)
-    suites = run_suites(names, cfg, workers=args.workers)
+    suites = run_suites(names, cfg)
     failed = skipped = 0
     for suite in suites:
         for check in suite.checks:
@@ -230,11 +229,8 @@ def _add_common(parser: argparse.ArgumentParser, *, suppress: bool):
 
     parser.add_argument("--format", choices=("text", "json", "tsv"),
                         default=default("text"))
-    parser.add_argument("--workers", type=int, default=default(1))
     parser.add_argument("--budget-atoms", type=int, default=default(None),
                         help="cap on enumerated atoms per support")
-    parser.add_argument("--budget-length", type=int, default=default(None),
-                        help="cap on atom length (default: group order)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,9 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cf-scan", help="scan even orders with no extra distance value")
     p.add_argument("--lo", type=int, default=8)
-    p.add_argument("--hi", type=int, default=None)
+    p.add_argument("--hi", type=int, default=100_000)
     p.add_argument("--engine", choices=("e1", "e2", "both"), default="both")
     p.add_argument("--shards", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes for the E1 shards")
     p.add_argument("--checkpoint", default=None)
     p.set_defaults(func=cmd_cf_scan)
 

@@ -21,10 +21,8 @@ ENV_VAR = "ZSLEN_BUDGET"
 class ResourceConfig:
     max_atoms: int = 1_000_000      # atoms emitted per enumeration
     max_nodes: int = 10_000_000     # search-tree nodes per enumeration
-    max_length: int | None = None   # atom length cap; None = group order
     max_states: int = 2_000_000     # memo entries for length-set recursion
     max_supports: int = 500_000     # distinct support unions per scan
-    scan_hi: int = 100_000          # default upper bound for cf-scan
 
     def with_overrides(self, **kwargs: int | None) -> "ResourceConfig":
         fields = {k: v for k, v in kwargs.items() if v is not None}

@@ -158,68 +158,55 @@ def _extgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _functional_gcd(columns, nrows: int) -> int:
-    """gcd of the final coordinate over lattice vectors vanishing on the
-    first ``nrows`` coordinates; the lattice is spanned by ``columns``
-    (integer vectors of size nrows + 1)."""
+def _vanishing_part(vectors, nrows: int) -> list[list[int]]:
+    """Unimodular pivot reduction of ``vectors``: the reduced vectors that
+    become no pivot vanish on the first ``nrows`` coordinates and span exactly
+    the part of the lattice that does (a basis of it when ``vectors`` are
+    linearly independent), since the pivots are independent there."""
     pivots: list[list[int] | None] = [None] * nrows
-    g = 0
-    for col in columns:
-        v: list[int] | None = list(col)
+    rest = []
+    for vec in vectors:
+        v = list(vec)
         for i in range(nrows):
             if v[i] == 0:
                 continue
             p = pivots[i]
             if p is None:
                 pivots[i] = v
-                v = None
                 break
             a, b = p[i], v[i]
             if b % a == 0:
                 q = b // a
-                for j in range(i, nrows + 1):
+                for j in range(i, len(v)):
                     v[j] -= q * p[j]
             else:
                 d, x, y = _extgcd(a, b)
                 qa, qb = a // d, b // d
-                new_p = [x * pj + y * vj for pj, vj in zip(p, v)]
-                new_v = [qa * vj - qb * pj for pj, vj in zip(p, v)]
-                pivots[i] = new_p
-                v = new_v
-        if v is not None:
-            g = gcd(g, v[nrows])
-    return g
+                pivots[i] = [x * pj + y * vj for pj, vj in zip(p, v)]
+                v = [qa * vj - qb * pj for pj, vj in zip(p, v)]
+        else:
+            rest.append(v)
+    return rest
+
+
+def _functional_gcd(columns, nrows: int) -> int:
+    """gcd of the final coordinate over lattice vectors vanishing on the
+    first ``nrows`` coordinates; the lattice is spanned by ``columns``
+    (integer vectors of size nrows + 1)."""
+    return gcd(*(v[nrows] for v in _vanishing_part(columns, nrows)))
 
 
 def kernel_basis_of(mult_vectors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Basis of the full integer kernel {x : sum_j x_j * vec_j = 0}.
 
-    Unimodular row reduction of the vectors augmented with the identity;
-    rows whose vector part vanishes carry a basis of the kernel lattice.
+    Reduces the vectors augmented with the identity; the identity part of
+    each reduced vector whose vector part vanishes is a kernel vector, and
+    together they form a basis of the kernel lattice.
     """
     t = len(mult_vectors)
     r = len(mult_vectors[0]) if t else 0
-    rows = [list(v) + [1 if j == i else 0 for j in range(t)] for i, v in enumerate(mult_vectors)]
-    used = [False] * t
-    for col in range(r):
-        pivot = None
-        for i in range(t):
-            if not used[i] and rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        for i in range(pivot + 1, t):
-            if used[i] or rows[i][col] == 0:
-                continue
-            a, b = rows[pivot][col], rows[i][col]
-            d, x, y = _extgcd(a, b)
-            qa, qb = a // d, b // d
-            rp, ri = rows[pivot], rows[i]
-            rows[pivot] = [x * u + y * w for u, w in zip(rp, ri)]
-            rows[i] = [qa * w - qb * u for u, w in zip(rp, ri)]
-        used[pivot] = True
-    return [tuple(row[r:]) for i, row in enumerate(rows) if not used[i]]
+    rows = [tuple(v) + tuple(1 if j == i else 0 for j in range(t)) for i, v in enumerate(mult_vectors)]
+    return [tuple(v[r:]) for v in _vanishing_part(rows, r)]
 
 
 @dataclass(frozen=True)

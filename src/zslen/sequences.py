@@ -9,8 +9,7 @@ its last element is zero-sum free, so every atom is emitted exactly once,
 from its own maximal proper prefix.
 
 Zero-sum-free sequences acquire a fresh subsequence sum with every appended
-element, which bounds the search depth by ``|G| - 1`` independently of any
-configured cap.
+element, which bounds the search depth by ``|G| - 1``.
 """
 
 from __future__ import annotations
@@ -257,7 +256,6 @@ def enumerate_atoms(
     cfg = config or default_config()
     G = support.group
     n = G.order()
-    max_len = min(cfg.max_length or n, n)
     zero_idx = G.index_of(G.zero())
     zero_bit = 1 << zero_idx
     sup_idx = [G.index_of(g) for g in support.elements]
@@ -283,16 +281,14 @@ def enumerate_atoms(
         if len(atoms) > cfg.max_atoms:
             raise BudgetExceededError("atom count", cfg.max_atoms)
 
-    def dfs(last_pos: int, sigma_idx: int, subs: int, length: int):
+    def dfs(last_pos: int, sigma_idx: int, subs: int):
         nonlocal nodes
         nodes += 1
         if nodes > cfg.max_nodes:
             raise BudgetExceededError("enumeration nodes", cfg.max_nodes)
         p = pos_of[neg_of[sigma_idx]]
-        if p >= 0 and p >= last_pos and length + 1 <= max_len:
+        if p >= 0 and p >= last_pos:
             emit(p)
-        if length + 1 >= max_len:
-            return
         for p in range(max(last_pos, 0), k):
             gi = sup_idx[p]
             shifted = subs
@@ -302,10 +298,10 @@ def enumerate_atoms(
             if nm & zero_bit:
                 continue  # a zero-sum subsequence appeared: not extendable
             counts[p] += 1
-            dfs(p, add_to[p][sigma_idx], nm, length + 1)
+            dfs(p, add_to[p][sigma_idx], nm)
             counts[p] -= 1
 
-    dfs(-1, zero_idx, 0, 0)
+    dfs(-1, zero_idx, 0)
     return AtomSet(support, (GSequence(support, m) for m in atoms))
 
 

@@ -490,15 +490,9 @@ def run_suite(name: str, config: ResourceConfig | None = None) -> VerifySuite:
     return SUITES[name](cfg)
 
 
-def run_suites(names: list[str], config: ResourceConfig | None = None, workers: int = 1) -> list[VerifySuite]:
+def run_suites(names: list[str], config: ResourceConfig | None = None) -> list[VerifySuite]:
     cfg = config or default_config()
     for name in names:
         if name not in SUITES:
             raise InputError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    if workers <= 1 or len(names) <= 1:
-        return [run_suite(name, cfg) for name in names]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_suite, name, cfg) for name in names]
-        return [f.result() for f in futures]
+    return [run_suite(name, cfg) for name in names]

@@ -188,12 +188,3 @@ def test_sandwich_consistency_where_exact_is_known():
         if max(star) != max(result.exact):
             bad.append((name, "max"))
     assert not bad, bad
-
-
-def test_suite_parallelism_is_deterministic():
-    from zslen.verify import run_suites
-
-    names = ["elem2", "locals", "char-separation"]
-    seq = run_suites(names)
-    par = run_suites(names, workers=3)
-    assert [(s.name, s.checks) for s in seq] == [(s.name, s.checks) for s in par]

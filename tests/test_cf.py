@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from zslen.cf import (
+    _load_checkpoint,
     cf_odd_length,
     cf_regular,
     exceptional_witness,
@@ -140,6 +141,19 @@ def test_scan_checkpoint_resume(tmp_path):
     data.write_text(data.read_text().replace('"exceptional": [', '"exceptional": [99999, ', 1))
     third = scan_exceptional(8, 400, engine="e1", shards=4, checkpoint=ck)
     assert third.exceptional == first.exceptional
+
+
+def test_scan_resumes_after_torn_checkpoint_record(tmp_path):
+    ck = tmp_path / "scan.ck"
+    data = ck.with_suffix(ck.suffix + ".data")
+    fresh = scan_exceptional(8, 3000, engine="e1", shards=4)
+    scan_exceptional(8, 3000, engine="e1", shards=4, checkpoint=ck)
+    data.write_bytes(data.read_bytes()[:-40])  # an interrupted final write
+    resumed = scan_exceptional(8, 3000, engine="e1", shards=4, checkpoint=ck)
+    assert resumed == fresh
+    assert len(_load_checkpoint(ck)) == 4
+    third = scan_exceptional(8, 3000, engine="e1", shards=4, checkpoint=ck)
+    assert third == fresh
 
 
 def test_filters():

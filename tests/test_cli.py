@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from zslen.cli import main
 
 
@@ -72,6 +74,27 @@ def test_fp_obstruction(capsys):
     payload = json.loads(out)
     assert payload["gcd"] == 2
     assert any("cyclic of order 4, 6, or 10" in m for m in payload["messages"])
+
+
+def test_fp_obstruction_bad_token_exits_2(capsys):
+    code, out, err = run(capsys, "fp", "obstruction", "--d", "4,x")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_removed_flags_are_usage_errors(capsys):
+    for argv in (["min-delta", "--group", "C10", "--support", "1,9", "--budget-length", "2"],
+                 ["--workers", "2", "verify", "elem2"],
+                 ["delta-rho", "--group", "C5", "--workers", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def test_cf_scan_workers_do_not_change_output(capsys):
+    args = ("cf-scan", "--lo", "8", "--hi", "3000", "--shards", "4")
+    assert run(capsys, *args, "--workers", "2") == run(capsys, *args, "--workers", "1")
 
 
 def test_cf_scan_lines(capsys):

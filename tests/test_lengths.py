@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -11,6 +13,7 @@ from zslen.lengths import (
     LengthSet,
     RelationKernel,
     is_aap,
+    kernel_basis_of,
     length_set,
     max_elasticity_witness,
     min_delta,
@@ -90,6 +93,53 @@ def test_relation_kernel_basis():
         want = min_delta_of_atoms(atoms)
         got = kernel.functional_gcd()
         assert (got if got else None) == want
+
+
+def _rank(rows) -> int:
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _det(square) -> int:
+    """Integer determinant by cofactor expansion (small matrices only)."""
+    if not square:
+        return 1
+    return sum((-1) ** j * square[0][j] * _det([row[:j] + row[j + 1:] for row in square[1:]])
+               for j in range(len(square)) if square[0][j])
+
+
+def test_kernel_basis_spans_the_full_kernel():
+    rng = random.Random(7)
+    cases = [
+        [(2,), (3,)],
+        [(1, 1), (1, 1), (2, 2)],
+        [(2, 0), (0, 3), (4, 6), (6, 6)],
+        [(0, 0), (1, 2), (3, 4)],
+        [(6,), (10,), (15,)],
+    ]
+    cases += [[tuple(rng.randint(-3, 4) for _ in range(2)) for _ in range(5)] for _ in range(20)]
+    for vectors in cases:
+        t = len(vectors)
+        basis = kernel_basis_of(vectors)
+        assert len(basis) == t - _rank(vectors), vectors
+        for x in basis:
+            assert len(x) == t
+            assert all(sum(xj * v[i] for xj, v in zip(x, vectors)) == 0 for i in range(len(vectors[0])))
+        # the gcd of the maximal minors is 1 exactly when the basis spans a
+        # saturated lattice, so it is the whole kernel and not a sublattice
+        if basis:
+            minors = [_det([[x[j] for j in cols] for x in basis]) for cols in combinations(range(t), len(basis))]
+            assert gcd(*minors) == 1, (vectors, basis)
 
 
 def test_rho_of_support():

@@ -176,13 +176,6 @@ def test_budget_errors_are_distinct():
         enumerate_atoms(full_support(G), config=ResourceConfig(max_nodes=10))
 
 
-def test_max_length_cap_restricts_enumeration():
-    C10 = cyclic(10)
-    sup = SupportSet.of(C10, [(1,), (9,)])
-    atoms = enumerate_atoms(sup, config=ResourceConfig(max_length=2))
-    assert {a.multiplicities for a in atoms} == {(1, 1)}
-
-
 def test_parse_support_and_sequence():
     C10 = cyclic(10)
     sup = parse_support(C10, "1,3,7,9")
