@@ -252,11 +252,17 @@ def _shard_ranges(lo: int, hi: int, shards: int) -> list[tuple[int, int]]:
 
 def _load_checkpoint(path: Path) -> dict[tuple[int, int], tuple[str, list[int], dict[int, int]]]:
     """Completed shards whose data record matches its digest; a line that
-    does not parse (a torn write) is skipped, so its shard is recomputed."""
+    does not parse (a torn write) is skipped, so its shard is recomputed.
+
+    Both files are created first, so a path that cannot be written is an
+    :class:`InputError` before any shard runs."""
     done: dict[tuple[int, int], tuple[str, list[int], dict[int, int]]] = {}
     data_path = path.with_suffix(path.suffix + ".data")
-    if not path.exists() or not data_path.exists():
-        return done
+    for p in (path, data_path):
+        try:
+            p.open("a").close()
+        except OSError as exc:
+            raise InputError(f"cannot write checkpoint {p}: {exc.strerror}") from None
     hashes = {}
     for line in path.read_text().splitlines():
         parts = line.split()

@@ -11,13 +11,16 @@ unions of those support classes.  Two facts keep the walk small:
   for every atom ``U`` (pair off each element with its negative), so a running
   gcd of atom lengths settles most unions to 1 without touching the kernel.
 
-Values produced by either shortcut coincide with the kernel-lattice value;
-the property suite checks this on every build.
+The scan keeps one support bitmask per atom of the full group; a union's
+value is one pass over the atoms inside it, feeding the gcd shortcut before
+the kernel.  Values produced by either shortcut coincide with the
+kernel-lattice value; the property suite checks this on every build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 
 from .config import ResourceConfig, default_config
@@ -71,24 +74,24 @@ class DeltaRhoResult:
 
 
 class _MaxAtomScan:
-    """Shared state for scans over unions of maximal-length atom supports."""
+    """Shared state for scans over unions of maximal-length atom supports;
+    ``masks[i]`` has bit j when atom i uses group index j (the full support
+    lists the group in ``group.elements()`` order)."""
 
     def __init__(self, group: AbelianGroup, config: ResourceConfig):
         if group.order() < 3:
             raise InputError("scan needs a group of order >= 3")
         self.group = group
-        self.cfg = config
         self.atoms = enumerate_atoms(full_support(group), config=config)
         self.davenport = self.atoms.davenport
+        bits = [1 << j for j in range(group.order())]
+        self.masks = [sum(compress(bits, v)) for v in self.atoms.mult_vectors]
         elems = group.elements()
         self._neg_idx = [group.index_of(group.neg(e)) for e in elems]
         self.max_indices = [
             i for i, length in enumerate(self.atoms.lengths) if length == self.davenport
         ]
-        class_masks = sorted(
-            {self._sym_mask(self.atoms.supp_masks[i]) for i in self.max_indices}
-        )
-        self.class_masks = class_masks
+        self.class_masks = sorted({self._sym_mask(self.masks[i]) for i in self.max_indices})
 
     def _sym_mask(self, mask: int) -> int:
         out = mask
@@ -112,17 +115,18 @@ class _MaxAtomScan:
     def min_delta_of_mask(self, mask: int) -> int | None:
         """Minimum distance of the (negation-closed) union ``mask``.
 
-        The gcd-of-lengths shortcut settles the value 1 early; anything else
-        falls through to the exact kernel computation.
+        One pass over the atoms inside the union feeds the gcd-of-lengths
+        shortcut, which settles the value 1 early; anything else falls
+        through to the exact kernel computation on those atoms.
         """
-        indices = self.atoms.restrict_to_mask(mask)
+        outside = ~mask
         g = 0
-        for i in indices:
-            length = self.atoms.lengths[i]
-            if length >= 3:
+        for m, length in zip(self.masks, self.atoms.lengths):
+            if length >= 3 and not m & outside:
                 g = gcd(g, length - 2)
                 if g == 1:
                     return 1
+        indices = [i for i, m in enumerate(self.masks) if not m & outside]
         return min_delta_of_atoms(self.atoms, indices)
 
 
@@ -148,15 +152,14 @@ def qualifying_supports(
         low = s & -s
         union_of[s] = union_of[s ^ low] | masks[low.bit_length() - 1]
         unions.setdefault(union_of[s])
+    longest = [
+        (scan._sym_mask(scan.masks[i]), GSequence(scan.atoms.support, scan.atoms.mult_vectors[i]))
+        for i in scan.max_indices
+    ]
     out = []
     for mask in sorted(unions):
-        support = scan.support_of_mask(mask)
-        gens = tuple(
-            scan.atoms.atoms[i]
-            for i in scan.max_indices
-            if scan._sym_mask(scan.atoms.supp_masks[i]) & ~mask == 0
-        )
-        out.append(QualifyingSupport(support, gens))
+        gens = tuple(a for m, a in longest if m & ~mask == 0)
+        out.append(QualifyingSupport(scan.support_of_mask(mask), gens))
     return out
 
 

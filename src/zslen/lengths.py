@@ -354,8 +354,8 @@ def max_elasticity_witness(seq: GSequence, atoms: AtomSet, *, config: ResourceCo
         return False
     D = atoms.davenport
     v = seq.multiplicities
-    longest = [a.multiplicities for a in atoms if a.length == D]
-    pairs = [a.multiplicities for a in atoms if a.length == 2]
+    longest = [a for a, n in zip(atoms.mult_vectors, atoms.lengths) if n == D]
+    pairs = [a for a, n in zip(atoms.mult_vectors, atoms.lengths) if n == 2]
     return bool(_submultiset_bits(v, longest, cfg)) and bool(_submultiset_bits(v, pairs, cfg))
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .config import ResourceConfig, default_config
@@ -49,13 +50,6 @@ class SupportSet:
 
     def index_of(self, g: Element) -> int:
         return self.elements.index(g)
-
-    def mask(self) -> int:
-        """Bitmask of element indices within the full group enumeration."""
-        m = 0
-        for g in self.elements:
-            m |= 1 << self.group.index_of(g)
-        return m
 
     def negated(self) -> "SupportSet":
         return SupportSet.of(self.group, [self.group.neg(g) for g in self.elements])
@@ -114,13 +108,6 @@ class GSequence:
     def supp(self) -> tuple[Element, ...]:
         return tuple(g for g, m in zip(self.support.elements, self.multiplicities) if m)
 
-    def supp_mask(self) -> int:
-        m = 0
-        for g, mult in zip(self.support.elements, self.multiplicities):
-            if mult:
-                m |= 1 << self.support.group.index_of(g)
-        return m
-
     def mul(self, other: "GSequence") -> "GSequence":
         if other.support != self.support:
             raise InputError("sequences must share a support set")
@@ -155,26 +142,28 @@ class GSequence:
 
 
 class AtomSet:
-    """A complete list of atoms over a support, with its Davenport constant."""
+    """A complete list of atoms over a support, with its Davenport constant.
 
-    def __init__(self, support: SupportSet, atoms: Iterable[GSequence]):
+    Stored once, as the flat views ``mult_vectors`` and ``lengths`` sorted by
+    (length, vector); the ``GSequence`` objects of ``atoms`` and iteration
+    are built on first use and cached."""
+
+    def __init__(self, support: SupportSet, vectors: Iterable[tuple[int, ...]]):
         self.support = support
-        self.atoms = tuple(sorted(atoms, key=lambda a: (a.length, a.multiplicities)))
-        self.davenport = max((a.length for a in self.atoms), default=0)
-        # flat views used by the length/kernel machinery
-        self.mult_vectors = tuple(a.multiplicities for a in self.atoms)
-        self.lengths = tuple(a.length for a in self.atoms)
-        self.supp_masks = tuple(a.supp_mask() for a in self.atoms)
+        keyed = sorted((sum(v), tuple(v)) for v in vectors)
+        self.lengths = tuple(length for length, _ in keyed)
+        self.mult_vectors = tuple(v for _, v in keyed)
+        self.davenport = self.lengths[-1] if keyed else 0
+
+    @cached_property
+    def atoms(self) -> tuple[GSequence, ...]:
+        return tuple(GSequence(self.support, v) for v in self.mult_vectors)
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.mult_vectors)
 
     def __iter__(self):
         return iter(self.atoms)
-
-    def restrict_to_mask(self, mask: int) -> list[int]:
-        """Indices of atoms whose support lies inside ``mask``."""
-        return [i for i, m in enumerate(self.supp_masks) if m & ~mask == 0]
 
 
 def is_zero_sum(seq: GSequence) -> bool:
@@ -248,10 +237,10 @@ def enumerate_atoms(
 ) -> AtomSet:
     """Enumerate every atom supported in ``support``.
 
-    Depth-first over sorted zero-sum-free sequences; a node emits an atom when
-    the completing element (the negated running sum) lies in the support at or
-    after the node's last position.  Raises :class:`BudgetExceededError` when
-    the configured atom or node caps are hit, never returning a truncated set.
+    Depth-first, on an explicit stack, over sorted zero-sum-free sequences; a
+    node emits an atom when the completing element (the negated running sum)
+    lies in the support at or after the node's last position.  The atom and
+    node caps raise :class:`BudgetExceededError`, never a truncated set.
     """
     cfg = config or default_config()
     G = support.group
@@ -272,37 +261,37 @@ def enumerate_atoms(
 
     atoms: list[tuple[int, ...]] = []
     counts = [0] * k
+    path: list[int] = []  # support positions of the current node's sequence
     nodes = 0
-
-    def emit(p: int):
-        counts[p] += 1
-        atoms.append(tuple(counts))
-        counts[p] -= 1
-        if len(atoms) > cfg.max_atoms:
-            raise BudgetExceededError("atom count", cfg.max_atoms)
-
-    def dfs(last_pos: int, sigma_idx: int, subs: int):
-        nonlocal nodes
+    # pending nodes (depth, last position, sum index, subsum mask); children
+    # are pushed in reverse, so nodes pop in the order of a recursive walk
+    stack = [(0, -1, zero_idx, 0)]
+    while stack:
+        depth, last_pos, sigma_idx, subs = stack.pop()
+        while len(path) >= depth > 0:  # back up to the parent's sequence
+            counts[path.pop()] -= 1
+        if depth:
+            path.append(last_pos)
+            counts[last_pos] += 1
         nodes += 1
         if nodes > cfg.max_nodes:
             raise BudgetExceededError("enumeration nodes", cfg.max_nodes)
         p = pos_of[neg_of[sigma_idx]]
         if p >= 0 and p >= last_pos:
-            emit(p)
-        for p in range(max(last_pos, 0), k):
-            gi = sup_idx[p]
+            counts[p] += 1
+            atoms.append(tuple(counts))
+            counts[p] -= 1
+            if len(atoms) > cfg.max_atoms:
+                raise BudgetExceededError("atom count", cfg.max_atoms)
+        for p in range(k - 1, max(last_pos, 0) - 1, -1):
             shifted = subs
             for keep, left, wrap, right in shifts[p]:
                 shifted = ((shifted & keep) << left) | ((shifted & wrap) >> right)
-            nm = subs | shifted | (1 << gi)
+            nm = subs | shifted | (1 << sup_idx[p])
             if nm & zero_bit:
                 continue  # a zero-sum subsequence appeared: not extendable
-            counts[p] += 1
-            dfs(p, add_to[p][sigma_idx], nm)
-            counts[p] -= 1
-
-    dfs(-1, zero_idx, 0)
-    return AtomSet(support, (GSequence(support, m) for m in atoms))
+            stack.append((depth + 1, p, add_to[p][sigma_idx], nm))
+    return AtomSet(support, atoms)
 
 
 def full_support(group: AbelianGroup) -> SupportSet:
@@ -314,7 +303,8 @@ def max_length_atoms(group: AbelianGroup, *, config: ResourceConfig | None = Non
     if group.order() < 3:
         raise InputError("maximal-length atoms need a group of order >= 3")
     atom_set = enumerate_atoms(full_support(group), config=config)
-    return [a for a in atom_set if a.length == atom_set.davenport]
+    first = atom_set.lengths.index(atom_set.davenport)  # atoms are sorted by length
+    return [GSequence(atom_set.support, v) for v in atom_set.mult_vectors[first:]]
 
 
 def davenport_constant(group: AbelianGroup, *, config: ResourceConfig | None = None) -> int:

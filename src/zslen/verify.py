@@ -363,7 +363,7 @@ def suite_props(cfg: ResourceConfig, seed: int = 90521) -> VerifySuite:
             atoms = enumerate_atoms(support, config=cfg)
         except BudgetExceededError:
             continue
-        if not atoms.atoms or len(atoms) > 30:
+        if not atoms or len(atoms) > 30:
             continue
         a = _random_zero_sum(rng, atoms, 3)
         b = _random_zero_sum(rng, atoms, 3)
@@ -393,7 +393,7 @@ def suite_props(cfg: ResourceConfig, seed: int = 90521) -> VerifySuite:
             atoms = enumerate_atoms(support, config=cfg)
         except BudgetExceededError:
             continue
-        if not atoms.atoms or len(atoms) > 30:
+        if not atoms or len(atoms) > 30:
             continue
         md = min_delta_of_atoms(atoms)
         b = _random_zero_sum(rng, atoms, 4)
@@ -418,7 +418,7 @@ def suite_props(cfg: ResourceConfig, seed: int = 90521) -> VerifySuite:
             atoms = enumerate_atoms(support, config=cfg)
         except BudgetExceededError:
             continue
-        if not atoms.atoms:
+        if not atoms:
             continue
         md = min_delta_of_atoms(atoms)
         g = 0

@@ -97,6 +97,20 @@ def test_cf_scan_workers_do_not_change_output(capsys):
     assert run(capsys, *args, "--workers", "2") == run(capsys, *args, "--workers", "1")
 
 
+@pytest.mark.parametrize("where", ["missing/ck", "."])
+def test_cf_scan_unwritable_checkpoint_exits_2(capsys, tmp_path, where):
+    # a path inside a missing directory, and a path that is a directory
+    code, out, err = run(capsys, "cf-scan", "--lo", "8", "--hi", "300", "--shards", "2",
+                         "--checkpoint", str(tmp_path / where))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_min_delta_of_a_deep_support(capsys):
+    assert run(capsys, "min-delta", "--group", "C1500", "--support", "1,1499") == (0, "1498\n", "")
+
+
 def test_cf_scan_lines(capsys):
     code, out, _ = run(capsys, "cf-scan", "--lo", "8", "--hi", "40")
     assert code == 0

@@ -1,7 +1,8 @@
 import pytest
 
-from zslen.config import ResourceConfig
+from zslen.config import ResourceConfig, default_config
 from zslen.delta_rho import (
+    _MaxAtomScan,
     delta_rho,
     delta_rho_star,
     divisor_closure,
@@ -82,6 +83,16 @@ def test_star_scan_agrees_with_unpruned_enumeration(name):
     unpruned = {min_delta(s.support) for s in qualifying_supports(G)}
     unpruned.discard(None)
     assert star == frozenset(unpruned)
+
+
+@pytest.mark.parametrize("name", ["C9", "C2xC4", "C2xC2xC2"])
+def test_min_delta_of_mask_matches_min_delta_of_its_support(name):
+    # the one-pass filter over full-group atoms against atoms enumerated
+    # afresh over the union's own support
+    scan = _MaxAtomScan(parse_group(name), default_config())
+    masks = set(scan.class_masks) | {a | b for a in scan.class_masks for b in scan.class_masks}
+    for m in sorted(masks):
+        assert scan.min_delta_of_mask(m) == min_delta(scan.support_of_mask(m)), m
 
 
 def test_star_values():

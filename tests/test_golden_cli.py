@@ -42,6 +42,11 @@ COMMANDS = (
         ["--budget-atoms", "3", "atoms", "--group", "C10", "--support", "1,2,3,4,5"],
         ["verify", "elem2", "locals", "char-separation", "realize"],
         ["cf-scan", "--lo", "99000", "--engine", "e1"],
+        ["atoms", "--group", "C2xC4", "--support", "(0,1),(0,2),(0,3),(1,0),(1,1),(1,2),(1,3)"],
+        ["--format", "tsv", "atoms", "--group", "C12", "--support", "1,5,7,11"],
+        ["delta-rho", "--group", "C16"],
+        ["--format", "json", "delta-rho", "--group", "C14"],
+        ["min-delta", "--group", "C2xC2xC2", "--support", "(1,0,0),(0,1,0),(0,0,1),(1,1,1)"],
     ]
 )
 

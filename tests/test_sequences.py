@@ -85,6 +85,32 @@ def test_enumeration_matches_brute_oracle(factors, support_size):
         assert {a.multiplicities for a in atoms} == brute_atoms(sup, G.order())
 
 
+@pytest.mark.parametrize("factors,elems", [
+    ([10], [(1,), (3,), (7,), (9,)]),
+    ([2, 4], [(0, 1), (1, 0), (1, 1), (1, 3)]),
+    ([6], [(0,), (2,), (3,), (5,)]),
+])
+def test_atom_set_views_agree(factors, elems):
+    atoms = enumerate_atoms(SupportSet.of(make_group(factors), elems))
+    seqs = atoms.atoms
+    assert list(atoms) == list(seqs) and atoms.atoms is seqs
+    assert len(atoms) == len(seqs) == len(atoms.mult_vectors) == len(atoms.lengths)
+    assert atoms.mult_vectors == tuple(a.multiplicities for a in seqs)
+    assert atoms.lengths == tuple(a.length for a in seqs)
+    assert all(a.support == atoms.support and a.is_zero_sum() for a in seqs)
+    keys = [(a.length, a.multiplicities) for a in seqs]
+    assert keys == sorted(keys)
+    assert atoms.davenport == max(atoms.lengths)
+
+
+def test_enumeration_depth_is_not_limited_by_recursion():
+    # the zero-sum-free sequences 1^k, k < 1500, make a path 1499 nodes deep
+    sup = parse_support(cyclic(1500), "1,1499")
+    atoms = enumerate_atoms(sup)
+    assert atoms.mult_vectors == ((1, 1), (0, 1500), (1500, 0))
+    assert atoms.davenport == 1500
+
+
 def test_davenport_of_full_groups():
     assert enumerate_atoms(full_support(cyclic(10))).davenport == 10
     assert enumerate_atoms(full_support(make_group([2, 2]))).davenport == 3
