@@ -25,7 +25,7 @@ from math import gcd, isqrt
 from pathlib import Path
 
 from .errors import EngineMismatchError, InputError
-from .groups import _factorint
+from .groups import _is_prime
 
 
 @dataclass(frozen=True)
@@ -122,15 +122,14 @@ def min_delta_sym_quad(n: int, a: int) -> int:
         raise InputError("need n > 3")
     if not 2 <= a or not 2 * a < n:
         raise InputError(f"need 2 <= a < n/2, got a={a}, n={n}")
-    qs = cf_regular(n, a).quotients
-    value = qs[0] - 1
-    for q in qs[1:-1]:
-        value = gcd(value, q)
-    return gcd(value, qs[-1] - 1)
+    if gcd(n, a) != 1:
+        raise InputError(f"need gcd(n, a) = 1, got n={n}, a={a}")
+    return _quad_criterion(n, a)
 
 
 def _quad_criterion(n: int, a: int) -> int:
-    """min_delta_sym_quad with early exit, for the scan inner loop."""
+    """The quotient gcd of :func:`min_delta_sym_quad`, computed along the
+    Euclidean algorithm with an early exit at 1; no input checks."""
     q, r = divmod(n, a)
     g = q - 1
     x, y = a, r
@@ -171,33 +170,29 @@ class ScanReport:
             raise InputError("exceptional orders are even and at least 8")
 
     def digest(self) -> str:
-        payload = ",".join(map(str, self.exceptional))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return _digest(self.exceptional)
+
+
+def _digest(exceptional) -> str:
+    """sha256 of the comma-joined exceptional orders."""
+    return hashlib.sha256(",".join(map(str, exceptional)).encode()).hexdigest()
+
+
+def _evens(lo: int, hi: int) -> range:
+    return range(lo + lo % 2, hi + 1, 2)
 
 
 def _scan_direct_range(lo: int, hi: int) -> tuple[list[int], dict[int, int]]:
     """E1: trial over a for every even n in [lo, hi]."""
     exceptional: list[int] = []
     witnesses: dict[int, int] = {}
-    start = lo if lo % 2 == 0 else lo + 1
-    for n in range(start, hi + 1, 2):
+    for n in _evens(lo, hi):
         w = exceptional_witness(n)
         if w is None:
             exceptional.append(n)
         else:
             witnesses[n] = w
     return exceptional, witnesses
-
-
-def _primes_up_to(limit: int) -> list[int]:
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, v in enumerate(sieve) if v]
 
 
 def _scan_inverted(hi: int) -> dict[int, int]:
@@ -207,11 +202,8 @@ def _scan_inverted(hi: int) -> dict[int, int]:
     witnessed pair is divisible by some prime, so prime patterns cover all.
     """
     marked: dict[int, int] = {}
-    # minimal pattern continuant is (t+1)^2 + 1
-    t_limit = isqrt(hi) + 1
-    for t in _primes_up_to(t_limit):
-        if (t + 1) ** 2 + 1 > hi:
-            break
+    # minimal pattern continuant is (t+1)^2 + 1, so t + 1 <= isqrt(hi - 1)
+    for t in filter(_is_prime, range(2, isqrt(hi - 1))):
 
         def close_or_extend(p1: int, p0: int, q1: int, q0: int):
             # close with a final quotient = 1 mod t, >= 2
@@ -237,8 +229,6 @@ def _scan_inverted(hi: int) -> dict[int, int]:
 
 
 def _shard_ranges(lo: int, hi: int, shards: int) -> list[tuple[int, int]]:
-    if shards < 1:
-        raise InputError("shards must be >= 1")
     total = hi - lo + 1
     size = max(1, -(-total // shards))
     out = []
@@ -250,56 +240,42 @@ def _shard_ranges(lo: int, hi: int, shards: int) -> list[tuple[int, int]]:
     return out
 
 
-def _load_checkpoint(path: Path) -> dict[tuple[int, int], tuple[str, list[int], dict[int, int]]]:
-    """Completed shards whose data record matches its digest; a line that
-    does not parse (a torn write) is skipped, so its shard is recomputed.
+def _load_checkpoint(path: Path) -> dict[tuple[int, int], tuple[list[int], dict[int, int]]]:
+    """Completed shards of a JSON-lines checkpoint, one record per shard.
 
-    Both files are created first, so a path that cannot be written is an
-    :class:`InputError` before any shard runs."""
-    done: dict[tuple[int, int], tuple[str, list[int], dict[int, int]]] = {}
-    data_path = path.with_suffix(path.suffix + ".data")
-    for p in (path, data_path):
-        try:
-            p.open("a").close()
-        except OSError as exc:
-            raise InputError(f"cannot write checkpoint {p}: {exc.strerror}") from None
-    hashes = {}
+    A line that does not parse (a torn write, or the old index format) or
+    whose ``sha256`` does not match its exceptional orders is skipped, so
+    its shard is recomputed.  The file is created first, so a path that
+    cannot be written is an :class:`InputError` before any shard runs."""
+    try:
+        path.open("a").close()
+    except OSError as exc:
+        raise InputError(f"cannot write checkpoint {path}: {exc.strerror}") from None
+    done: dict[tuple[int, int], tuple[list[int], dict[int, int]]] = {}
     for line in path.read_text().splitlines():
-        parts = line.split()
-        if len(parts) == 3 and parts[0].isdigit() and parts[1].isdigit():
-            hashes[(int(parts[0]), int(parts[1]))] = parts[2]
-    for line in data_path.read_text().splitlines():
         try:
             rec = json.loads(line)
-        except ValueError:
-            continue
-        key = (rec["lo"], rec["hi"])
-        if key not in hashes:
-            continue
-        payload = ",".join(map(str, rec["exceptional"]))
-        if hashlib.sha256(payload.encode()).hexdigest() != hashes[key]:
-            continue  # stale or corrupt: recompute this shard
-        done[key] = (hashes[key], rec["exceptional"], {int(k): v for k, v in rec["witnesses"].items()})
+            if rec["sha256"] == _digest(rec["exceptional"]):
+                done[(rec["lo"], rec["hi"])] = (
+                    rec["exceptional"], {int(k): v for k, v in rec["witnesses"].items()}
+                )
+        except (ValueError, TypeError, KeyError, AttributeError):
+            continue  # torn, foreign or corrupt: recompute this shard
     return done
 
 
-def _append_line(path: Path, line: str):
-    """Append one line, first ending a torn last line of the file."""
+def _append_checkpoint(path: Path, lo: int, hi: int, exceptional: list[int], witnesses: dict[int, int]):
+    """Append one shard record, first ending a torn last line of the file."""
+    record = {"lo": lo, "hi": hi, "exceptional": exceptional, "witnesses": witnesses,
+              "sha256": _digest(exceptional)}
+    line = json.dumps(record).encode() + b"\n"
     with path.open("a+b") as fh:
         end = fh.seek(0, 2)
         if end:
             fh.seek(end - 1)
             if fh.read(1) != b"\n":
-                line = "\n" + line
-        fh.write(line.encode() + b"\n")
-
-
-def _append_checkpoint(path: Path, lo: int, hi: int, exceptional: list[int], witnesses: dict[int, int]):
-    payload = ",".join(map(str, exceptional))
-    digest = hashlib.sha256(payload.encode()).hexdigest()
-    _append_line(path, f"{lo} {hi} {digest}")
-    record = {"lo": lo, "hi": hi, "exceptional": exceptional, "witnesses": witnesses}
-    _append_line(path.with_suffix(path.suffix + ".data"), json.dumps(record))
+                line = b"\n" + line
+        fh.write(line)
 
 
 def scan_exceptional(
@@ -322,6 +298,8 @@ def scan_exceptional(
         raise InputError(f"need 8 <= lo <= hi, got [{lo}, {hi}]")
     if engine not in ("e1", "e2", "both"):
         raise InputError(f"unknown engine {engine!r}")
+    if shards < 1 or workers < 1:
+        raise InputError(f"shards and workers must be >= 1, got {shards} and {workers}")
     ck_path = Path(checkpoint) if checkpoint else None
     done = _load_checkpoint(ck_path) if ck_path else {}
 
@@ -343,7 +321,7 @@ def scan_exceptional(
         witnesses: dict[int, int] = {}
         for r in ranges:
             if r in done:
-                _, exc, wit = done[r]
+                exc, wit = done[r]
             else:
                 exc, wit = results[r]
                 if ck_path:
@@ -354,9 +332,8 @@ def scan_exceptional(
 
     def run_e2() -> tuple[list[int], dict[int, int]]:
         marked = _scan_inverted(hi)
-        start = lo if lo % 2 == 0 else lo + 1
-        exceptional = [n for n in range(start, hi + 1, 2) if n not in marked]
-        witnesses = {n: marked[n] for n in range(start, hi + 1, 2) if n in marked}
+        exceptional = [n for n in _evens(lo, hi) if n not in marked]
+        witnesses = {n: marked[n] for n in _evens(lo, hi) if n in marked}
         return exceptional, witnesses
 
     if engine == "e1":
@@ -385,14 +362,14 @@ def sufficient_filters(n: int) -> frozenset[str]:
         raise InputError("need n >= 5")
     tags = set()
     even = n % 2 == 0
-    if even and _factorint(n - 1) != {n - 1: 1}:
+    if even and not _is_prime(n - 1):
         tags.add("cond1")
-    if even and n % 3 != 0 and _factorint(n - 3) != {n - 3: 1}:
+    if even and n % 3 != 0 and not _is_prime(n - 3):
         tags.add("cond2")
     if even:
         q = 3
         while q * q + 2 * q <= n:
-            if _factorint(q) == {q: 1} and n % (q * q) == 2 * q:
+            if _is_prime(q) and n % (q * q) == 2 * q:
                 tags.add("cond3")
                 break
             q += 2

@@ -4,7 +4,8 @@ All potentially expensive computations take a :class:`ResourceConfig`.
 Defaults are sized so the whole default verification run finishes in
 minutes on a laptop; larger jobs opt in explicitly.  The environment
 variable ``ZSLEN_BUDGET`` overrides individual fields, e.g.
-``ZSLEN_BUDGET="max_atoms=200000,max_nodes=5000000"``.
+``ZSLEN_BUDGET="max_atoms=200000,max_nodes=5000000"``.  Every field is at
+least 1; a smaller value is an :class:`InputError`, wherever it comes from.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ class ResourceConfig:
     max_nodes: int = 10_000_000     # search-tree nodes per enumeration
     max_states: int = 2_000_000     # memo entries for length-set recursion
     max_supports: int = 500_000     # distinct support unions per scan
+
+    def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            if getattr(self, name) < 1:
+                raise InputError(f"budget {name} must be >= 1, got {getattr(self, name)}")
 
     def with_overrides(self, **kwargs: int | None) -> "ResourceConfig":
         fields = {k: v for k, v in kwargs.items() if v is not None}

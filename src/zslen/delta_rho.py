@@ -26,7 +26,7 @@ from math import gcd
 from .config import ResourceConfig, default_config
 from .errors import BudgetExceededError, InputError
 from .groups import AbelianGroup, _factorint, cyclic, direct_sum_with_embeddings, make_group
-from .lengths import min_delta_of_atoms
+from .lengths import _set_bits, min_delta_of_atoms
 from .sequences import GSequence, SupportSet, enumerate_atoms, full_support
 
 
@@ -94,23 +94,11 @@ class _MaxAtomScan:
         self.class_masks = sorted({self._sym_mask(self.masks[i]) for i in self.max_indices})
 
     def _sym_mask(self, mask: int) -> int:
-        out = mask
-        m = mask
-        while m:
-            low = m & -m
-            out |= 1 << self._neg_idx[low.bit_length() - 1]
-            m ^= low
-        return out
+        return mask | sum(1 << self._neg_idx[j] for j in _set_bits(mask))
 
     def support_of_mask(self, mask: int) -> SupportSet:
         elems = self.group.elements()
-        members = []
-        m = mask
-        while m:
-            low = m & -m
-            members.append(elems[low.bit_length() - 1])
-            m ^= low
-        return SupportSet.of(self.group, members)
+        return SupportSet.of(self.group, [elems[j] for j in _set_bits(mask)])
 
     def min_delta_of_mask(self, mask: int) -> int | None:
         """Minimum distance of the (negation-closed) union ``mask``.

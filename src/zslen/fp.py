@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from .config import ResourceConfig, default_config
 from .errors import BudgetExceededError, CompletenessError, InputError
-from .lengths import LengthSet, _functional_gcd, _lengths_of, _product_bits
+from .lengths import LengthSet, _functional_gcd, _product_bits, _set_bits
 from .delta_rho import gcd_closure
 
 
@@ -136,9 +137,20 @@ def fp_atoms(monoid: FPMonoid, value_cap: int) -> list[tuple[int, int]]:
 
 
 def _certified_atoms(monoid: FPMonoid, cfg: ResourceConfig) -> list[tuple[int, int]]:
-    cap = 8 * monoid.max_value * monoid.unit_modulus
+    """:func:`fp_atoms` under a cap doubled until it certifies.  Every unit
+    class is reached at all large values exactly when the generators and
+    ``(q, 0)`` span Z^2 (2x2 minors of gcd 1); otherwise no cap certifies."""
+    q = monoid.unit_modulus
+    pairs = combinations([*monoid.generators, (q, 0)], 2)
+    index = gcd(*(c1 * v2 - c2 * v1 for (c1, v1), (c2, v2) in pairs))
+    if index != 1:
+        raise InputError(
+            f"generators and ({q}, 0) span a sublattice of index {index} in Z^2: "
+            f"some unit classes mod {q} are never reached"
+        )
+    cap = 8 * monoid.max_value * q
     while True:
-        if cap * monoid.unit_modulus > cfg.max_states:
+        if cap * q > cfg.max_states:
             raise BudgetExceededError("fp reachability states", cfg.max_states)
         try:
             return fp_atoms(monoid, cap)
@@ -175,7 +187,7 @@ def fp_length_set(
     bits = _product_bits((0, 0), weighted, val, mul, cfg.max_states).get((cls, val), 0)
     if not bits:
         raise InputError(f"element {x} is not in the monoid")
-    return LengthSet(_lengths_of(bits))
+    return LengthSet(_set_bits(bits))
 
 
 def fp_min_delta(monoid: FPMonoid, atoms: list[tuple[int, int]]) -> int | None:

@@ -34,27 +34,35 @@ def _factorint(n: int) -> dict[int, int]:
     return out
 
 
-def _invariant_factors(factors: list[int]) -> list[int]:
-    """Normalize an arbitrary cyclic-product presentation to a divisor chain.
+def _is_prime(n: int) -> bool:
+    return _factorint(n) == {n: 1}
 
-    Prime-power components are redistributed so that the largest powers of
-    every prime land in the last factor, the next largest in the one before,
-    and so on; the result is the unique chain n_1 | ... | n_r.
+
+def _prime_power_routes(factors: list[int]):
+    """Route the prime-power parts of cyclic orders to invariant factors.
+
+    Yields ``(p, e, i, slot)``: the ``slot``-th largest power ``p**e`` of
+    each prime (ties by position) comes from ``factors[i]`` and lands in the
+    ``slot``-th invariant factor counted from the largest.
     """
-    by_prime: dict[int, list[int]] = {}
-    for n in factors:
+    by_prime: dict[int, list[tuple[int, int]]] = {}
+    for i, n in enumerate(factors):
         for p, e in _factorint(n).items():
-            by_prime.setdefault(p, []).append(e)
-    depth = max((len(v) for v in by_prime.values()), default=0)
-    chain = []
-    for slot in range(depth):
-        f = 1
-        for p, exps in by_prime.items():
-            exps.sort(reverse=True)
-            if slot < len(exps):
-                f *= p ** exps[slot]
-        chain.append(f)
-    chain.reverse()
+            by_prime.setdefault(p, []).append((e, i))
+    for p, entries in by_prime.items():
+        entries.sort(key=lambda t: (-t[0], t[1]))
+        for slot, (e, i) in enumerate(entries):
+            yield p, e, i, slot
+
+
+def _invariant_factors(factors: list[int]) -> list[int]:
+    """Normalize an arbitrary cyclic-product presentation to the unique
+    divisor chain n_1 | ... | n_r."""
+    routes = list(_prime_power_routes(factors))
+    depth = max((slot + 1 for *_, slot in routes), default=0)
+    chain = [1] * depth
+    for p, e, _, slot in routes:
+        chain[depth - 1 - slot] *= p**e
     return chain
 
 
@@ -100,9 +108,6 @@ class AbelianGroup:
     @property
     def is_elementary_2(self) -> bool:
         return bool(self.invariant_factors) and self.exponent() == 2
-
-    def p_rank(self, p: int) -> int:
-        return sum(1 for n in self.invariant_factors if n % p == 0)
 
     # -- elements ----------------------------------------------------------
 
@@ -238,10 +243,6 @@ def direct_sum_with_embeddings(blocks: list[AbelianGroup]):
             raw.append(n)
             origin.append((bi, ci))
 
-    by_prime: dict[int, list[tuple[int, int]]] = {}
-    for ri, n in enumerate(raw):
-        for p, e in _factorint(n).items():
-            by_prime.setdefault(p, []).append((e, ri))
     total = make_group(raw)
     inv = total.invariant_factors
     k = len(inv)
@@ -249,11 +250,9 @@ def direct_sum_with_embeddings(blocks: list[AbelianGroup]):
     # gen_image[ri] = image of the ri-th raw generator in `total`; prime
     # parts accumulate (several primes of one generator may share a slot)
     gen_image = [list(total.zero()) for _ in raw]
-    for p, entries in by_prime.items():
-        entries.sort(key=lambda t: (-t[0], t[1]))
-        for slot, (e, ri) in enumerate(entries):
-            col = k - 1 - slot  # largest invariant factor sits last
-            gen_image[ri][col] = (gen_image[ri][col] + inv[col] // p**e) % inv[col]
+    for p, e, ri, slot in _prime_power_routes(raw):
+        col = k - 1 - slot  # largest invariant factor sits last
+        gen_image[ri][col] = (gen_image[ri][col] + inv[col] // p**e) % inv[col]
 
     maps = []
     for bi, blk in enumerate(blocks):

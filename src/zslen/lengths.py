@@ -299,8 +299,8 @@ def _product_bits(zero, atoms, bound: int, mul, max_states: float) -> dict:
     return bits
 
 
-def _lengths_of(bits: int) -> tuple[int, ...]:
-    """The set bits of a length bitset, in increasing order."""
+def _set_bits(bits: int) -> tuple[int, ...]:
+    """The indices of the set bits of ``bits``, in increasing order."""
     out = []
     while bits:
         low = bits & -bits
@@ -339,7 +339,7 @@ def length_set(seq: GSequence, atoms: AtomSet, *, config: ResourceConfig | None 
     bits = _submultiset_bits(seq.multiplicities, atoms.mult_vectors, cfg)
     if not bits:
         raise InputError("sequence admits no factorization over the given atoms")
-    return LengthSet(_lengths_of(bits))
+    return LengthSet(_set_bits(bits))
 
 
 def max_elasticity_witness(seq: GSequence, atoms: AtomSet, *, config: ResourceConfig | None = None) -> bool:

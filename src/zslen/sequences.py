@@ -44,13 +44,6 @@ class SupportSet:
         have = set(self.elements)
         return all(self.group.neg(g) in have for g in self.elements)
 
-    @property
-    def contains_zero(self) -> bool:
-        return self.group.zero() in self.elements
-
-    def index_of(self, g: Element) -> int:
-        return self.elements.index(g)
-
     def negated(self) -> "SupportSet":
         return SupportSet.of(self.group, [self.group.neg(g) for g in self.elements])
 
@@ -96,14 +89,6 @@ class GSequence:
 
     def is_zero_sum(self) -> bool:
         return self.sigma() == self.support.group.zero()
-
-    def v(self, g: Element) -> int:
-        """Multiplicity of ``g``."""
-        g = self.support.group.element(g)
-        try:
-            return self.multiplicities[self.support.index_of(g)]
-        except ValueError:
-            return 0
 
     def supp(self) -> tuple[Element, ...]:
         return tuple(g for g, m in zip(self.support.elements, self.multiplicities) if m)

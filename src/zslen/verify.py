@@ -21,8 +21,8 @@ from .config import ResourceConfig, default_config
 from .delta_rho import delta_rho, delta_rho_star, divisor_closure, gcd_closure, one_in_delta_rho, realize_delta_set
 from .errors import BudgetExceededError, EngineMismatchError, InputError
 from .fp import FPMonoid, delta_rho_star_product, fp_length_set, local_profile
-from .groups import AbelianGroup, cyclic, make_group
-from .lengths import _lengths_of, _product_bits, length_set, min_delta, min_delta_of_atoms, sumset
+from .groups import AbelianGroup, cyclic, make_group, parse_group
+from .lengths import _product_bits, _set_bits, length_set, min_delta, min_delta_of_atoms, sumset
 from .sequences import GSequence, SupportSet, enumerate_atoms
 
 
@@ -134,8 +134,6 @@ ONE_NOT_MIN = ("C4", "C6", "C10")
 
 def suite_one_dichotomy(cfg: ResourceConfig) -> VerifySuite:
     suite = VerifySuite("one-dichotomy")
-    from .groups import parse_group
-
     for name in ONE_IN_STAR:
         _add(suite, f"1 in star set of {name} (by enumeration)", True,
              lambda name=name: 1 in delta_rho_star(parse_group(name), config=cfg))
@@ -154,8 +152,6 @@ RANK_TWO_LIKE = ("C3xC3", "C2xC4", "C2xC6", "C2xC2xC4")
 
 def suite_rank_two_often(cfg: ResourceConfig) -> VerifySuite:
     suite = VerifySuite("rank-two-often")
-    from .groups import parse_group
-
     for name in RANK_TWO_LIKE:
         _add(suite, f"star set of {name} is exactly {{1}}", frozenset({1}),
              lambda name=name: delta_rho_star(parse_group(name), config=cfg))
@@ -232,12 +228,42 @@ def small_groups(max_order: int) -> list[AbelianGroup]:
     return out
 
 
+def _random_atom_sets(rng: random.Random, pool, cfg: ResourceConfig, count: int, max_size: int,
+                      keep=lambda support, atoms: True, symmetric: bool = False):
+    """Yield ``count`` pairs ``(support, atoms)`` over random supports.
+
+    Each draw takes a group from ``pool``, a size in [1, max_size] and that
+    many distinct elements, closed under negation when ``symmetric``.  Draws
+    whose enumeration exceeds the budget, that have no atoms, or that
+    ``keep`` rejects are skipped; more than 80 draws per pair is an
+    :class:`InputError`.
+    """
+    limit = 80 * count
+    draws = 0
+    while count:
+        draws += 1
+        if draws > limit:
+            raise InputError("sampling stalled; budgets too tight for the pool")
+        G = rng.choice(pool)
+        elems = rng.sample(G.elements(), rng.randint(1, min(max_size, G.order())))
+        if symmetric:
+            elems += [G.neg(g) for g in elems]
+        support = SupportSet.of(G, elems)
+        try:
+            atoms = enumerate_atoms(support, config=cfg)
+        except BudgetExceededError:
+            continue
+        if atoms and keep(support, atoms):
+            count -= 1
+            yield support, atoms
+
+
 def _exhaustive_lengths(atoms, bound: int) -> dict[tuple[int, ...], frozenset[int]]:
     """L(B) for every product of atoms with |B| <= bound (never truncated)."""
     zero = (0,) * len(atoms.support.elements)
     weighted = list(zip(atoms.mult_vectors, atoms.lengths))
     bits = _product_bits(zero, weighted, bound, lambda p, a: tuple(map(add, p, a)), inf)
-    return {v: frozenset(_lengths_of(b)) for v, b in bits.items()}
+    return {v: frozenset(_set_bits(b)) for v, b in bits.items()}
 
 
 def observed_min_delta(atoms, bound: int) -> int | None:
@@ -254,31 +280,18 @@ def suite_kernel_brute(cfg: ResourceConfig, samples: int = 200, seed: int = 7042
     """Kernel-lattice min delta vs gcd of exhaustively observed distances."""
     suite = VerifySuite("kernel-brute")
     rng = random.Random(seed)
-    pool = small_groups(16)
     agree = 0
     both_empty = 0
     disagreements = []
-    tried = 0
-    while agree + both_empty + len(disagreements) < samples:
-        tried += 1
-        if tried > 80 * samples:
-            raise InputError("sampling stalled; budgets too tight for the pool")
-        G = rng.choice(pool)
-        size = rng.randint(1, min(4, G.order()))
-        elems = rng.sample(G.elements(), size)
-        support = SupportSet.of(G, elems)
-        try:
-            atoms = enumerate_atoms(support, config=cfg)
-        except BudgetExceededError:
-            continue
-        if not 1 <= len(atoms) <= 40:
-            continue
-        bound = 4 * atoms.davenport
+
+    def keep(support, atoms):
         # resample pathologically large searches; never truncate one
-        if len(atoms) * bound ** min(size, 2) > 600_000:
-            continue
+        bound = 4 * atoms.davenport
+        return len(atoms) <= 40 and len(atoms) * bound ** min(len(support.elements), 2) <= 600_000
+
+    for support, atoms in _random_atom_sets(rng, small_groups(16), cfg, samples, 4, keep):
         kernel = min_delta_of_atoms(atoms)
-        brute = observed_min_delta(atoms, bound)
+        brute = observed_min_delta(atoms, 4 * atoms.davenport)
         if kernel == brute:
             if kernel is None:
                 both_empty += 1
@@ -352,19 +365,13 @@ def suite_props(cfg: ResourceConfig, seed: int = 90521) -> VerifySuite:
     rng = random.Random(seed)
     pool = small_groups(12)
 
+    def at_most_30(support, atoms):
+        return len(atoms) <= 30
+
     # sumset containment and elasticity multiplicativity on random products
     containment_bad = []
     rho_bad = []
-    done = 0
-    while done < 30:
-        G = rng.choice(pool)
-        support = SupportSet.of(G, rng.sample(G.elements(), rng.randint(1, min(3, G.order()))))
-        try:
-            atoms = enumerate_atoms(support, config=cfg)
-        except BudgetExceededError:
-            continue
-        if not atoms or len(atoms) > 30:
-            continue
+    for support, atoms in _random_atom_sets(rng, pool, cfg, 30, 3, at_most_30):
         a = _random_zero_sum(rng, atoms, 3)
         b = _random_zero_sum(rng, atoms, 3)
         la = length_set(a, atoms, config=cfg)
@@ -375,7 +382,6 @@ def suite_props(cfg: ResourceConfig, seed: int = 90521) -> VerifySuite:
         peak = Fraction(atoms.davenport, 2)
         if la.rho() == peak and lb.rho() == peak and lab.rho() != peak:
             rho_bad.append((str(support), str(a), str(b)))
-        done += 1
     suite.checks.append(Check(
         "sumset containment L(a)+L(b) within L(ab) on 30 random products",
         "[]", _fmt(containment_bad), not containment_bad))
@@ -385,41 +391,20 @@ def suite_props(cfg: ResourceConfig, seed: int = 90521) -> VerifySuite:
 
     # distance divisibility against the kernel value
     divis_bad = []
-    done = 0
-    while done < 40:
-        G = rng.choice(pool)
-        support = SupportSet.of(G, rng.sample(G.elements(), rng.randint(1, min(3, G.order()))))
-        try:
-            atoms = enumerate_atoms(support, config=cfg)
-        except BudgetExceededError:
-            continue
-        if not atoms or len(atoms) > 30:
-            continue
+    for support, atoms in _random_atom_sets(rng, pool, cfg, 40, 3, at_most_30):
         md = min_delta_of_atoms(atoms)
         b = _random_zero_sum(rng, atoms, 4)
         lengths = length_set(b, atoms, config=cfg)
         for d in lengths.delta():
             if md is None or d % md:
                 divis_bad.append((str(support), str(b), md, d))
-        done += 1
     suite.checks.append(Check(
         "kernel min delta divides every observed distance on 40 random products",
         "[]", _fmt(divis_bad), not divis_bad))
 
     # symmetric supports: min delta divides gcd of atom lengths minus two
     sym_bad = []
-    done = 0
-    while done < 100:
-        G = rng.choice(pool)
-        base = rng.sample(G.elements(), rng.randint(1, min(3, G.order())))
-        elems = set(base) | {G.neg(g) for g in base}
-        support = SupportSet.of(G, elems)
-        try:
-            atoms = enumerate_atoms(support, config=cfg)
-        except BudgetExceededError:
-            continue
-        if not atoms:
-            continue
+    for support, atoms in _random_atom_sets(rng, pool, cfg, 100, 3, symmetric=True):
         md = min_delta_of_atoms(atoms)
         g = 0
         for length in atoms.lengths:
@@ -430,15 +415,12 @@ def suite_props(cfg: ResourceConfig, seed: int = 90521) -> VerifySuite:
                 sym_bad.append((str(support), md, g))
         elif g % md:
             sym_bad.append((str(support), md, g))
-        done += 1
     suite.checks.append(Check(
         "min delta divides gcd(|U|-2) on 100 random symmetric supports",
         "[]", _fmt(sym_bad), not sym_bad))
 
     # sandwich with max equality on every dispatchable group with enumerable star
     sandwich_bad = []
-    from .groups import parse_group
-
     for name in ("C4", "C5", "C6", "C7", "C8", "C9", "C10", "C11", "C12",
                  "C2xC2", "C2xC2xC2", "C2xC2xC2xC2", "C2xC4", "C3xC3",
                  "C2xC6", "C2xC2xC4"):
@@ -484,15 +466,13 @@ SUITES: dict[str, Callable[[ResourceConfig], VerifySuite]] = {
 
 
 def run_suite(name: str, config: ResourceConfig | None = None) -> VerifySuite:
-    cfg = config or default_config()
-    if name not in SUITES:
-        raise InputError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    return SUITES[name](cfg)
+    return run_suites([name], config)[0]
 
 
 def run_suites(names: list[str], config: ResourceConfig | None = None) -> list[VerifySuite]:
+    """Run the named suites in order; every name is checked before any runs."""
     cfg = config or default_config()
     for name in names:
         if name not in SUITES:
             raise InputError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    return [run_suite(name, cfg) for name in names]
+    return [SUITES[name](cfg) for name in names]

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -127,33 +128,44 @@ def test_scan_engines_agree_and_shard_invariance():
 def test_scan_checkpoint_resume(tmp_path):
     ck = tmp_path / "scan.ck"
     first = scan_exceptional(8, 400, engine="e1", shards=4, checkpoint=ck)
-    lines = ck.read_text().splitlines()
-    assert len(lines) == 4
-    for line in lines:
-        lo, hi, digest = line.split()
-        assert len(digest) == 64
+    records = [json.loads(line) for line in ck.read_text().splitlines()]
+    assert len(records) == 4
+    for rec in records:
+        assert len(rec["sha256"]) == 64
+    assert [p.name for p in tmp_path.iterdir()] == ["scan.ck"]  # one file, no sidecar
     # resume: completed shards are reused, results identical
     second = scan_exceptional(8, 400, engine="e1", shards=4, checkpoint=ck)
     assert first.exceptional == second.exceptional
     assert first.witnesses == second.witnesses
-    # corrupt sidecar forces recomputation, not wrong reuse
-    data = ck.with_suffix(ck.suffix + ".data")
-    data.write_text(data.read_text().replace('"exceptional": [', '"exceptional": [99999, ', 1))
+    # a corrupt record forces recomputation, not wrong reuse
+    ck.write_text(ck.read_text().replace('"exceptional": [', '"exceptional": [99999, ', 1))
+    assert len(_load_checkpoint(ck)) == 3
     third = scan_exceptional(8, 400, engine="e1", shards=4, checkpoint=ck)
     assert third.exceptional == first.exceptional
 
 
 def test_scan_resumes_after_torn_checkpoint_record(tmp_path):
     ck = tmp_path / "scan.ck"
-    data = ck.with_suffix(ck.suffix + ".data")
     fresh = scan_exceptional(8, 3000, engine="e1", shards=4)
     scan_exceptional(8, 3000, engine="e1", shards=4, checkpoint=ck)
-    data.write_bytes(data.read_bytes()[:-40])  # an interrupted final write
+    ck.write_bytes(ck.read_bytes()[:-40])  # an interrupted final write
     resumed = scan_exceptional(8, 3000, engine="e1", shards=4, checkpoint=ck)
     assert resumed == fresh
     assert len(_load_checkpoint(ck)) == 4
     third = scan_exceptional(8, 3000, engine="e1", shards=4, checkpoint=ck)
     assert third == fresh
+
+
+def test_scan_recomputes_a_checkpoint_in_the_old_two_file_layout(tmp_path):
+    ck = tmp_path / "scan.ck"
+    fresh = scan_exceptional(8, 400, engine="e1", shards=2)
+    # index lines "lo hi digest" plus a .data sidecar of JSON records
+    ck.write_text(f"8 204 {fresh.digest()}\n205 400 {fresh.digest()}\n")
+    ck.with_suffix(".ck.data").write_text(json.dumps(
+        {"lo": 8, "hi": 204, "exceptional": [], "witnesses": {}}) + "\n")
+    assert _load_checkpoint(ck) == {}
+    assert scan_exceptional(8, 400, engine="e1", shards=2, checkpoint=ck) == fresh
+    assert len(_load_checkpoint(ck)) == 2
 
 
 def test_filters():

@@ -1,8 +1,11 @@
 import json
+import time
 
 import pytest
 
 from zslen.cli import main
+from zslen.config import ResourceConfig
+from zslen.errors import InputError
 
 
 def run(capsys, *argv):
@@ -189,3 +192,31 @@ def test_output_is_reproducible(capsys):
     a = run(capsys, "cf-scan", "--lo", "8", "--hi", "500", "--shards", "3")
     b = run(capsys, "cf-scan", "--lo", "8", "--hi", "500")
     assert a == b
+
+
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_budgets_below_one_are_usage_errors(capsys, monkeypatch, value):
+    argv = ("atoms", "--group", "C10", "--support", "1,9")
+    code, out, err = run(capsys, "--budget-atoms", value, *argv)
+    assert (code, out) == (2, "") and err.startswith("error:")
+    for field in ("max_atoms", "max_nodes", "max_states", "max_supports"):
+        monkeypatch.setenv("ZSLEN_BUDGET", f"{field}={value}")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and field in err
+        with pytest.raises(InputError):
+            ResourceConfig(**{field: int(value)})
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_cf_scan_nonpositive_workers_exit_2(capsys, workers):
+    code, out, err = run(capsys, "cf-scan", "--lo", "8", "--hi", "100", "--workers", workers)
+    assert (code, out) == (2, "") and err.startswith("error:")
+
+
+@pytest.mark.parametrize("q,gens", [("2", "1:1,0:2"), ("3", "0:2,0:3")])
+def test_uncertifiable_fp_presentation_exits_2_at_once(capsys, q, gens):
+    # the generators and (q, 0) span a proper sublattice of Z^2
+    start = time.perf_counter()
+    code, out, err = run(capsys, "fp", "--q", q, "--gens", gens, "profile")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "") and err.startswith("error:")

@@ -8,6 +8,7 @@ from zslen.config import ResourceConfig
 from zslen.errors import BudgetExceededError, CompletenessError, InputError
 from zslen.fp import (
     FPMonoid,
+    _certified_atoms,
     delta_rho_star_product,
     fp_atoms,
     fp_length_set,
@@ -211,3 +212,25 @@ def test_product_elasticity_is_max_of_factors():
                 best = max(best, Fraction(combined[-1], combined[0]))
             assert Fraction(combined[-1], max(combined[0], 1)) <= want
     assert best == want
+
+
+def test_certification_criterion_matches_fp_atoms():
+    # the 2x2-minor criterion against fp_atoms itself: a presentation it
+    # rejects has no certifying cap, one it accepts is certified
+    rng = random.Random(2024)
+    rejected = accepted = 0
+    while rejected < 40 or accepted < 40:
+        q = rng.randint(1, 4)
+        gens = [(rng.randrange(q), rng.randint(1, 7)) for _ in range(rng.randint(1, 3))]
+        if gcd(*(v for _, v in gens)) != 1:
+            continue
+        m = FPMonoid.of(q, gens)
+        try:
+            atoms = _certified_atoms(m, ResourceConfig())
+        except InputError:
+            rejected += 1
+            with pytest.raises(CompletenessError):
+                fp_atoms(m, 64 * m.max_value * q)
+        else:
+            accepted += 1
+            assert atoms and all(fp_membership(m, a) for a in atoms)
