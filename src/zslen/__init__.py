@@ -6,7 +6,6 @@ elasticity."""
 from .config import ResourceConfig, default_config
 from .errors import (
     BudgetExceededError,
-    CompletenessError,
     EngineMismatchError,
     InputError,
     ZslenError,

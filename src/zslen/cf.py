@@ -170,12 +170,13 @@ class ScanReport:
             raise InputError("exceptional orders are even and at least 8")
 
     def digest(self) -> str:
-        return _digest(self.exceptional)
+        return _digest(",".join(map(str, self.exceptional)))
 
 
-def _digest(exceptional) -> str:
-    """sha256 of the comma-joined exceptional orders."""
-    return hashlib.sha256(",".join(map(str, exceptional)).encode()).hexdigest()
+def _digest(text: str) -> str:
+    """sha256 of ``text``: the comma-joined exceptional orders of a report,
+    or the canonical JSON of a checkpoint record without its ``sha256``."""
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _evens(lo: int, hi: int) -> range:
@@ -244,7 +245,7 @@ def _load_checkpoint(path: Path) -> dict[tuple[int, int], tuple[list[int], dict[
     """Completed shards of a JSON-lines checkpoint, one record per shard.
 
     A line that does not parse (a torn write, or the old index format) or
-    whose ``sha256`` does not match its exceptional orders is skipped, so
+    whose ``sha256`` does not match the rest of the record is skipped, so
     its shard is recomputed.  The file is created first, so a path that
     cannot be written is an :class:`InputError` before any shard runs."""
     try:
@@ -255,7 +256,7 @@ def _load_checkpoint(path: Path) -> dict[tuple[int, int], tuple[list[int], dict[
     for line in path.read_text().splitlines():
         try:
             rec = json.loads(line)
-            if rec["sha256"] == _digest(rec["exceptional"]):
+            if rec.pop("sha256") == _digest(json.dumps(rec, sort_keys=True)):
                 done[(rec["lo"], rec["hi"])] = (
                     rec["exceptional"], {int(k): v for k, v in rec["witnesses"].items()}
                 )
@@ -266,8 +267,9 @@ def _load_checkpoint(path: Path) -> dict[tuple[int, int], tuple[list[int], dict[
 
 def _append_checkpoint(path: Path, lo: int, hi: int, exceptional: list[int], witnesses: dict[int, int]):
     """Append one shard record, first ending a torn last line of the file."""
-    record = {"lo": lo, "hi": hi, "exceptional": exceptional, "witnesses": witnesses,
-              "sha256": _digest(exceptional)}
+    record = {"lo": lo, "hi": hi, "exceptional": exceptional,
+              "witnesses": {str(n): w for n, w in witnesses.items()}}
+    record["sha256"] = _digest(json.dumps(record, sort_keys=True))
     line = json.dumps(record).encode() + b"\n"
     with path.open("a+b") as fh:
         end = fh.seek(0, 2)

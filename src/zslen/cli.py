@@ -233,8 +233,16 @@ def _add_common(parser: argparse.ArgumentParser, *, suppress: bool):
                         help="cap on enumerated atoms per support")
 
 
+class _Parser(argparse.ArgumentParser):
+    # no option starts with "-<digit>": -2,3,6 or -1:3,0:5 is a value, not an option
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[1:2].isdigit():
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zslen",
         description="Factorization-length invariants of zero-sum monoids",
     )

@@ -29,9 +29,5 @@ class BudgetExceededError(ZslenError):
         self.limit = limit
 
 
-class CompletenessError(ZslenError):
-    """A cap is too small to certify that an enumerated set is complete."""
-
-
 class EngineMismatchError(ZslenError):
     """Two independent computation engines disagreed on a result."""

@@ -1,12 +1,11 @@
 """Rank-one primary monoids presented by (unit class, value) generators.
 
 The monoid lives inside Z_q x N: multiplication adds values and unit classes.
-Completeness of an enumerated atom list is certified through the tail
-exponent: once every unit class is reachable at all values of a window of
-width min(generator values) starting at some alpha, induction covers
-everything beyond, and any element of value >= 2*alpha splits into two
-non-units.  Atoms therefore live below 2*alpha, and a cap at least that
-large proves the list complete.
+Every element is a product of generators, so the atoms are exactly the
+generators with no factorization into two or more generators.  One pass of
+the length engine :func:`zslen.lengths._product_bits` over the generators, up
+to the largest generator value, finds them: an atom's length set is {1}.
+Membership and length sets run on the same engine.
 
 The minimum distance accounts for the unit-class torsion: the relation
 lattice is cut out by the value equation together with the class congruence,
@@ -21,7 +20,7 @@ from itertools import combinations
 from math import gcd
 
 from .config import ResourceConfig, default_config
-from .errors import BudgetExceededError, CompletenessError, InputError
+from .errors import InputError
 from .lengths import LengthSet, _functional_gcd, _product_bits, _set_bits
 from .delta_rho import gcd_closure
 
@@ -70,76 +69,25 @@ class LocalProfile:
     d: int  # gcd of consecutive atom-value differences (0 for one value)
 
 
-def _reachable_table(monoid: FPMonoid, cap: int) -> list[list[bool]]:
+def _products(monoid: FPMonoid, gens, bound: int, max_states: float) -> dict:
+    """Length bitsets of the products of ``gens`` with value at most ``bound``."""
     q = monoid.unit_modulus
-    table = [[False] * (cap + 1) for _ in range(q)]
-    table[0][0] = True
-    for val in range(1, cap + 1):
-        for cls in range(q):
-            for gc, gv in monoid.generators:
-                if gv <= val and table[(cls - gc) % q][val - gv]:
-                    table[cls][val] = True
-                    break
-    return table
+
+    def mul(p, a):
+        return ((p[0] + a[0]) % q, p[1] + a[1])
+
+    return _product_bits((0, 0), [(g, g[1]) for g in gens], bound, mul, max_states)
 
 
-def _tail_start(monoid: FPMonoid, table: list[list[bool]], cap: int) -> int | None:
-    """Smallest alpha whose full-class window of width min_value fits below cap."""
-    q = monoid.unit_modulus
-    width = monoid.min_value
-    all_classes = [all(table[c][v] for c in range(q)) for v in range(cap + 1)]
-    run = 0
-    for v in range(1, cap + 1):
-        run = run + 1 if all_classes[v] else 0
-        if run >= width:
-            return v - width + 1
-    return None
+def fp_atoms(monoid: FPMonoid, *, config: ResourceConfig | None = None) -> list[tuple[int, int]]:
+    """All atoms: the generators with no factorization into two or more
+    generators, sorted by value and class.
 
-
-def fp_atoms(monoid: FPMonoid, value_cap: int) -> list[tuple[int, int]]:
-    """All atoms, certified complete.
-
-    Raises :class:`CompletenessError` when the cap cannot certify the tail
-    (either too small, or the presentation never covers every unit class and
-    is not finitely primary for the declared modulus).
+    Raises :class:`InputError` when the generators and ``(q, 0)`` span a
+    proper sublattice of Z^2 (2x2 minors with gcd above 1): some unit classes
+    are then never reached and the monoid is not finitely primary.
     """
-    if value_cap < monoid.max_value:
-        raise InputError("value cap below the largest generator value")
-    q = monoid.unit_modulus
-    table = _reachable_table(monoid, value_cap)
-    alpha = _tail_start(monoid, table, value_cap)
-    if alpha is None:
-        raise CompletenessError(
-            f"no full unit-class window below cap {value_cap}; raise the cap "
-            f"or check that the modulus {q} is really attained"
-        )
-    if value_cap < 2 * alpha - 1:
-        raise CompletenessError(
-            f"cap {value_cap} cannot certify completeness: atoms may reach "
-            f"value {2 * alpha - 1}"
-        )
-    atoms = []
-    for val in range(1, 2 * alpha):
-        for cls in range(q):
-            if not table[cls][val]:
-                continue
-            splits = False
-            for v1 in range(1, val):
-                for c1 in range(q):
-                    if table[c1][v1] and table[(cls - c1) % q][val - v1]:
-                        splits = True
-                        break
-                if splits:
-                    break
-            if not splits:
-                atoms.append((cls, val))
-    return sorted(atoms, key=lambda t: (t[1], t[0]))
-
-
-def _certified_atoms(monoid: FPMonoid, cfg: ResourceConfig) -> list[tuple[int, int]]:
-    """:func:`fp_atoms` under a cap doubled until it certifies.  Every unit
-    class is reached at all large values exactly when the generators and
-    ``(q, 0)`` span Z^2 (2x2 minors of gcd 1); otherwise no cap certifies."""
+    cfg = config or default_config()
     q = monoid.unit_modulus
     pairs = combinations([*monoid.generators, (q, 0)], 2)
     index = gcd(*(c1 * v2 - c2 * v1 for (c1, v1), (c2, v2) in pairs))
@@ -148,22 +96,16 @@ def _certified_atoms(monoid: FPMonoid, cfg: ResourceConfig) -> list[tuple[int, i
             f"generators and ({q}, 0) span a sublattice of index {index} in Z^2: "
             f"some unit classes mod {q} are never reached"
         )
-    cap = 8 * monoid.max_value * q
-    while True:
-        if cap * q > cfg.max_states:
-            raise BudgetExceededError("fp reachability states", cfg.max_states)
-        try:
-            return fp_atoms(monoid, cap)
-        except CompletenessError:
-            cap *= 2
+    bits = _products(monoid, monoid.generators, monoid.max_value, cfg.max_states)
+    return sorted((g for g in monoid.generators if bits[g] == 0b10), key=lambda t: (t[1], t[0]))
 
 
 def fp_membership(monoid: FPMonoid, x: tuple[int, int]) -> bool:
     cls, val = x
     if val < 0:
         return False
-    table = _reachable_table(monoid, val)
-    return table[cls % monoid.unit_modulus][val]
+    products = _products(monoid, monoid.generators, val, float("inf"))
+    return (cls % monoid.unit_modulus, val) in products
 
 
 def fp_length_set(
@@ -174,17 +116,12 @@ def fp_length_set(
 ) -> LengthSet:
     """Exact set of factorization lengths of the element ``x``."""
     cfg = config or default_config()
-    atoms = _certified_atoms(monoid, cfg)
+    atoms = fp_atoms(monoid, config=cfg)
     q = monoid.unit_modulus
     cls, val = x[0] % q, x[1]
     if val < 0:
         raise InputError("values are nonnegative")
-
-    def mul(p, a):
-        return ((p[0] + a[0]) % q, p[1] + a[1])
-
-    weighted = [(a, a[1]) for a in atoms]
-    bits = _product_bits((0, 0), weighted, val, mul, cfg.max_states).get((cls, val), 0)
+    bits = _products(monoid, atoms, val, cfg.max_states).get((cls, val), 0)
     if not bits:
         raise InputError(f"element {x} is not in the monoid")
     return LengthSet(_set_bits(bits))
@@ -205,8 +142,7 @@ def local_profile(monoid: FPMonoid, *, config: ResourceConfig | None = None) -> 
     Elasticity is the ratio of the extreme atom values and is always accepted
     here: the unit-class group is finite, hence torsion.
     """
-    cfg = config or default_config()
-    atoms = _certified_atoms(monoid, cfg)
+    atoms = fp_atoms(monoid, config=config)
     values = sorted({v for _, v in atoms})
     rho = Fraction(values[-1], values[0])
     d = 0

@@ -12,9 +12,9 @@ Sets of lengths come from one engine, :func:`_product_bits`: a dynamic
 program over the products of a list of atoms that stores each length set as
 an int with bit k set when some factorization has k atoms, so that
 ``L(p * a)`` collects ``L(p) << 1`` over all atoms ``a``.  Zero-sum length
-sets, the extreme-elasticity witness, rank-one length sets and the
-exhaustive ``min Δ`` oracle in :mod:`zslen.verify` all call it; it holds the
-only ``max_states`` check.
+sets, the extreme-elasticity witness, rank-one atoms, membership and length
+sets, and the exhaustive ``min Δ`` oracle in :mod:`zslen.verify` all call it;
+it holds the only ``max_states`` check.
 
 Rational quantities use :class:`fractions.Fraction` throughout; no floating
 point enters any invariant computation.

@@ -225,7 +225,8 @@ def enumerate_atoms(
     Depth-first, on an explicit stack, over sorted zero-sum-free sequences; a
     node emits an atom when the completing element (the negated running sum)
     lies in the support at or after the node's last position.  The atom and
-    node caps raise :class:`BudgetExceededError`, never a truncated set.
+    node caps raise :class:`BudgetExceededError`, never a truncated set.  Sum
+    table rows are built on first use, so a cap stops a large group early.
     """
     cfg = config or default_config()
     G = support.group
@@ -236,7 +237,8 @@ def enumerate_atoms(
     k = len(sup_idx)
 
     neg_of = [G.index_of(G.neg(e)) for e in G.elements()]
-    add_to = [[G.index_of(G.add(e, g)) for e in G.elements()] for g in support.elements]
+    # add_to[p][s] = index of element s + support[p]; rows built on first use
+    add_to: list[list[int] | None] = [None] * k
     shifts = _mask_shift_transforms(G, support.elements)
 
     # position of each group element inside the support, -1 if absent
@@ -248,8 +250,8 @@ def enumerate_atoms(
     counts = [0] * k
     path: list[int] = []  # support positions of the current node's sequence
     nodes = 0
-    # pending nodes (depth, last position, sum index, subsum mask); children
-    # are pushed in reverse, so nodes pop in the order of a recursive walk
+    # pending nodes (depth, last position, parent's sum index, subsum mask);
+    # children are pushed in reverse, so nodes pop as in a recursive walk
     stack = [(0, -1, zero_idx, 0)]
     while stack:
         depth, last_pos, sigma_idx, subs = stack.pop()
@@ -258,6 +260,11 @@ def enumerate_atoms(
         if depth:
             path.append(last_pos)
             counts[last_pos] += 1
+            row = add_to[last_pos]
+            if row is None:
+                g = support.elements[last_pos]
+                row = add_to[last_pos] = [G.index_of(G.add(e, g)) for e in G.elements()]
+            sigma_idx = row[sigma_idx]
         nodes += 1
         if nodes > cfg.max_nodes:
             raise BudgetExceededError("enumeration nodes", cfg.max_nodes)
@@ -275,7 +282,7 @@ def enumerate_atoms(
             nm = subs | shifted | (1 << sup_idx[p])
             if nm & zero_bit:
                 continue  # a zero-sum subsequence appeared: not extendable
-            stack.append((depth + 1, p, add_to[p][sigma_idx], nm))
+            stack.append((depth + 1, p, sigma_idx, nm))
     return AtomSet(support, atoms)
 
 

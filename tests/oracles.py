@@ -102,6 +102,52 @@ def brute_fp_length_set(atoms: list[tuple[int, int]], q: int, x: tuple[int, int]
     return lengths
 
 
+def _fp_reachable(q: int, gens, cap: int) -> list[list[bool]]:
+    """``reach[c][v]``: some product of the ``(class, value)`` generators has
+    unit class c mod q and value v, filled value by value up to ``cap``."""
+    reach = [[False] * (cap + 1) for _ in range(q)]
+    reach[0][0] = True
+    for v in range(1, cap + 1):
+        for c in range(q):
+            reach[c][v] = any(gv <= v and reach[(c - gc) % q][v - gv] for gc, gv in gens)
+    return reach
+
+
+def brute_fp_atoms(q: int, gens) -> list[tuple[int, int]]:
+    """Atoms of the rank-one monoid generated by ``(class, value)`` pairs,
+    searched among all its elements of value up to 3 * max generator value:
+    the nonzero elements that are no sum of two nonzero elements, sorted by
+    (value, class).  An atom above the generators would show up here."""
+    gens = [(c % q, v) for c, v in gens]
+    cap = 3 * max(v for _, v in gens)
+    reach = _fp_reachable(q, gens, cap)
+    atoms = []
+    for v in range(1, cap + 1):
+        for c in range(q):
+            if reach[c][v] and not any(
+                reach[c1][v1] and reach[(c - c1) % q][v - v1]
+                for v1 in range(1, v) for c1 in range(q)
+            ):
+                atoms.append((c, v))
+    return atoms
+
+
+def brute_fp_tail_window(q: int, gens, cap: int) -> int | None:
+    """Smallest alpha such that every unit class is reached at every value of
+    the window [alpha, alpha + w), w the least generator value, inside
+    [1, cap]; None when no such window fits.  From such a window on, adding
+    generators covers every value, so the monoid reaches every class at all
+    large values."""
+    reach = _fp_reachable(q, gens, cap)
+    width = min(v for _, v in gens)
+    run = 0
+    for v in range(1, cap + 1):
+        run = run + 1 if all(reach[c][v] for c in range(q)) else 0
+        if run >= width:
+            return v - width + 1
+    return None
+
+
 def brute_aap(values: tuple[int, ...], d: int):
     """Best AAP decomposition by exhaustive split search.
 

@@ -156,6 +156,18 @@ def test_scan_resumes_after_torn_checkpoint_record(tmp_path):
     assert third == fresh
 
 
+def test_scan_recomputes_a_record_with_a_forged_witness(tmp_path):
+    ck = tmp_path / "scan.ck"
+    fresh = scan_exceptional(8, 400, engine="e1", shards=2)
+    scan_exceptional(8, 400, engine="e1", shards=2, checkpoint=ck)
+    assert fresh.witnesses[10] == 3
+    # 9 is no witness for n = 10; the record's checksum must catch the edit
+    ck.write_text(ck.read_text().replace('"10": 3,', '"10": 9,', 1))
+    assert '"10": 9,' in ck.read_text()
+    assert len(_load_checkpoint(ck)) == 1
+    assert scan_exceptional(8, 400, engine="e1", shards=2, checkpoint=ck) == fresh
+
+
 def test_scan_recomputes_a_checkpoint_in_the_old_two_file_layout(tmp_path):
     ck = tmp_path / "scan.ck"
     fresh = scan_exceptional(8, 400, engine="e1", shards=2)

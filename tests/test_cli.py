@@ -95,6 +95,17 @@ def test_removed_flags_are_usage_errors(capsys):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("before, flag, value, after", [
+    (["atoms", "--group", "C9"], "--support", "-2,3,6", []),
+    (["lengths", "--group", "C10"], "--sequence", "-1^10,1^10", []),
+    (["fp", "--q", "2"], "--gens", "-1:3,0:5", ["profile"]),
+])
+def test_values_starting_with_a_minus_sign(capsys, before, flag, value, after):
+    code, out, err = run(capsys, *before, flag, value, *after)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, *before, f"{flag}={value}", *after)
+
+
 def test_cf_scan_workers_do_not_change_output(capsys):
     args = ("cf-scan", "--lo", "8", "--hi", "3000", "--shards", "4")
     assert run(capsys, *args, "--workers", "2") == run(capsys, *args, "--workers", "1")

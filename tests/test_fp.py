@@ -5,10 +5,9 @@ from math import gcd
 import pytest
 
 from zslen.config import ResourceConfig
-from zslen.errors import BudgetExceededError, CompletenessError, InputError
+from zslen.errors import BudgetExceededError, InputError
 from zslen.fp import (
     FPMonoid,
-    _certified_atoms,
     delta_rho_star_product,
     fp_atoms,
     fp_length_set,
@@ -17,7 +16,7 @@ from zslen.fp import (
     transfer_obstruction,
 )
 
-from oracles import brute_fp_length_set
+from oracles import brute_fp_atoms, brute_fp_length_set, brute_fp_tail_window
 
 TEST_MONOIDS = [
     FPMonoid.of(1, [(0, 3), (0, 5)]),
@@ -43,26 +42,40 @@ def test_construction_validation():
 
 def test_fp_atoms_numerical():
     m = FPMonoid.of(1, [(0, 3), (0, 5)])
-    assert fp_atoms(m, 60) == [(0, 3), (0, 5)]
+    assert fp_atoms(m) == [(0, 3), (0, 5)]
     m = FPMonoid.of(1, [(0, 2), (0, 4), (0, 3)])
-    assert fp_atoms(m, 40) == [(0, 2), (0, 3)]  # 4 = 2 + 2 is not an atom
+    assert fp_atoms(m) == [(0, 2), (0, 3)]  # 4 = 2 + 2 is not an atom
 
 
 def test_fp_atoms_twisted():
     m = FPMonoid.of(2, [(1, 3), (0, 5)])
-    assert fp_atoms(m, 100) == [(1, 3), (0, 5)]
+    assert fp_atoms(m) == [(1, 3), (0, 5)]
 
 
-def test_fp_atoms_cap_errors():
-    m = FPMonoid.of(1, [(0, 3), (0, 5)])
-    with pytest.raises(InputError):
-        fp_atoms(m, 4)  # below the largest generator value
-    with pytest.raises(CompletenessError):
-        fp_atoms(m, 9)  # window found late; cannot certify 2*alpha - 1
+def test_fp_atoms_rejects_unreached_unit_classes():
     # modulus never attained: class 1 unreachable
-    bad = FPMonoid.of(2, [(0, 2), (0, 3)])
-    with pytest.raises(CompletenessError):
-        fp_atoms(bad, 200)
+    with pytest.raises(InputError):
+        fp_atoms(FPMonoid.of(2, [(0, 2), (0, 3)]))
+    # classes only reached in step with the values: (1, 1) and (2, 0) span index 2
+    with pytest.raises(InputError):
+        fp_atoms(FPMonoid.of(2, [(1, 1), (0, 2)]))
+
+
+def test_fp_atoms_matches_brute_force():
+    rng = random.Random(1706)
+    checked = 0
+    while checked < 200:
+        q = rng.randint(1, 5)
+        gens = [(rng.randrange(q), rng.randint(1, 9)) for _ in range(rng.randint(1, 4))]
+        if gcd(*(v for _, v in gens)) != 1:
+            continue
+        m = FPMonoid.of(q, gens)
+        try:
+            atoms = fp_atoms(m)
+        except InputError:
+            continue  # not finitely primary; see the criterion test below
+        assert atoms == brute_fp_atoms(q, gens), (q, gens)
+        checked += 1
 
 
 def test_fp_length_set_examples():
@@ -79,7 +92,7 @@ def test_fp_length_set_examples():
 def test_fp_length_set_matches_brute_force():
     for mono in TEST_MONOIDS:
         q = mono.unit_modulus
-        atoms = fp_atoms(mono, 8 * mono.max_value * q)
+        atoms = brute_fp_atoms(q, mono.generators)
         for val in range(0, 31):
             for cls in range(q):
                 want = brute_fp_length_set(atoms, q, (cls, val))
@@ -92,8 +105,8 @@ def test_fp_length_set_matches_brute_force():
 
 def test_fp_length_set_budget():
     numeric = FPMonoid.of(1, [(0, 3), (0, 5)])
-    # 50 states pass the atoms' reachability check (cap 40) and the small
-    # element, so the length engine's own check is the one that fires
+    # 50 states cover the atoms' pass over the generators (3 states) and the
+    # small element, so only the large element exceeds the budget
     tight = ResourceConfig(max_states=50)
     assert fp_length_set(numeric, (0, 15), config=tight).values == (3, 5)
     with pytest.raises(BudgetExceededError):
@@ -134,11 +147,7 @@ def test_gap_gcd_divides_min_delta_and_untwisted_equality():
                 break
         else:
             gens = {(0, 1)}
-        try:
-            m = FPMonoid.of(q, gens)
-            p = local_profile(m)
-        except (CompletenessError, BudgetExceededError):
-            continue
+        p = local_profile(FPMonoid.of(q, gens))
         if p.min_delta is not None and p.d:
             assert p.min_delta % p.d == 0
         if q == 1:
@@ -215,8 +224,9 @@ def test_product_elasticity_is_max_of_factors():
 
 
 def test_certification_criterion_matches_fp_atoms():
-    # the 2x2-minor criterion against fp_atoms itself: a presentation it
-    # rejects has no certifying cap, one it accepts is certified
+    # fp_atoms rejects a presentation exactly when no window of values that
+    # reaches every unit class exists (the oracle's tail window, searched up
+    # to a cap far above where an accepted presentation's window starts)
     rng = random.Random(2024)
     rejected = accepted = 0
     while rejected < 40 or accepted < 40:
@@ -225,12 +235,13 @@ def test_certification_criterion_matches_fp_atoms():
         if gcd(*(v for _, v in gens)) != 1:
             continue
         m = FPMonoid.of(q, gens)
+        window = brute_fp_tail_window(q, gens, 64 * m.max_value * q)
         try:
-            atoms = _certified_atoms(m, ResourceConfig())
+            atoms = fp_atoms(m)
         except InputError:
             rejected += 1
-            with pytest.raises(CompletenessError):
-                fp_atoms(m, 64 * m.max_value * q)
+            assert window is None, (q, gens)
         else:
             accepted += 1
+            assert window is not None, (q, gens)
             assert atoms and all(fp_membership(m, a) for a in atoms)

@@ -47,6 +47,9 @@ COMMANDS = (
         ["delta-rho", "--group", "C16"],
         ["--format", "json", "delta-rho", "--group", "C14"],
         ["min-delta", "--group", "C2xC2xC2", "--support", "(1,0,0),(0,1,0),(0,0,1),(1,1,1)"],
+        ["fp", "--q", "3", "--gens", "1:4,2:7,0:9", "profile"],
+        ["--format", "json", "fp", "--q", "1", "--gens", "0:2,0:4,0:3", "profile"],
+        ["fp", "--q", "2", "--gens", "0:4,1:6,1:9", "profile"],
     ]
 )
 

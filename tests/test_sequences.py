@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -109,6 +110,15 @@ def test_enumeration_depth_is_not_limited_by_recursion():
     atoms = enumerate_atoms(sup)
     assert atoms.mult_vectors == ((1, 1), (0, 1500), (1500, 0))
     assert atoms.davenport == 1500
+
+
+def test_atom_budget_stops_a_large_group_early():
+    # the sum table has |support| * |G| = 9 million entries; building it
+    # before the first budget check took about 15 s
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        enumerate_atoms(full_support(cyclic(3000)), config=ResourceConfig(max_atoms=100))
+    assert time.perf_counter() - start < 5
 
 
 def test_davenport_of_full_groups():
