@@ -2,19 +2,27 @@
 
 The star set collects the minimum distance of every support realizable by an
 element of extreme elasticity.  Such supports are exactly the unions of the
-(negation-closed) supports of maximal-length atoms, so the scan walks distinct
-unions of those support classes.  Two facts keep the walk small:
+(negation-closed) supports of maximal-length atoms, so one walk visits
+distinct unions of those support classes.  Three facts keep it small:
 
-* enlarging a support divides its minimum distance, so once a union reaches
-  value 1 every superset is also 1 and needs no visit;
+* enlarging a support divides its minimum distance, so a union is expanded
+  only while some divisor of its value is missing from the star set;
 * over a negation-closed support, the minimum distance divides ``|U| - 2``
   for every atom ``U`` (pair off each element with its negative), so a running
-  gcd of atom lengths settles most unions to 1 without touching the kernel.
+  gcd of atom lengths settles most unions to 1 without touching the kernel;
+* a group automorphism keeps the minimum distance, so the walk may visit one
+  canonical union per orbit.
 
-The scan keeps one support bitmask per atom of the full group; a union's
-value is one pass over the atoms inside it, feeding the gcd shortcut before
-the kernel.  Values produced by either shortcut coincide with the
-kernel-lattice value; the property suite checks this on every build.
+A source gives the walk its classes, a union's value and its canonical form.
+For ``C_n`` nothing is enumerated up front: the atoms of length ``n`` are
+exactly ``g^n`` with ``ord g = n`` (Geroldinger and Halter-Koch 2006), so the
+classes are the unit pairs ``{u, n - u}``; a union's value comes from the
+atoms over it alone, and its canonical form is its least unit multiple, so
+the walk starts from ``{1, n - 1}``.  For other groups the atoms of the full
+group are enumerated once, one support bitmask each; a union's value is one
+pass over the atoms inside it, and every union is canonical.  Values produced
+by either shortcut coincide with the kernel-lattice value; the property suite
+checks this on every build.
 """
 
 from __future__ import annotations
@@ -73,8 +81,19 @@ class DeltaRhoResult:
     conjectured: frozenset[int] | None = None
 
 
+def _settles_to_one(lengths) -> bool:
+    """Whether the gcd of ``length - 2`` over atoms of length >= 3 reaches 1."""
+    g = 0
+    for length in lengths:
+        if length >= 3:
+            g = gcd(g, length - 2)
+            if g == 1:
+                return True
+    return False
+
+
 class _MaxAtomScan:
-    """Shared state for scans over unions of maximal-length atom supports;
+    """Every atom of the full group, the walk's source for non-cyclic groups;
     ``masks[i]`` has bit j when atom i uses group index j (the full support
     lists the group in ``group.elements()`` order)."""
 
@@ -100,6 +119,10 @@ class _MaxAtomScan:
         elems = self.group.elements()
         return SupportSet.of(self.group, [elems[j] for j in _set_bits(mask)])
 
+    @staticmethod
+    def canonical(mask: int) -> int:
+        return mask
+
     def min_delta_of_mask(self, mask: int) -> int | None:
         """Minimum distance of the (negation-closed) union ``mask``.
 
@@ -108,14 +131,43 @@ class _MaxAtomScan:
         through to the exact kernel computation on those atoms.
         """
         outside = ~mask
-        g = 0
-        for m, length in zip(self.masks, self.atoms.lengths):
-            if length >= 3 and not m & outside:
-                g = gcd(g, length - 2)
-                if g == 1:
-                    return 1
+        if _settles_to_one(length for m, length in zip(self.masks, self.atoms.lengths)
+                           if not m & outside):
+            return 1
         indices = [i for i, m in enumerate(self.masks) if not m & outside]
         return min_delta_of_atoms(self.atoms, indices)
+
+
+class _UnitClassScan:
+    """The walk's source for a cyclic group of order n >= 3: the unit pairs
+    ``{u, n - u}`` are the classes, and nothing is enumerated up front; bit j
+    of a mask stands for the residue j."""
+
+    def __init__(self, group: AbelianGroup, config: ResourceConfig):
+        self.group = group
+        self.config = config
+        n = self.n = group.order()
+        self.class_masks = [
+            (1 << u) | (1 << (n - u)) for u in range(1, (n + 1) // 2) if gcd(u, n) == 1
+        ]
+
+    def canonical(self, mask: int) -> int:
+        """The lexicographically least unit multiple of the union.  Every
+        member is a unit, so the least one starts at 1 and comes from the
+        inverse of a member."""
+        n = self.n
+        elems = _set_bits(mask)
+        best = min(sorted(e * pow(u, -1, n) % n for e in elems) for u in elems)
+        return sum(1 << e for e in best)
+
+    def min_delta_of_mask(self, mask: int) -> int | None:
+        """Minimum distance of the union from the atoms over it alone; the
+        atom and node budgets bound this one enumeration."""
+        support = SupportSet.of(self.group, [(e,) for e in _set_bits(mask)])
+        atoms = enumerate_atoms(support, config=self.config)
+        if _settles_to_one(atoms.lengths):
+            return 1
+        return min_delta_of_atoms(atoms)
 
 
 def qualifying_supports(
@@ -154,38 +206,38 @@ def qualifying_supports(
 def delta_rho_star(group: AbelianGroup, *, config: ResourceConfig | None = None) -> frozenset[int]:
     """Exact star set by enumeration over qualifying supports.
 
-    Walks distinct unions of support classes breadth-first, pruning every
-    superset of a union whose value is 1 (their value is forced to 1, which
-    is already recorded).
+    Walks distinct canonical unions of support classes breadth-first, and
+    expands a union only while some divisor of its value is missing from the
+    star set (every superset's value divides it).
     """
     cfg = config or default_config()
     if group.order() <= 2:
         return frozenset()
-    scan = _MaxAtomScan(group, cfg)
+    source = _UnitClassScan(group, cfg) if group.is_cyclic else _MaxAtomScan(group, cfg)
     values: set[int] = set()
     seen: set[int] = set()
-    frontier: list[int] = []
+    frontier: list[tuple[int, int]] = []
 
     def visit(mask: int):
         seen.add(mask)
         if len(seen) > cfg.max_supports:
             raise BudgetExceededError("distinct support unions", cfg.max_supports)
-        value = scan.min_delta_of_mask(mask)
+        value = source.min_delta_of_mask(mask)
         if value is None:
             return
         values.add(value)
-        if value != 1:
-            frontier.append(mask)
+        frontier.append((mask, value))
 
-    for mask in scan.class_masks:
-        if mask not in seen:
-            visit(mask)
+    for mask in sorted({source.canonical(s) for s in source.class_masks}):
+        visit(mask)
     while frontier:
         current, frontier = frontier, []
-        for u in current:
-            for s in scan.class_masks:
-                merged = u | s
-                if merged != u and merged not in seen:
+        for u, value in current:
+            if divisor_closure([value]) <= values:
+                continue
+            for s in source.class_masks:
+                merged = source.canonical(u | s)  # u itself when s lies inside u
+                if merged not in seen:
                     visit(merged)
     return frozenset(values)
 

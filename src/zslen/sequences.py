@@ -222,8 +222,8 @@ def enumerate_atoms(
 ) -> AtomSet:
     """Enumerate every atom supported in ``support``.
 
-    Depth-first, on an explicit stack, over sorted zero-sum-free sequences; a
-    node emits an atom when the completing element (the negated running sum)
+    Depth-first, on an explicit stack of one frame per node of the current
+    path, over sorted zero-sum-free sequences; a node emits an atom when the completing element (the negated running sum)
     lies in the support at or after the node's last position.  The atom and
     node caps raise :class:`BudgetExceededError`, never a truncated set.  Sum
     table rows are built on first use, so a cap stops a large group early.
@@ -248,23 +248,13 @@ def enumerate_atoms(
 
     atoms: list[tuple[int, ...]] = []
     counts = [0] * k
-    path: list[int] = []  # support positions of the current node's sequence
     nodes = 0
-    # pending nodes (depth, last position, parent's sum index, subsum mask);
-    # children are pushed in reverse, so nodes pop as in a recursive walk
-    stack = [(0, -1, zero_idx, 0)]
-    while stack:
-        depth, last_pos, sigma_idx, subs = stack.pop()
-        while len(path) >= depth > 0:  # back up to the parent's sequence
-            counts[path.pop()] -= 1
-        if depth:
-            path.append(last_pos)
-            counts[last_pos] += 1
-            row = add_to[last_pos]
-            if row is None:
-                g = support.elements[last_pos]
-                row = add_to[last_pos] = [G.index_of(G.add(e, g)) for e in G.elements()]
-            sigma_idx = row[sigma_idx]
+    # the current path, one frame per node: (position of its last element,
+    # subsum mask, sum index, iterator over its child positions); a child's
+    # mask is built when the walk reaches it, so memory stays linear in depth
+    frames: list[tuple] = []
+    last_pos, subs, sigma_idx = -1, 0, zero_idx  # the root, the empty sequence
+    while True:
         nodes += 1
         if nodes > cfg.max_nodes:
             raise BudgetExceededError("enumeration nodes", cfg.max_nodes)
@@ -275,14 +265,31 @@ def enumerate_atoms(
             counts[p] -= 1
             if len(atoms) > cfg.max_atoms:
                 raise BudgetExceededError("atom count", cfg.max_atoms)
-        for p in range(k - 1, max(last_pos, 0) - 1, -1):
-            shifted = subs
-            for keep, left, wrap, right in shifts[p]:
-                shifted = ((shifted & keep) << left) | ((shifted & wrap) >> right)
-            nm = subs | shifted | (1 << sup_idx[p])
-            if nm & zero_bit:
-                continue  # a zero-sum subsequence appeared: not extendable
-            stack.append((depth + 1, p, sigma_idx, nm))
+        first_child = last_pos if last_pos > 0 else 0
+        frames.append((last_pos, subs, sigma_idx, iter(range(first_child, k))))
+        while frames:  # the next node: the first extendable child of the deepest frame
+            last_pos, parent_subs, parent_sigma, children = frames[-1]
+            for p in children:
+                shifted = parent_subs
+                for keep, left, wrap, right in shifts[p]:
+                    shifted = ((shifted & keep) << left) | ((shifted & wrap) >> right)
+                subs = parent_subs | shifted | (1 << sup_idx[p])
+                if not subs & zero_bit:  # else a zero-sum subsequence appeared
+                    break
+            else:
+                frames.pop()
+                if last_pos >= 0:
+                    counts[last_pos] -= 1
+                continue
+            break
+        else:
+            break  # every frame is exhausted
+        counts[p] += 1
+        row = add_to[p]
+        if row is None:
+            g = support.elements[p]
+            row = add_to[p] = [G.index_of(G.add(e, g)) for e in G.elements()]
+        last_pos, sigma_idx = p, row[parent_sigma]
     return AtomSet(support, atoms)
 
 

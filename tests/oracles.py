@@ -10,7 +10,8 @@ from __future__ import annotations
 from itertools import product
 
 from zslen.groups import AbelianGroup
-from zslen.sequences import GSequence, SupportSet
+from zslen.lengths import min_delta_of_atoms
+from zslen.sequences import GSequence, SupportSet, enumerate_atoms, full_support
 
 
 def all_submultisets(counts: tuple[int, ...]):
@@ -146,6 +147,33 @@ def brute_fp_tail_window(q: int, gens, cap: int) -> int | None:
         if run >= width:
             return v - width + 1
     return None
+
+
+def full_enumeration_star(G: AbelianGroup) -> frozenset[int]:
+    """Star set from every atom of the whole group: the classes are the
+    negation-closed supports of the atoms of maximal length, unions of classes
+    grow one class at a time except from a union of value 1 (its supersets
+    have value 1 too), and a union's value is the kernel ``min Δ`` of the
+    full-group atoms inside it (no gcd shortcut, no orbits, no divisor
+    pruning)."""
+    atoms = enumerate_atoms(full_support(G))
+    elements = G.elements()
+    supports = [frozenset(g for g, m in zip(elements, v) if m) for v in atoms.mult_vectors]
+    classes = {
+        s | {G.neg(g) for g in s}
+        for s, length in zip(supports, atoms.lengths) if length == atoms.davenport
+    }
+
+    def value(union):
+        return min_delta_of_atoms(atoms, [i for i, s in enumerate(supports) if s <= union])
+
+    values = set()
+    level = classes
+    while level:
+        valued = {u: value(u) for u in level}
+        values.update(valued.values())
+        level = {u | c for u, v in valued.items() if v != 1 for c in classes if not c <= u}
+    return frozenset(values)
 
 
 def brute_aap(values: tuple[int, ...], d: int):

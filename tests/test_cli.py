@@ -23,6 +23,15 @@ def test_delta_rho_json(capsys):
     assert payload["provenance"] == "theorem-cyclic"
 
 
+def test_delta_rho_c272_settles_without_full_enumeration(capsys):
+    # enumerating every atom of C272 ran out of budget (exit 3)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "delta-rho", "--group", "C272")
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert json.loads(out)["star"] == [1, 270]
+
+
 def test_delta_rho_empty_sentinel(capsys):
     code, out, _ = run(capsys, "--format", "json", "delta-rho", "--group", "C2")
     assert code == 0

@@ -1,5 +1,7 @@
 import pytest
 
+from oracles import full_enumeration_star
+from zslen.cf import exceptional_witness
 from zslen.config import ResourceConfig, default_config
 from zslen.delta_rho import (
     _MaxAtomScan,
@@ -242,3 +244,21 @@ def test_qualifying_supports_generate_the_group():
         G = parse_group(name)
         for s in qualifying_supports(G):
             assert G.generates(s.support.elements)
+
+
+STRETCH = bool(os.environ.get("ZSLEN_STRETCH"))
+
+
+@pytest.mark.parametrize("n", range(3, (28 if STRETCH else 24) + 1))
+def test_cyclic_route_agrees_with_full_enumeration_walk(n):
+    # unit classes, unit orbits, per-union atoms and divisor pruning against
+    # the unpruned walk over every atom of the whole group
+    assert delta_rho_star(cyclic(n)) == full_enumeration_star(cyclic(n))
+
+
+def test_star_scan_matches_exceptional_witness():
+    # the kernel lattice, with no continued fractions, reproduces the scan's
+    # exceptional orders (including 272 under ZSLEN_STRETCH)
+    for n in range(8, (300 if STRETCH else 120) + 1, 2):
+        star = delta_rho_star(cyclic(n))
+        assert (star <= {1, n - 2}) == (exceptional_witness(n) is None), (n, sorted(star))

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -114,11 +115,18 @@ def test_enumeration_depth_is_not_limited_by_recursion():
 
 def test_atom_budget_stops_a_large_group_early():
     # the sum table has |support| * |G| = 9 million entries; building it
-    # before the first budget check took about 15 s
+    # before the first budget check took about 15 s; a search stack that held
+    # one 3000-bit subsum mask per pending child peaked above 100 MB
     start = time.perf_counter()
-    with pytest.raises(BudgetExceededError):
-        enumerate_atoms(full_support(cyclic(3000)), config=ResourceConfig(max_atoms=100))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            enumerate_atoms(full_support(cyclic(3000)), config=ResourceConfig(max_atoms=100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert time.perf_counter() - start < 5
+    assert peak < 10 * 2**20
 
 
 def test_davenport_of_full_groups():
