@@ -9,8 +9,11 @@ runs two independent engines:
 * E2 inverts the criterion: it enumerates all quotient lists matching the
   divisibility pattern for a prime t (first and last quotient = 1 mod t,
   interior quotients = 0 mod t) whose continuant stays below the bound, and
-  marks the continuants as witnessed.  Continuants grow at least as fast as
-  Fibonacci numbers, so the enumeration depth is logarithmic in the bound.
+  marks the continuants as witnessed.  A list and its reversal have the same
+  continuant, so it walks each list once up to reversal (last quotient at
+  least the first), and it drops a branch as soon as no list below it can
+  close under the bound.  Continuants grow at least as fast as Fibonacci
+  numbers, so the enumeration depth is logarithmic in the bound.
 
 Both engines must agree before a report is produced.
 """
@@ -197,36 +200,46 @@ def _scan_direct_range(lo: int, hi: int) -> tuple[list[int], dict[int, int]]:
 
 
 def _scan_inverted(hi: int) -> dict[int, int]:
-    """E2: mark every n <= hi admitting a witness, with the smallest one.
+    """E2: every even n <= hi admitting a witness, with the smallest one.
 
     Quotient lists are generated per prime t; the criterion gcd of any
     witnessed pair is divisible by some prime, so prime patterns cover all.
+    A list and its reversal have the same continuant n, and the reversal's
+    a is the list's own continuant without its last quotient, so only lists
+    whose last quotient is at least the first are walked, each marking the
+    smaller of the two.
     """
-    marked: dict[int, int] = {}
+    best = [hi] * (hi // 2 + 1)  # best[n // 2] for even n; hi stands for unmarked
     # minimal pattern continuant is (t+1)^2 + 1, so t + 1 <= isqrt(hi - 1)
     for t in filter(_is_prime, range(2, isqrt(hi - 1))):
-
-        def close_or_extend(p1: int, p0: int, q1: int, q0: int):
-            # close with a final quotient = 1 mod t, >= 2
-            am = t + 1
-            while am * p0 + p1 <= hi:
-                n = am * p0 + p1
-                a = am * q0 + q1
-                prev = marked.get(n)
-                if prev is None or a < prev:
-                    marked[n] = a
-                am += t
-            # extend with an interior quotient = 0 mod t
-            ai = t
-            while ai * p0 + p1 <= hi:
-                close_or_extend(p0, ai * p0 + p1, q0, ai * q0 + q1)
-                ai += t
-
-        a0 = t + 1
-        while a0 * (t + 1) + 1 <= hi:
-            close_or_extend(1, a0, 0, 1)
-            a0 += t
-    return marked
+        first = t + 1
+        while first * first + 1 <= hi:
+            # the last two convergents p1/d1, p0/d0 of a list [first, ...]
+            stack = [(1, first, 0, 1)]
+            while stack:
+                p1, p0, d1, d0 = stack.pop()
+                # close with a last quotient = 1 mod t and >= first, even n only
+                n, a = first * p0 + p1, first * d0 + d1
+                n_step, a_step = t * p0, t * d0
+                if n_step & 1:  # n alternates in parity
+                    if n & 1:
+                        n, a = n + n_step, a + a_step
+                    n_step, a_step = 2 * n_step, 2 * a_step
+                elif n & 1:  # every n is odd
+                    n = hi + 1
+                while n <= hi:
+                    w = a if a < p0 else p0
+                    if w < best[n >> 1]:
+                        best[n >> 1] = w
+                    n, a = n + n_step, a + a_step
+                # extend with an interior quotient = 0 mod t; a child that
+                # cannot close has no descendant that can, as continuants grow
+                c, e = t * p0 + p1, t * d0 + d1
+                while first * c + p0 <= hi:
+                    stack.append((p0, c, d0, e))
+                    c, e = c + t * p0, e + t * d0
+            first += t
+    return {2 * i: w for i, w in enumerate(best) if w < hi}
 
 
 def _shard_ranges(lo: int, hi: int, shards: int) -> list[tuple[int, int]]:
@@ -294,7 +307,8 @@ def scan_exceptional(
     With ``engine="both"`` the direct and inverted engines are both run and
     must agree exactly.  Sharding splits the range for E1; shards may run in
     worker processes and each completed shard is checkpointed.  The merged
-    report is independent of shard count and worker count.
+    report is independent of shard count and worker count.  E2 takes none of
+    these options, so ``engine="e2"`` with any of them is an input error.
     """
     if not 8 <= lo <= hi:
         raise InputError(f"need 8 <= lo <= hi, got [{lo}, {hi}]")
@@ -302,6 +316,8 @@ def scan_exceptional(
         raise InputError(f"unknown engine {engine!r}")
     if shards < 1 or workers < 1:
         raise InputError(f"shards and workers must be >= 1, got {shards} and {workers}")
+    if engine == "e2" and (checkpoint or shards > 1 or workers > 1):
+        raise InputError("shards, workers and checkpoint apply to E1 only, not to engine 'e2'")
     ck_path = Path(checkpoint) if checkpoint else None
     done = _load_checkpoint(ck_path) if ck_path else {}
 

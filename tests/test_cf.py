@@ -7,6 +7,8 @@ import pytest
 
 from zslen.cf import (
     _load_checkpoint,
+    _scan_direct_range,
+    _scan_inverted,
     cf_odd_length,
     cf_regular,
     exceptional_witness,
@@ -194,6 +196,13 @@ def test_filters_imply_witness():
     for n in range(8, 801, 2):
         if sufficient_filters(n) & {"cond1", "cond2", "cond3", "cond4"}:
             assert n in report.witnesses, n
+
+
+def test_inverted_engine_matches_direct_witnesses_to_30000():
+    # every minimal witness, including those only a reversed list reaches
+    marked = _scan_inverted(30000)
+    _, witnesses = _scan_direct_range(8, 30000)
+    assert {n: a for n, a in marked.items() if n % 2 == 0 and n >= 8} == witnesses
 
 
 def test_engine_mismatch_is_detectable(monkeypatch):

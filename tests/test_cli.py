@@ -227,6 +227,16 @@ def test_budgets_below_one_are_usage_errors(capsys, monkeypatch, value):
             ResourceConfig(**{field: int(value)})
 
 
+@pytest.mark.parametrize("options", [["--checkpoint", "P", "--shards", "3"],
+                                     ["--checkpoint", "P"], ["--shards", "3"], ["--workers", "2"]])
+def test_cf_scan_e2_rejects_e1_only_options(capsys, tmp_path, monkeypatch, options):
+    # E2 runs unsharded in one process and writes no checkpoint
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "cf-scan", "--lo", "8", "--hi", "300", "--engine", "e2", *options)
+    assert (code, out) == (2, "") and err.startswith("error:")
+    assert not (tmp_path / "P").exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_cf_scan_nonpositive_workers_exit_2(capsys, workers):
     code, out, err = run(capsys, "cf-scan", "--lo", "8", "--hi", "100", "--workers", workers)

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from oracles import full_enumeration_star
@@ -161,6 +163,37 @@ def test_realize_list_assembles_blocks():
 def test_star_budget_error_propagates():
     with pytest.raises(BudgetExceededError):
         delta_rho_star(cyclic(12), config=ResourceConfig(max_nodes=50))
+
+
+class _TableSource:
+    """A stub walk source: four classes as bits 1, 2, 4, 8, identity
+    canonical form, and a fixed value per union.  Each union's value divides
+    the values of its parts, as ``min Δ`` does.  The value 2 sits only at
+    the union of classes 4 and 8; the walk reaches it only by expanding one
+    of them, after the value 1 is known, and their value 6 was already seen
+    at class 2."""
+
+    class_masks = [1, 2, 4, 8]
+    values = {1: 1, 2: 6, 4: 6, 8: 6, 4 | 8: 2}  # every other union: 1
+
+    def __init__(self, group, config):
+        pass
+
+    @staticmethod
+    def canonical(mask):
+        return mask
+
+    def min_delta_of_mask(self, mask):
+        return self.values.get(mask, 1)
+
+
+def test_star_walk_expands_past_one_and_past_repeated_values(monkeypatch):
+    # a walk that stops once 1 is known, or that skips a union whose value
+    # it has already seen, ends at {1, 6}; the module comes from
+    # import_module because the package exports the function delta_rho
+    module = importlib.import_module("zslen.delta_rho")
+    monkeypatch.setattr(module, "_MaxAtomScan", _TableSource)
+    assert delta_rho_star(make_group([2, 2])) == frozenset({1, 2, 6})
 
 
 def test_singleton_distance_groups_collapse():
