@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -243,30 +244,24 @@ def _scan_inverted(hi: int) -> dict[int, int]:
 
 
 def _shard_ranges(lo: int, hi: int, shards: int) -> list[tuple[int, int]]:
-    total = hi - lo + 1
-    size = max(1, -(-total // shards))
-    out = []
-    start = lo
-    while start <= hi:
-        end = min(start + size - 1, hi)
-        out.append((start, end))
-        start = end + 1
-    return out
+    size = -(-(hi - lo + 1) // shards)
+    return [(start, min(start + size - 1, hi)) for start in range(lo, hi + 1, size)]
 
 
 def _load_checkpoint(path: Path) -> dict[tuple[int, int], tuple[list[int], dict[int, int]]]:
     """Completed shards of a JSON-lines checkpoint, one record per shard.
 
-    A line that does not parse (a torn write, or the old index format) or
-    whose ``sha256`` does not match the rest of the record is skipped, so
-    its shard is recomputed.  The file is created first, so a path that
-    cannot be written is an :class:`InputError` before any shard runs."""
+    A line that does not parse (a torn write, bytes that are not UTF-8, or
+    the old index format) or whose ``sha256`` does not match the rest of the
+    record is skipped, so its shard is recomputed.  The file is created
+    first, so a path that cannot be written is an :class:`InputError` before
+    any shard runs."""
     try:
         path.open("a").close()
     except OSError as exc:
         raise InputError(f"cannot write checkpoint {path}: {exc.strerror}") from None
     done: dict[tuple[int, int], tuple[list[int], dict[int, int]]] = {}
-    for line in path.read_text().splitlines():
+    for line in path.read_bytes().splitlines():
         try:
             rec = json.loads(line)
             if rec.pop("sha256") == _digest(json.dumps(rec, sort_keys=True)):
@@ -293,6 +288,32 @@ def _append_checkpoint(path: Path, lo: int, hi: int, exceptional: list[int], wit
         fh.write(line)
 
 
+def _scan_e1(
+    lo: int, hi: int, shards: int, workers: int, ck_path: Path | None
+) -> tuple[list[int], dict[int, int]]:
+    """E1 over the shards of [lo, hi].  A shard the checkpoint holds is
+    reused; a fresh one is appended to it as soon as its result is taken, in
+    range order, so an interrupted run keeps the shards before the one that
+    stopped it."""
+    done = _load_checkpoint(ck_path) if ck_path else {}
+    ranges = _shard_ranges(lo, hi, shards)
+    fresh = [r for r in ranges if r not in done]
+    pool, mapper = nullcontext(), map
+    if workers > 1 and len(fresh) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
+        mapper = pool.map
+    with pool:
+        results = mapper(_scan_direct_range, [r[0] for r in fresh], [r[1] for r in fresh])
+        for r, (exc, wit) in zip(fresh, results):
+            if ck_path:
+                _append_checkpoint(ck_path, *r, exc, wit)
+            done[r] = exc, wit
+    exceptional = sorted(n for r in ranges for n in done[r][0])
+    return exceptional, {n: w for r in ranges for n, w in done[r][1].items()}
+
+
 def scan_exceptional(
     lo: int,
     hi: int,
@@ -306,9 +327,10 @@ def scan_exceptional(
 
     With ``engine="both"`` the direct and inverted engines are both run and
     must agree exactly.  Sharding splits the range for E1; shards may run in
-    worker processes and each completed shard is checkpointed.  The merged
-    report is independent of shard count and worker count.  E2 takes none of
-    these options, so ``engine="e2"`` with any of them is an input error.
+    worker processes, and each shard is checkpointed as soon as it finishes.
+    The merged report is independent of shard count and worker count.  E2
+    takes none of these options, so ``engine="e2"`` with any of them is an
+    input error.
     """
     if not 8 <= lo <= hi:
         raise InputError(f"need 8 <= lo <= hi, got [{lo}, {hi}]")
@@ -318,55 +340,18 @@ def scan_exceptional(
         raise InputError(f"shards and workers must be >= 1, got {shards} and {workers}")
     if engine == "e2" and (checkpoint or shards > 1 or workers > 1):
         raise InputError("shards, workers and checkpoint apply to E1 only, not to engine 'e2'")
-    ck_path = Path(checkpoint) if checkpoint else None
-    done = _load_checkpoint(ck_path) if ck_path else {}
-
-    def run_e1() -> tuple[list[int], dict[int, int]]:
-        ranges = _shard_ranges(lo, hi, shards)
-        fresh = [r for r in ranges if r not in done]
-        results: dict[tuple[int, int], tuple[list[int], dict[int, int]]] = {}
-        if workers > 1 and len(fresh) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {r: pool.submit(_scan_direct_range, *r) for r in fresh}
-                for r in fresh:
-                    results[r] = futures[r].result()
-        else:
-            for r in fresh:
-                results[r] = _scan_direct_range(*r)
-        exceptional: list[int] = []
-        witnesses: dict[int, int] = {}
-        for r in ranges:
-            if r in done:
-                exc, wit = done[r]
-            else:
-                exc, wit = results[r]
-                if ck_path:
-                    _append_checkpoint(ck_path, r[0], r[1], exc, wit)
-            exceptional.extend(exc)
-            witnesses.update(wit)
-        return sorted(exceptional), witnesses
-
-    def run_e2() -> tuple[list[int], dict[int, int]]:
+    if engine != "e2":
+        exc, wit = _scan_e1(lo, hi, shards, workers, Path(checkpoint) if checkpoint else None)
+    if engine != "e1":
         marked = _scan_inverted(hi)
-        exceptional = [n for n in _evens(lo, hi) if n not in marked]
-        witnesses = {n: marked[n] for n in _evens(lo, hi) if n in marked}
-        return exceptional, witnesses
-
-    if engine == "e1":
-        exc, wit = run_e1()
-    elif engine == "e2":
-        exc, wit = run_e2()
-    else:
-        exc1, wit1 = run_e1()
-        exc2, wit2 = run_e2()
-        if exc1 != exc2 or wit1 != wit2:
+        exc2 = [n for n in _evens(lo, hi) if n not in marked]
+        wit2 = {n: marked[n] for n in _evens(lo, hi) if n in marked}
+        if engine == "both" and (exc, wit) != (exc2, wit2):
             raise EngineMismatchError(
                 f"scan engines disagree on [{lo}, {hi}]: "
-                f"E1 found {len(exc1)} exceptional, E2 found {len(exc2)}"
+                f"E1 found {len(exc)} exceptional, E2 found {len(exc2)}"
             )
-        exc, wit = exc1, wit1
+        exc, wit = exc2, wit2
     return ScanReport(lo, hi, engine, tuple(exc), wit)
 
 

@@ -123,7 +123,7 @@ class _MaxAtomScan:
     def canonical(mask: int) -> int:
         return mask
 
-    def min_delta_of_mask(self, mask: int) -> int | None:
+    def min_delta_of_mask(self, mask: int) -> int:
         """Minimum distance of the (negation-closed) union ``mask``.
 
         One pass over the atoms inside the union feeds the gcd-of-lengths
@@ -160,7 +160,7 @@ class _UnitClassScan:
         best = min(sorted(e * pow(u, -1, n) % n for e in elems) for u in elems)
         return sum(1 << e for e in best)
 
-    def min_delta_of_mask(self, mask: int) -> int | None:
+    def min_delta_of_mask(self, mask: int) -> int:
         """Minimum distance of the union from the atoms over it alone; the
         atom and node budgets bound this one enumeration."""
         support = SupportSet.of(self.group, [(e,) for e in _set_bits(mask)])
@@ -223,8 +223,6 @@ def delta_rho_star(group: AbelianGroup, *, config: ResourceConfig | None = None)
         if len(seen) > cfg.max_supports:
             raise BudgetExceededError("distinct support unions", cfg.max_supports)
         value = source.min_delta_of_mask(mask)
-        if value is None:
-            return
         values.add(value)
         frontier.append((mask, value))
 

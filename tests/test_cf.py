@@ -158,6 +158,30 @@ def test_scan_resumes_after_torn_checkpoint_record(tmp_path):
     assert third == fresh
 
 
+def test_interrupted_scan_keeps_its_finished_shards(tmp_path, monkeypatch):
+    import zslen.cf as cf_module
+
+    ck = tmp_path / "scan.ck"
+    fresh = scan_exceptional(8, 4000, engine="e1", shards=4)
+    calls = []
+
+    def interrupted(lo, hi):
+        calls.append((lo, hi))
+        if len(calls) == 3:
+            raise RuntimeError("interrupted at shard 3 of 4")
+        return _scan_direct_range(lo, hi)
+
+    monkeypatch.setattr(cf_module, "_scan_direct_range", interrupted)
+    with pytest.raises(RuntimeError, match="shard 3"):
+        scan_exceptional(8, 4000, engine="e1", shards=4, checkpoint=ck)
+    monkeypatch.undo()
+    # each shard is recorded when it finishes, not when the whole run ends
+    assert sorted(_load_checkpoint(ck)) == calls[:2]
+    assert len(ck.read_text().splitlines()) == 2
+    assert scan_exceptional(8, 4000, engine="e1", shards=4, checkpoint=ck) == fresh
+    assert len(_load_checkpoint(ck)) == 4
+
+
 def test_scan_recomputes_a_record_with_a_forged_witness(tmp_path):
     ck = tmp_path / "scan.ck"
     fresh = scan_exceptional(8, 400, engine="e1", shards=2)
@@ -168,6 +192,15 @@ def test_scan_recomputes_a_record_with_a_forged_witness(tmp_path):
     assert '"10": 9,' in ck.read_text()
     assert len(_load_checkpoint(ck)) == 1
     assert scan_exceptional(8, 400, engine="e1", shards=2, checkpoint=ck) == fresh
+
+
+def test_scan_recomputes_past_a_checkpoint_line_that_is_not_utf8(tmp_path):
+    ck = tmp_path / "scan.ck"
+    fresh = scan_exceptional(8, 400, engine="e1", shards=2)
+    ck.write_bytes(b"\xff\xfe\x00 not utf-8")
+    assert _load_checkpoint(ck) == {}
+    assert scan_exceptional(8, 400, engine="e1", shards=2, checkpoint=ck) == fresh
+    assert len(_load_checkpoint(ck)) == 2
 
 
 def test_scan_recomputes_a_checkpoint_in_the_old_two_file_layout(tmp_path):

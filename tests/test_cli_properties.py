@@ -3,15 +3,19 @@ exit 0 (an answer), 2 (usage error) or 3 (budget), never in a traceback.
 
 Inputs are drawn literals: groups of order at most 16, supports and
 sequences over them (multiplicities at most 12), rank-one ``--gens`` lists,
-scan ranges and ``ZSLEN_BUDGET`` strings, including non-positive values,
-malformed tokens and unknown fields.  Examples are derandomized, so every
-run replays the same inputs.
+scan ranges, ``--checkpoint`` files and ``ZSLEN_BUDGET`` strings, including
+non-positive values, malformed tokens, torn or foreign checkpoint lines and
+unknown fields.  Examples are derandomized, so every run replays the same
+inputs.
 """
 
 import io
+import json
 import os
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from math import prod
+from pathlib import Path
 from unittest import mock
 
 from hypothesis import given, settings
@@ -139,14 +143,40 @@ def test_fp_profile_never_traces(q_gens, budget_atoms, budget):
     run(with_flag(["fp", f"--q={q}", f"--gens={','.join(gens)}", "profile"], budget_atoms), budget)
 
 
+def torn_record(lo: int, width: int, cut: int) -> bytes:
+    """The first ``cut`` bytes of a shard record (which is longer than 60
+    bytes): an interrupted write."""
+    line = json.dumps({"lo": lo, "hi": lo + width, "exceptional": [], "witnesses": {},
+                       "sha256": "0" * 64}).encode()
+    return line[:cut]
+
+
+# a checkpoint file's contents; None passes no --checkpoint, "fresh" a path
+# that does not exist yet
+checkpoints = st.one_of(
+    st.none(),
+    st.just("fresh"),
+    st.builds(torn_record, st.integers(8, 60), st.integers(0, 60), st.integers(1, 60)),
+    st.sampled_from([b"8 204 " + b"0" * 64 + b"\n", b"[1, 2]\n", b'{"lo": 8, "hi": 30}\n',
+                     b"\xff\xfe\x00 not utf-8\n", b"sha256\n\n"]),
+)
+
+
 @EXAMPLES
 @given(mostly(st.integers(8, 60), st.integers(-5, 7)), st.integers(-5, 300),
        st.sampled_from(["e1", "e2", "both"]),
        mostly(st.integers(1, 5), st.integers(-1, 0)), mostly(st.just(1), st.integers(-1, 0)),
-       budgets)
-def test_cf_scan_never_traces(lo, hi, engine, shards, workers, budget):
-    run(["cf-scan", f"--lo={lo}", f"--hi={hi}", "--engine", engine,
-         f"--shards={shards}", f"--workers={workers}"], budget)
+       budgets, checkpoints)
+def test_cf_scan_never_traces(lo, hi, engine, shards, workers, budget, checkpoint):
+    argv = ["cf-scan", f"--lo={lo}", f"--hi={hi}", "--engine", engine,
+            f"--shards={shards}", f"--workers={workers}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scan.ck"
+        if isinstance(checkpoint, bytes):
+            path.write_bytes(checkpoint)
+        if checkpoint is not None:
+            argv.append(f"--checkpoint={path}")
+        run(argv, budget)
 
 
 @EXAMPLES

@@ -289,6 +289,16 @@ def test_cyclic_route_agrees_with_full_enumeration_walk(n):
     assert delta_rho_star(cyclic(n)) == full_enumeration_star(cyclic(n))
 
 
+@pytest.mark.parametrize("name", ["C2xC2", "C2xC4", "C3xC3", "C2xC2xC2", "C2xC6", "C2xC2xC4",
+                                  "C4xC4", "C2xC8", "C3xC6"])
+def test_noncyclic_walk_agrees_with_full_enumeration_walk(name):
+    # the walk over _MaxAtomScan (bitmask classes, gcd shortcut, divisor
+    # pruning) against the oracle's own frozenset classes and unions, valued
+    # by the kernel alone; qualifying_supports shares _MaxAtomScan, this does not
+    group = parse_group(name)
+    assert delta_rho_star(group) == full_enumeration_star(group)
+
+
 def test_star_scan_matches_exceptional_witness():
     # the kernel lattice, with no continued fractions, reproduces the scan's
     # exceptional orders (including 272 under ZSLEN_STRETCH)
