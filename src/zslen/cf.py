@@ -2,20 +2,19 @@
 
 For a cyclic group of order n and a coprime a, the minimum distances of the
 supports {g, ag} and {g, ag, -ag, -g} are gcds of partial quotients of n/a.
-The scan looks for even n where no a certifies an extra distance value; it
-runs two independent engines:
+A witness for an even n is an a whose quad gcd exceeds 1; an n with none is
+exceptional.  A scan of [lo, hi] has one result: the smallest witness of each
+even n in order, 0 for an exceptional n.  Two independent engines compute it:
 
-* E1 walks each n and tries every candidate a directly;
+* E1 tries every candidate a for each n, shard by shard;
 * E2 inverts the criterion: it enumerates all quotient lists matching the
   divisibility pattern for a prime t (first and last quotient = 1 mod t,
-  interior quotients = 0 mod t) whose continuant stays below the bound, and
-  marks the continuants as witnessed.  A list and its reversal have the same
-  continuant, so it walks each list once up to reversal (last quotient at
-  least the first), and it drops a branch as soon as no list below it can
+  interior quotients = 0 mod t) whose continuant stays below the bound, each
+  once up to reversal, and drops a branch as soon as no list below it can
   close under the bound.  Continuants grow at least as fast as Fibonacci
   numbers, so the enumeration depth is logarithmic in the bound.
 
-Both engines must agree before a report is produced.
+With both engines the two sequences must be equal before a report is made.
 """
 
 from __future__ import annotations
@@ -25,7 +24,10 @@ import json
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain, compress
 from math import gcd, isqrt
+from operator import not_
 from pathlib import Path
 
 from .errors import EngineMismatchError, InputError
@@ -161,17 +163,20 @@ def exceptional_witness(n: int) -> int | None:
 
 @dataclass(frozen=True)
 class ScanReport:
+    """The smallest witness of each even n in [lo, hi], in order; 0 if n is exceptional."""
+
     lo: int
     hi: int
     engine: str
-    exceptional: tuple[int, ...]
-    witnesses: dict[int, int]
+    smallest: tuple[int, ...]
 
-    def __post_init__(self):
-        if set(self.exceptional) & self.witnesses.keys():
-            raise InputError("exceptional orders cannot carry witnesses")
-        if any(n % 2 or n < 8 for n in self.exceptional):
-            raise InputError("exceptional orders are even and at least 8")
+    @cached_property
+    def exceptional(self) -> tuple[int, ...]:
+        return tuple(compress(_evens(self.lo, self.hi), map(not_, self.smallest)))
+
+    @cached_property
+    def witnesses(self) -> dict[int, int]:
+        return {n: w for n, w in zip(_evens(self.lo, self.hi), self.smallest) if w}
 
     def digest(self) -> str:
         return _digest(",".join(map(str, self.exceptional)))
@@ -187,21 +192,13 @@ def _evens(lo: int, hi: int) -> range:
     return range(lo + lo % 2, hi + 1, 2)
 
 
-def _scan_direct_range(lo: int, hi: int) -> tuple[list[int], dict[int, int]]:
-    """E1: trial over a for every even n in [lo, hi]."""
-    exceptional: list[int] = []
-    witnesses: dict[int, int] = {}
-    for n in _evens(lo, hi):
-        w = exceptional_witness(n)
-        if w is None:
-            exceptional.append(n)
-        else:
-            witnesses[n] = w
-    return exceptional, witnesses
+def _scan_direct_range(lo: int, hi: int) -> list[int]:
+    """E1: trial over a for every even n in [lo, hi]; 0 where there is none."""
+    return [exceptional_witness(n) or 0 for n in _evens(lo, hi)]
 
 
-def _scan_inverted(hi: int) -> dict[int, int]:
-    """E2: every even n <= hi admitting a witness, with the smallest one.
+def _scan_inverted(hi: int) -> list[int]:
+    """E2: the smallest witness of every even n <= hi at index n // 2, or 0.
 
     Quotient lists are generated per prime t; the criterion gcd of any
     witnessed pair is divisible by some prime, so prime patterns cover all.
@@ -210,7 +207,7 @@ def _scan_inverted(hi: int) -> dict[int, int]:
     whose last quotient is at least the first are walked, each marking the
     smaller of the two.
     """
-    best = [hi] * (hi // 2 + 1)  # best[n // 2] for even n; hi stands for unmarked
+    best = [hi] * (hi // 2 + 1)  # hi stands for unmarked until the walk ends
     # minimal pattern continuant is (t+1)^2 + 1, so t + 1 <= isqrt(hi - 1)
     for t in filter(_is_prime, range(2, isqrt(hi - 1))):
         first = t + 1
@@ -240,7 +237,7 @@ def _scan_inverted(hi: int) -> dict[int, int]:
                     stack.append((p0, c, d0, e))
                     c, e = c + t * p0, e + t * d0
             first += t
-    return {2 * i: w for i, w in enumerate(best) if w < hi}
+    return [w if w < hi else 0 for w in best]
 
 
 def _shard_ranges(lo: int, hi: int, shards: int) -> list[tuple[int, int]]:
@@ -248,70 +245,74 @@ def _shard_ranges(lo: int, hi: int, shards: int) -> list[tuple[int, int]]:
     return [(start, min(start + size - 1, hi)) for start in range(lo, hi + 1, size)]
 
 
-def _load_checkpoint(path: Path) -> dict[tuple[int, int], tuple[list[int], dict[int, int]]]:
+def _load_checkpoint(path: Path) -> dict[tuple[int, int], list[int]]:
     """Completed shards of a JSON-lines checkpoint, one record per shard.
 
-    A line that does not parse (a torn write, bytes that are not UTF-8, or
-    the old index format) or whose ``sha256`` does not match the rest of the
-    record is skipped, so its shard is recomputed.  The file is created
-    first, so a path that cannot be written is an :class:`InputError` before
-    any shard runs."""
+    A record is reused when its ``sha256`` matches, ``lo`` and ``hi`` are
+    ints and ``witnesses`` holds one int per even n in [lo, hi]; any other
+    line is skipped, so its shard is recomputed.  Opening the file to append
+    first makes an unwritable path an :class:`InputError` before any shard
+    runs, and ends a torn last line so that the next record starts its own."""
     try:
-        path.open("a").close()
+        with path.open("a+b") as fh:
+            fh.seek(0)
+            data = fh.read()
+            if data[-1:] not in (b"", b"\n"):
+                fh.write(b"\n")
     except OSError as exc:
         raise InputError(f"cannot write checkpoint {path}: {exc.strerror}") from None
-    done: dict[tuple[int, int], tuple[list[int], dict[int, int]]] = {}
-    for line in path.read_bytes().splitlines():
+    done: dict[tuple[int, int], list[int]] = {}
+    for line in data.splitlines():
         try:
             rec = json.loads(line)
-            if rec.pop("sha256") == _digest(json.dumps(rec, sort_keys=True)):
-                done[(rec["lo"], rec["hi"])] = (
-                    rec["exceptional"], {int(k): v for k, v in rec["witnesses"].items()}
-                )
-        except (ValueError, TypeError, KeyError, AttributeError):
+            lo, hi, witnesses = rec["lo"], rec["hi"], rec["witnesses"]
+            if (rec.pop("sha256") == _digest(json.dumps(rec, sort_keys=True))
+                    and type(lo) is type(hi) is int and type(witnesses) is list
+                    and len(witnesses) == len(_evens(lo, hi))
+                    and all(type(w) is int for w in witnesses)):
+                done[(lo, hi)] = witnesses
+        except (ValueError, TypeError, KeyError, AttributeError, OverflowError):
             continue  # torn, foreign or corrupt: recompute this shard
     return done
 
 
-def _append_checkpoint(path: Path, lo: int, hi: int, exceptional: list[int], witnesses: dict[int, int]):
-    """Append one shard record, first ending a torn last line of the file."""
-    record = {"lo": lo, "hi": hi, "exceptional": exceptional,
-              "witnesses": {str(n): w for n, w in witnesses.items()}}
+def _append_checkpoint(path: Path, lo: int, hi: int, witnesses: list[int]):
+    """Append one shard record; its ``sha256`` covers the other three keys."""
+    record = {"lo": lo, "hi": hi, "witnesses": witnesses}
     record["sha256"] = _digest(json.dumps(record, sort_keys=True))
-    line = json.dumps(record).encode() + b"\n"
-    with path.open("a+b") as fh:
-        end = fh.seek(0, 2)
-        if end:
-            fh.seek(end - 1)
-            if fh.read(1) != b"\n":
-                line = b"\n" + line
-        fh.write(line)
+    with path.open("ab") as fh:
+        fh.write(json.dumps(record).encode() + b"\n")
 
 
-def _scan_e1(
-    lo: int, hi: int, shards: int, workers: int, ck_path: Path | None
-) -> tuple[list[int], dict[int, int]]:
-    """E1 over the shards of [lo, hi].  A shard the checkpoint holds is
-    reused; a fresh one is appended to it as soon as its result is taken, in
-    range order, so an interrupted run keeps the shards before the one that
-    stopped it."""
+def _scan_e1(lo: int, hi: int, shards: int, workers: int, ck_path: Path | None) -> tuple[int, ...]:
+    """E1 over the shards of [lo, hi], reusing those the checkpoint holds.
+    Fresh shards are appended to it in range order as their results are
+    taken.  Worker shards all run, so each one that succeeds is recorded,
+    also after a failed one, before the first failure is raised."""
     done = _load_checkpoint(ck_path) if ck_path else {}
     ranges = _shard_ranges(lo, hi, shards)
     fresh = [r for r in ranges if r not in done]
-    pool, mapper = nullcontext(), map
+    pool = None
     if workers > 1 and len(fresh) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(max_workers=workers)
-        mapper = pool.map
-    with pool:
-        results = mapper(_scan_direct_range, [r[0] for r in fresh], [r[1] for r in fresh])
-        for r, (exc, wit) in zip(fresh, results):
+    failure = None
+    with pool or nullcontext():
+        jobs = [pool.submit(_scan_direct_range, *r) for r in fresh] if pool else None
+        for i, r in enumerate(fresh):
+            try:
+                done[r] = jobs[i].result() if jobs else _scan_direct_range(*r)
+            except Exception as exc:
+                if not jobs:
+                    raise  # no later shard has run
+                failure = failure or exc
+                continue
             if ck_path:
-                _append_checkpoint(ck_path, *r, exc, wit)
-            done[r] = exc, wit
-    exceptional = sorted(n for r in ranges for n in done[r][0])
-    return exceptional, {n: w for r in ranges for n, w in done[r][1].items()}
+                _append_checkpoint(ck_path, *r, done[r])
+    if failure:
+        raise failure
+    return tuple(chain.from_iterable(done[r] for r in ranges))
 
 
 def scan_exceptional(
@@ -323,14 +324,14 @@ def scan_exceptional(
     workers: int = 1,
     checkpoint: str | Path | None = None,
 ) -> ScanReport:
-    """Even n in [lo, hi] with no witness, plus the witness map for the rest.
+    """The smallest witness of every even n in [lo, hi], 0 where n is exceptional.
 
     With ``engine="both"`` the direct and inverted engines are both run and
     must agree exactly.  Sharding splits the range for E1; shards may run in
     worker processes, and each shard is checkpointed as soon as it finishes.
-    The merged report is independent of shard count and worker count.  E2
-    takes none of these options, so ``engine="e2"`` with any of them is an
-    input error.
+    The report is independent of shard count and worker count.  E2 takes
+    none of these options, so ``engine="e2"`` with any of them is an input
+    error.
     """
     if not 8 <= lo <= hi:
         raise InputError(f"need 8 <= lo <= hi, got [{lo}, {hi}]")
@@ -341,18 +342,15 @@ def scan_exceptional(
     if engine == "e2" and (checkpoint or shards > 1 or workers > 1):
         raise InputError("shards, workers and checkpoint apply to E1 only, not to engine 'e2'")
     if engine != "e2":
-        exc, wit = _scan_e1(lo, hi, shards, workers, Path(checkpoint) if checkpoint else None)
+        smallest = _scan_e1(lo, hi, shards, workers, Path(checkpoint) if checkpoint else None)
     if engine != "e1":
-        marked = _scan_inverted(hi)
-        exc2 = [n for n in _evens(lo, hi) if n not in marked]
-        wit2 = {n: marked[n] for n in _evens(lo, hi) if n in marked}
-        if engine == "both" and (exc, wit) != (exc2, wit2):
+        inverted = tuple(_scan_inverted(hi)[(lo + 1) // 2:])
+        if engine == "both" and smallest != inverted:
             raise EngineMismatchError(
-                f"scan engines disagree on [{lo}, {hi}]: "
-                f"E1 found {len(exc)} exceptional, E2 found {len(exc2)}"
-            )
-        exc, wit = exc2, wit2
-    return ScanReport(lo, hi, engine, tuple(exc), wit)
+                f"scan engines disagree on [{lo}, {hi}]: E1 found {smallest.count(0)} "
+                f"exceptional, E2 found {inverted.count(0)}")
+        smallest = inverted
+    return ScanReport(lo, hi, engine, smallest)
 
 
 def sufficient_filters(n: int) -> frozenset[str]:

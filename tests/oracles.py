@@ -7,6 +7,8 @@ freeze oracle outputs or compare them live against the production paths.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from itertools import product
 
 from zslen.groups import AbelianGroup
@@ -219,3 +221,10 @@ def subgroup_generated(G: AbelianGroup, gens) -> set:
                     elems.add(s)
                     changed = True
     return elems
+
+
+def sealed_checkpoint_line(record: dict) -> str:
+    """One scan checkpoint line holding ``record`` and a valid ``sha256``:
+    the sha256 of the record as canonical JSON (sorted keys)."""
+    text = json.dumps(record, sort_keys=True)
+    return json.dumps(dict(record, sha256=hashlib.sha256(text.encode()).hexdigest())) + "\n"

@@ -1,14 +1,17 @@
+import faulthandler
 import json
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from oracles import sealed_checkpoint_line
 
 from zslen.cf import (
     _load_checkpoint,
     _scan_direct_range,
     _scan_inverted,
+    _shard_ranges,
     cf_odd_length,
     cf_regular,
     exceptional_witness,
@@ -139,8 +142,10 @@ def test_scan_checkpoint_resume(tmp_path):
     second = scan_exceptional(8, 400, engine="e1", shards=4, checkpoint=ck)
     assert first.exceptional == second.exceptional
     assert first.witnesses == second.witnesses
-    # a corrupt record forces recomputation, not wrong reuse
-    ck.write_text(ck.read_text().replace('"exceptional": [', '"exceptional": [99999, ', 1))
+    # a corrupt record forces recomputation, not wrong reuse: n = 8 is
+    # exceptional, and the edit gives it the witness 3
+    assert '"witnesses": [0, ' in ck.read_text()
+    ck.write_text(ck.read_text().replace('"witnesses": [0, ', '"witnesses": [3, ', 1))
     assert len(_load_checkpoint(ck)) == 3
     third = scan_exceptional(8, 400, engine="e1", shards=4, checkpoint=ck)
     assert third.exceptional == first.exceptional
@@ -187,11 +192,53 @@ def test_scan_recomputes_a_record_with_a_forged_witness(tmp_path):
     fresh = scan_exceptional(8, 400, engine="e1", shards=2)
     scan_exceptional(8, 400, engine="e1", shards=2, checkpoint=ck)
     assert fresh.witnesses[10] == 3
-    # 9 is no witness for n = 10; the record's checksum must catch the edit
-    ck.write_text(ck.read_text().replace('"10": 3,', '"10": 9,', 1))
-    assert '"10": 9,' in ck.read_text()
+    # the list starts at n = 8, 10; 9 is no witness for n = 10, and the
+    # record's checksum must catch the edit
+    ck.write_text(ck.read_text().replace('"witnesses": [0, 3, ', '"witnesses": [0, 9, ', 1))
+    assert '"witnesses": [0, 9, ' in ck.read_text()
     assert len(_load_checkpoint(ck)) == 1
     assert scan_exceptional(8, 400, engine="e1", shards=2, checkpoint=ck) == fresh
+
+
+def test_scan_recomputes_a_record_in_the_exceptional_and_witness_map_format(tmp_path):
+    ck = tmp_path / "scan.ck"
+    fresh = scan_exceptional(8, 400, engine="e1", shards=2)
+    old = scan_exceptional(8, 204, engine="e1")
+    # the record format before the witness list: exceptional orders plus a
+    # map with string keys, its checksum valid for that format
+    ck.write_text(sealed_checkpoint_line({
+        "lo": 8, "hi": 204, "exceptional": list(old.exceptional),
+        "witnesses": {str(n): w for n, w in old.witnesses.items()}}))
+    assert _load_checkpoint(ck) == {}
+    assert scan_exceptional(8, 400, engine="e1", shards=2, checkpoint=ck) == fresh
+    assert len(_load_checkpoint(ck)) == 2
+
+
+def _fails_on_third_shard(lo, hi):
+    """E1 on one shard of [8, 4000] in four, failing on the third; at module
+    level, so that worker processes can unpickle it."""
+    if lo == _shard_ranges(8, 4000, 4)[2][0]:
+        raise RuntimeError("shard 3 failed")
+    return _scan_direct_range(lo, hi)
+
+
+def test_worker_shards_finished_around_a_failed_one_are_recorded(tmp_path, monkeypatch):
+    import zslen.cf as cf_module
+
+    ck = tmp_path / "scan.ck"
+    fresh = scan_exceptional(8, 4000, engine="e1", shards=4)
+    monkeypatch.setattr(cf_module, "_scan_direct_range", _fails_on_third_shard)
+    faulthandler.dump_traceback_later(120, exit=True)  # a hung pool ends the run
+    try:
+        with pytest.raises(RuntimeError, match="shard 3"):
+            scan_exceptional(8, 4000, engine="e1", shards=4, workers=2, checkpoint=ck)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    monkeypatch.undo()
+    ranges = _shard_ranges(8, 4000, 4)
+    assert sorted(_load_checkpoint(ck)) == ranges[:2] + ranges[3:]
+    assert scan_exceptional(8, 4000, engine="e1", shards=4, checkpoint=ck) == fresh
+    assert len(_load_checkpoint(ck)) == 4
 
 
 def test_scan_recomputes_past_a_checkpoint_line_that_is_not_utf8(tmp_path):
@@ -232,17 +279,18 @@ def test_filters_imply_witness():
 
 
 def test_inverted_engine_matches_direct_witnesses_to_30000():
-    # every minimal witness, including those only a reversed list reaches
-    marked = _scan_inverted(30000)
-    _, witnesses = _scan_direct_range(8, 30000)
-    assert {n: a for n, a in marked.items() if n % 2 == 0 and n >= 8} == witnesses
+    # every minimal witness, including those only a reversed list reaches;
+    # E2 lists n // 2 from n = 0, so n = 8 is at index 4
+    direct = _scan_direct_range(8, 30000)
+    assert _scan_inverted(30000)[4:] == direct
+    assert direct.count(0) == 25  # the exceptional orders, all below 3000
 
 
 def test_engine_mismatch_is_detectable(monkeypatch):
     import zslen.cf as cf_module
 
     def broken(hi):
-        return {}
+        return [0] * (hi // 2 + 1)  # no witness anywhere
 
     monkeypatch.setattr(cf_module, "_scan_inverted", broken)
     with pytest.raises(EngineMismatchError):

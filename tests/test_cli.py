@@ -1,7 +1,9 @@
 import json
+import os
 import time
 
 import pytest
+from oracles import sealed_checkpoint_line
 
 from zslen.cli import main
 from zslen.config import ResourceConfig
@@ -128,6 +130,38 @@ def test_cf_scan_unwritable_checkpoint_exits_2(capsys, tmp_path, where):
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("record", [
+    {"lo": 8, "hi": 100, "exceptional": 5, "witnesses": {}},
+    {"lo": 8, "hi": 100, "witnesses": 5},
+    {"lo": 8, "hi": 100, "witnesses": ["3"] * 47},
+    {"lo": 8, "hi": 100, "witnesses": [True] * 47},
+    {"lo": 8, "hi": 100, "witnesses": [0] * 3},
+    {"lo": 8.0, "hi": 100, "witnesses": [0] * 47},
+    {"lo": 8, "hi": 10**30, "witnesses": []},
+])
+def test_cf_scan_recomputes_a_sealed_record_of_the_wrong_shape(capsys, tmp_path, record):
+    # the record's sha256 is valid, so only the types and the length of its
+    # fields can reject it; [8, 100] holds 47 even n
+    ck = tmp_path / "scan.ck"
+    ck.write_text(sealed_checkpoint_line(record))
+    args = ("cf-scan", "--lo", "8", "--hi", "100", "--engine", "e1")
+    fresh = run(capsys, *args)
+    assert fresh[0] == 0
+    assert run(capsys, *args, "--checkpoint", str(ck)) == fresh
+
+
+@pytest.mark.skipif(not os.environ.get("ZSLEN_STRETCH"),
+                    reason="E1 to 10^7 takes about 10 s on two workers; set ZSLEN_STRETCH=1")
+def test_cf_scan_to_ten_million_on_two_workers(capsys):
+    code, out, err = run(capsys, "cf-scan", "--lo", "8", "--hi", "10000000", "--engine", "e1",
+                         "--shards", "8", "--workers", "2")
+    assert (code, err) == (0, "")
+    summary = json.loads(out.splitlines()[-1])
+    assert summary["exceptionalCount"] == 25
+    assert summary["witnessedCount"] == 4999972
+    assert summary["sha256"] == "776cc5fa0de736c4e6df863e2a165705881bc498ae471fb4fc2d99807ff8d0d7"
 
 
 def test_min_delta_of_a_deep_support(capsys):

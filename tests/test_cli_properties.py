@@ -4,8 +4,9 @@ exit 0 (an answer), 2 (usage error) or 3 (budget), never in a traceback.
 Inputs are drawn literals: groups of order at most 16, supports and
 sequences over them (multiplicities at most 12), rank-one ``--gens`` lists,
 scan ranges, ``--checkpoint`` files and ``ZSLEN_BUDGET`` strings, including
-non-positive values, malformed tokens, torn or foreign checkpoint lines and
-unknown fields.  Examples are derandomized, so every run replays the same
+non-positive values, malformed tokens, torn or foreign checkpoint lines,
+records with a valid checksum but fields of the wrong type, and unknown
+fields.  Examples are derandomized, so every run replays the same
 inputs.
 """
 
@@ -20,6 +21,7 @@ from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import sealed_checkpoint_line
 
 from zslen.cli import main
 from zslen.groups import make_group
@@ -146,7 +148,7 @@ def test_fp_profile_never_traces(q_gens, budget_atoms, budget):
 def torn_record(lo: int, width: int, cut: int) -> bytes:
     """The first ``cut`` bytes of a shard record (which is longer than 60
     bytes): an interrupted write."""
-    line = json.dumps({"lo": lo, "hi": lo + width, "exceptional": [], "witnesses": {},
+    line = json.dumps({"lo": lo, "hi": lo + width, "witnesses": [0] * (width // 2 + 1),
                        "sha256": "0" * 64}).encode()
     return line[:cut]
 
@@ -158,7 +160,8 @@ checkpoints = st.one_of(
     st.just("fresh"),
     st.builds(torn_record, st.integers(8, 60), st.integers(0, 60), st.integers(1, 60)),
     st.sampled_from([b"8 204 " + b"0" * 64 + b"\n", b"[1, 2]\n", b'{"lo": 8, "hi": 30}\n',
-                     b"\xff\xfe\x00 not utf-8\n", b"sha256\n\n"]),
+                     b"\xff\xfe\x00 not utf-8\n", b"sha256\n\n",
+                     sealed_checkpoint_line({"lo": 8, "hi": 30, "witnesses": 5}).encode()]),
 )
 
 
