@@ -249,8 +249,10 @@ def _load_checkpoint(path: Path) -> dict[tuple[int, int], list[int]]:
     """Completed shards of a JSON-lines checkpoint, one record per shard.
 
     A record is reused when its ``sha256`` matches, ``lo`` and ``hi`` are
-    ints and ``witnesses`` holds one int per even n in [lo, hi]; any other
-    line is skipped, so its shard is recomputed.  Opening the file to append
+    ints and ``witnesses`` holds one int per even n in [lo, hi], each 0 or in
+    [2, n // 2], the range that :func:`exceptional_witness` searches; any
+    other line is skipped, so its shard is recomputed.  A witness in range is
+    trusted without re-checking its criterion.  Opening the file to append
     first makes an unwritable path an :class:`InputError` before any shard
     runs, and ends a torn last line so that the next record starts its own."""
     try:
@@ -268,8 +270,8 @@ def _load_checkpoint(path: Path) -> dict[tuple[int, int], list[int]]:
             lo, hi, witnesses = rec["lo"], rec["hi"], rec["witnesses"]
             if (rec.pop("sha256") == _digest(json.dumps(rec, sort_keys=True))
                     and type(lo) is type(hi) is int and type(witnesses) is list
-                    and len(witnesses) == len(_evens(lo, hi))
-                    and all(type(w) is int for w in witnesses)):
+                    and all(type(w) is int and (w == 0 or 2 <= w <= n // 2)
+                            for w, n in zip(witnesses, _evens(lo, hi), strict=True))):
                 done[(lo, hi)] = witnesses
         except (ValueError, TypeError, KeyError, AttributeError, OverflowError):
             continue  # torn, foreign or corrupt: recompute this shard

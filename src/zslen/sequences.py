@@ -10,6 +10,15 @@ from its own maximal proper prefix.
 
 Zero-sum-free sequences acquire a fresh subsequence sum with every appended
 element, which bounds the search depth by ``|G| - 1``.
+
+A child ``S·g`` of a zero-sum-free node ``S`` is rejected with one bit test,
+before its own mask is built.  Let ``Σ₀(S)`` be the subsequence sums of ``S``
+with the empty sum 0 included.  The nonempty subsequences of ``S·g`` sum to
+``Σ(S) ∪ (Σ₀(S) + g)``, and ``Σ(S)`` misses 0, so ``S·g`` has a zero-sum
+subsequence exactly when ``-g ∈ Σ₀(S)``: ``-g`` is a nonempty subsum (that
+subsequence times ``g`` sums to 0) or ``g = 0``.  The test is exact, so the
+walk visits the same nodes as one that builds every child's mask, and only
+the child that is taken pays for the shifts to ``Σ₀(S·g) = Σ₀(S) ∪ (Σ₀(S) + g)``.
 """
 
 from __future__ import annotations
@@ -223,10 +232,14 @@ def enumerate_atoms(
     """Enumerate every atom supported in ``support``.
 
     Depth-first, on an explicit stack of one frame per node of the current
-    path, over sorted zero-sum-free sequences; a node emits an atom when the completing element (the negated running sum)
-    lies in the support at or after the node's last position.  The atom and
-    node caps raise :class:`BudgetExceededError`, never a truncated set.  Sum
-    table rows are built on first use, so a cap stops a large group early.
+    path, over sorted zero-sum-free sequences; a node emits an atom when the
+    completing element (the negated running sum) lies in the support at or
+    after the node's last position.  Child ``g`` is skipped when bit ``-g`` of
+    the parent's sums ``Σ₀`` (empty sum included) is set, exactly when the
+    child has a zero-sum subsequence; its own mask is built only when it is
+    taken.  The atom and node caps raise :class:`BudgetExceededError`, never
+    a truncated set.  Sum table rows are built on first use, so a cap stops a
+    large group early.
     """
     cfg = config or default_config()
     G = support.group
@@ -237,6 +250,7 @@ def enumerate_atoms(
     k = len(sup_idx)
 
     neg_of = [G.index_of(G.neg(e)) for e in G.elements()]
+    neg_bit = [1 << neg_of[gi] for gi in sup_idx]
     # add_to[p][s] = index of element s + support[p]; rows built on first use
     add_to: list[list[int] | None] = [None] * k
     shifts = _mask_shift_transforms(G, support.elements)
@@ -250,10 +264,11 @@ def enumerate_atoms(
     counts = [0] * k
     nodes = 0
     # the current path, one frame per node: (position of its last element,
-    # subsum mask, sum index, iterator over its child positions); a child's
-    # mask is built when the walk reaches it, so memory stays linear in depth
+    # mask of its subsequence sums with the empty sum 0, sum index, iterator
+    # over its child positions); a child's mask is built only when the walk
+    # takes that child, so memory stays linear in depth
     frames: list[tuple] = []
-    last_pos, subs, sigma_idx = -1, 0, zero_idx  # the root, the empty sequence
+    last_pos, sums, sigma_idx = -1, zero_bit, zero_idx  # the root, the empty sequence
     while True:
         nodes += 1
         if nodes > cfg.max_nodes:
@@ -266,15 +281,11 @@ def enumerate_atoms(
             if len(atoms) > cfg.max_atoms:
                 raise BudgetExceededError("atom count", cfg.max_atoms)
         first_child = last_pos if last_pos > 0 else 0
-        frames.append((last_pos, subs, sigma_idx, iter(range(first_child, k))))
-        while frames:  # the next node: the first extendable child of the deepest frame
-            last_pos, parent_subs, parent_sigma, children = frames[-1]
+        frames.append((last_pos, sums, sigma_idx, iter(range(first_child, k))))
+        while frames:  # the next node: the first zero-sum-free child of the deepest frame
+            last_pos, parent_sums, parent_sigma, children = frames[-1]
             for p in children:
-                shifted = parent_subs
-                for keep, left, wrap, right in shifts[p]:
-                    shifted = ((shifted & keep) << left) | ((shifted & wrap) >> right)
-                subs = parent_subs | shifted | (1 << sup_idx[p])
-                if not subs & zero_bit:  # else a zero-sum subsequence appeared
+                if not parent_sums & neg_bit[p]:  # no subsequence of the parent sums to -g
                     break
             else:
                 frames.pop()
@@ -284,6 +295,10 @@ def enumerate_atoms(
             break
         else:
             break  # every frame is exhausted
+        shifted = parent_sums
+        for keep, left, wrap, right in shifts[p]:
+            shifted = ((shifted & keep) << left) | ((shifted & wrap) >> right)
+        sums = parent_sums | shifted
         counts[p] += 1
         row = add_to[p]
         if row is None:

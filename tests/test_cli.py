@@ -140,15 +140,22 @@ def test_cf_scan_unwritable_checkpoint_exits_2(capsys, tmp_path, where):
     {"lo": 8, "hi": 100, "witnesses": [0] * 3},
     {"lo": 8.0, "hi": 100, "witnesses": [0] * 47},
     {"lo": 8, "hi": 10**30, "witnesses": []},
+    # witnesses outside {0} and [2, n // 2], the range a witness is searched in
+    {"lo": 8, "hi": 100, "witnesses": [-1] + [0] * 46},
+    {"lo": 8, "hi": 100, "witnesses": [1] + [0] * 46},
+    {"lo": 8, "hi": 100, "witnesses": [5] + [0] * 46},
+    {"lo": 8, "hi": 100, "witnesses": [0] * 46 + [51]},
 ])
 def test_cf_scan_recomputes_a_sealed_record_of_the_wrong_shape(capsys, tmp_path, record):
-    # the record's sha256 is valid, so only the types and the length of its
-    # fields can reject it; [8, 100] holds 47 even n
+    # the record's sha256 is valid, so only the types, the length and the
+    # range of its fields can reject it; [8, 100] holds 47 even n
     ck = tmp_path / "scan.ck"
     ck.write_text(sealed_checkpoint_line(record))
     args = ("cf-scan", "--lo", "8", "--hi", "100", "--engine", "e1")
     fresh = run(capsys, *args)
     assert fresh[0] == 0
+    summary = json.loads(fresh[1].splitlines()[-1])
+    assert (summary["exceptionalCount"], summary["witnessedCount"]) == (15, 32)
     assert run(capsys, *args, "--checkpoint", str(ck)) == fresh
 
 

@@ -129,6 +129,19 @@ def test_atom_budget_stops_a_large_group_early():
     assert peak < 10 * 2**20
 
 
+@pytest.mark.parametrize("factors,nodes,atom_count", [
+    ([2, 2, 6], 57419, 12240),
+    ([5, 5], 138865, 31029),
+])
+def test_full_group_walk_visits_an_exact_node_count(factors, nodes, atom_count):
+    # the DFS visits exactly one node per zero-sum-free sequence in canonical
+    # order; a change in which children are walked or counted moves the count
+    sup = full_support(make_group(factors))
+    assert len(enumerate_atoms(sup, config=ResourceConfig(max_nodes=nodes))) == atom_count
+    with pytest.raises(BudgetExceededError, match=f"enumeration nodes \\(limit {nodes - 1}\\)"):
+        enumerate_atoms(sup, config=ResourceConfig(max_nodes=nodes - 1))
+
+
 def test_davenport_of_full_groups():
     assert enumerate_atoms(full_support(cyclic(10))).davenport == 10
     assert enumerate_atoms(full_support(make_group([2, 2]))).davenport == 3
