@@ -6,7 +6,12 @@ A witness for an even n is an a whose quad gcd exceeds 1; an n with none is
 exceptional.  A scan of [lo, hi] has one result: the smallest witness of each
 even n in order, 0 for an exceptional n.  Two independent engines compute it:
 
-* E1 tries every candidate a for each n, shard by shard;
+* E1 sieves, shard by shard.  The expansion of n/a is [n // a; expansion
+  of a/r] with r = n mod a, so the quad gcd is gcd(n // a - 1, T(a, r)),
+  where T(a, r) is the tail gcd of a/r.  Every small a therefore witnesses
+  the n of the progressions n = a + r (mod a·p), n >= a(1 + p) + r, one per
+  r and prime p of T(a, r); each is marked by a slice, and only the n left
+  unmarked are tried a by a;
 * E2 inverts the criterion: it enumerates all quotient lists matching the
   divisibility pattern for a prime t (first and last quotient = 1 mod t,
   interior quotients = 0 mod t) whose continuant stays below the bound, each
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import nullcontext
+import signal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -31,7 +36,7 @@ from operator import not_
 from pathlib import Path
 
 from .errors import EngineMismatchError, InputError
-from .groups import _is_prime
+from .groups import _factorint, _is_prime
 
 
 @dataclass(frozen=True)
@@ -134,11 +139,18 @@ def min_delta_sym_quad(n: int, a: int) -> int:
 
 
 def _quad_criterion(n: int, a: int) -> int:
-    """The quotient gcd of :func:`min_delta_sym_quad`, computed along the
-    Euclidean algorithm with an early exit at 1; no input checks."""
+    """The quotient gcd of :func:`min_delta_sym_quad`; no input checks.
+
+    n/a expands as [n // a; expansion of a/r] with r = n mod a, so the gcd
+    is :func:`_tail_gcd` of a/r seeded with n // a - 1."""
     q, r = divmod(n, a)
-    g = q - 1
-    x, y = a, r
+    return _tail_gcd(a, r, q - 1)
+
+
+def _tail_gcd(x: int, y: int, g: int = 0) -> int:
+    """gcd(g, q1, ..., q_{m-1}, q_m - 1) over the regular expansion
+    [q1; ..., q_m] of x/y, computed along the Euclidean algorithm with an
+    early exit at 1.  With g = 0 it is T(x, y), the tail gcd of x/y."""
     while True:
         q, r = divmod(x, y)
         if r == 0:
@@ -149,16 +161,22 @@ def _quad_criterion(n: int, a: int) -> int:
         x, y = y, r
 
 
+def _trial_witness(n: int, start: int) -> int:
+    """Smallest a in [start, n // 2], coprime to n, whose quad gcd exceeds
+    1; 0 when there is none."""
+    for a in range(start, n // 2 + 1):
+        if gcd(a, n) == 1 and _quad_criterion(n, a) > 1:
+            return a
+    return 0
+
+
 def exceptional_witness(n: int) -> int | None:
     """Smallest a in [2, n//2], coprime to n, whose quotient-gcd criterion
     exceeds 1; None when no such a exists (and the star set of the cyclic
     group of order n is then contained in {1, n-2})."""
     if n < 3:
         raise InputError("need n >= 3")
-    for a in range(2, n // 2 + 1):
-        if gcd(a, n) == 1 and _quad_criterion(n, a) > 1:
-            return a
-    return None
+    return _trial_witness(n, 2) or None
 
 
 @dataclass(frozen=True)
@@ -193,8 +211,40 @@ def _evens(lo: int, hi: int) -> range:
 
 
 def _scan_direct_range(lo: int, hi: int) -> list[int]:
-    """E1: trial over a for every even n in [lo, hi]; 0 where there is none."""
-    return [exceptional_witness(n) or 0 for n in _evens(lo, hi)]
+    """E1: the smallest witness of every even n in [lo, hi], 0 where there is none.
+
+    With q = n // a and r = n mod a, the quad gcd of n/a is
+    gcd(q - 1, T(a, r)), T the tail gcd of a/r.  So a witnesses n exactly
+    when some prime p of T(a, r) divides q - 1, and those n form the
+    progressions n = a + r + k·a·p with k = (q - 1) / p >= 1, the bound
+    k >= 1 being a <= n // 2.  A sieve walks the odd a (an even n has no
+    even unit) from a cutoff A down to 3 and assigns a to the even n of
+    each such progression with one slice assignment; as a descends, the
+    smallest witness is the one that stays.  An n left unmarked has no
+    witness up to A and gets the trial from A + 1.  For m even n the cutoff
+    is A = max(16, isqrt(m) // 2), so the sieve visits about m / 20 pairs
+    (a, r); up to 10^6 it leaves 685 of the 499,997 even n to the trial.
+    """
+    evens = _evens(lo, hi)
+    first, size = evens.start, len(evens)
+    best = [0] * size
+    cutoff = max(16, isqrt(size) // 2)
+    for a in reversed(range(3, cutoff + 1, 2)):
+        for r in range(1, a):
+            if gcd(a, r) != 1 or (t := _tail_gcd(a, r)) == 1:
+                continue
+            for p in _factorint(t):
+                # for p = 2 every n is even: all quotients of a/r but the
+                # last are even, so every continuant, r among them, is odd
+                start, step = a * (1 + p) + r, a * p
+                if step & 1:  # n alternates in parity: keep the even ones
+                    start, step = start + (start & 1) * step, 2 * step
+                start = max(start, first + (start - first) % step)
+                i, j = (start - first) // 2, step // 2
+                best[i::j] = [a] * len(range(i, size, j))
+    for i in list(compress(range(size), map(not_, best))):
+        best[i] = _trial_witness(first + 2 * i, cutoff + 1)
+    return best
 
 
 def _scan_inverted(hi: int) -> list[int]:
@@ -290,7 +340,10 @@ def _scan_e1(lo: int, hi: int, shards: int, workers: int, ck_path: Path | None) 
     """E1 over the shards of [lo, hi], reusing those the checkpoint holds.
     Fresh shards are appended to it in range order as their results are
     taken.  Worker shards all run, so each one that succeeds is recorded,
-    also after a failed one, before the first failure is raised."""
+    also after a failed one, before the first failure is raised.  Workers
+    ignore SIGINT: a Ctrl-C of the process group interrupts this loop alone,
+    which then drops the shards not yet started and waits for the running
+    ones, so no worker is left behind."""
     done = _load_checkpoint(ck_path) if ck_path else {}
     ranges = _shard_ranges(lo, hi, shards)
     fresh = [r for r in ranges if r not in done]
@@ -298,9 +351,10 @@ def _scan_e1(lo: int, hi: int, shards: int, workers: int, ck_path: Path | None) 
     if workers > 1 and len(fresh) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
+                                   initargs=(signal.SIGINT, signal.SIG_IGN))
     failure = None
-    with pool or nullcontext():
+    try:
         jobs = [pool.submit(_scan_direct_range, *r) for r in fresh] if pool else None
         for i, r in enumerate(fresh):
             try:
@@ -312,6 +366,9 @@ def _scan_e1(lo: int, hi: int, shards: int, workers: int, ck_path: Path | None) 
                 continue
             if ck_path:
                 _append_checkpoint(ck_path, *r, done[r])
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
     if failure:
         raise failure
     return tuple(chain.from_iterable(done[r] for r in ranges))

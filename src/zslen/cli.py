@@ -309,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except MemoryError:
+        print("budget: out of memory", file=sys.stderr)
+        return EXIT_BUDGET
     except EngineMismatchError as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -10,7 +10,9 @@ from __future__ import annotations
 import hashlib
 import json
 from itertools import product
+from math import gcd
 
+from zslen.cf import cf_regular
 from zslen.groups import AbelianGroup
 from zslen.lengths import min_delta_of_atoms
 from zslen.sequences import GSequence, SupportSet, enumerate_atoms, full_support
@@ -228,3 +230,15 @@ def sealed_checkpoint_line(record: dict) -> str:
     the sha256 of the record as canonical JSON (sorted keys)."""
     text = json.dumps(record, sort_keys=True)
     return json.dumps(dict(record, sha256=hashlib.sha256(text.encode()).hexdigest())) + "\n"
+
+
+def smallest_witness(n: int) -> int:
+    """Smallest a in [2, n // 2], coprime to n, with gcd(q0 - 1, q1, ...,
+    q_{m-1}, q_m - 1) > 1 over the regular quotient list [q0; ..., q_m] of
+    n/a, read from ``cf_regular``; 0 when there is none."""
+    for a in range(2, n // 2 + 1):
+        if gcd(a, n) == 1:
+            qs = cf_regular(n, a).quotients
+            if gcd(qs[0] - 1, *qs[1:-1], qs[-1] - 1) > 1:
+                return a
+    return 0

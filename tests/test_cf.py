@@ -1,11 +1,13 @@
 import faulthandler
 import json
 import random
+import signal
+import time
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from oracles import sealed_checkpoint_line
+from oracles import sealed_checkpoint_line, smallest_witness
 
 from zslen.cf import (
     _load_checkpoint,
@@ -241,6 +243,41 @@ def test_worker_shards_finished_around_a_failed_one_are_recorded(tmp_path, monke
     assert len(_load_checkpoint(ck)) == 4
 
 
+_MARKS = None  # a directory, set before the pool forks its workers
+
+
+def _slow_shard_that_ignores_sigint(lo, hi):
+    """E1 on one shard after 0.2 s, leaving a mark; fails in a worker that
+    would take SIGINT itself, where a Ctrl-C of the process group reaches
+    workers and parent alike."""
+    if signal.getsignal(signal.SIGINT) != signal.SIG_IGN:
+        raise RuntimeError("a worker handles SIGINT")
+    (_MARKS / str(lo)).touch()
+    time.sleep(0.2)
+    return _scan_direct_range(lo, hi)
+
+
+def test_an_interrupted_worker_scan_drops_the_shards_not_yet_started(tmp_path, monkeypatch):
+    import zslen.cf as cf_module
+
+    def interrupt(*record):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(globals(), "_MARKS", tmp_path)
+    monkeypatch.setattr(cf_module, "_scan_direct_range", _slow_shard_that_ignores_sigint)
+    monkeypatch.setattr(cf_module, "_append_checkpoint", interrupt)
+    faulthandler.dump_traceback_later(120, exit=True)  # a hung pool ends the run
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            scan_exceptional(8, 4000, engine="e1", shards=16, workers=2,
+                             checkpoint=tmp_path / "scan.ck")
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    # interrupted after the first shard: the running and already queued
+    # shards finish, the others never start
+    assert 1 <= len([p for p in tmp_path.iterdir() if p.name != "scan.ck"]) < 16
+
+
 def test_scan_recomputes_past_a_checkpoint_line_that_is_not_utf8(tmp_path):
     ck = tmp_path / "scan.ck"
     fresh = scan_exceptional(8, 400, engine="e1", shards=2)
@@ -284,6 +321,22 @@ def test_inverted_engine_matches_direct_witnesses_to_30000():
     direct = _scan_direct_range(8, 30000)
     assert _scan_inverted(30000)[4:] == direct
     assert direct.count(0) == 25  # the exceptional orders, all below 3000
+
+
+def _oracle_range(lo, hi):
+    return [smallest_witness(n) for n in range(lo + lo % 2, hi + 1, 2)]
+
+
+def test_direct_engine_matches_the_quotient_list_oracle():
+    assert _scan_direct_range(8, 20000) == _oracle_range(8, 20000)
+    # windows up to 300 wide sieve with a cutoff of 16: some lie below or
+    # straddle 32, some above 10^6; lo takes both parities
+    rng = random.Random(29)
+    for k in range(240):
+        base = rng.choice([rng.randint(8, 40), rng.randint(8, 10**6), rng.randint(10**6, 10**12)])
+        lo = max(8, base - base % 2 + k % 2)
+        hi = lo + rng.randint(0, 300)
+        assert _scan_direct_range(lo, hi) == _oracle_range(lo, hi), (lo, hi)
 
 
 def test_engine_mismatch_is_detectable(monkeypatch):

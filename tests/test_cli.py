@@ -159,8 +159,9 @@ def test_cf_scan_recomputes_a_sealed_record_of_the_wrong_shape(capsys, tmp_path,
     assert run(capsys, *args, "--checkpoint", str(ck)) == fresh
 
 
-@pytest.mark.skipif(not os.environ.get("ZSLEN_STRETCH"),
-                    reason="E1 to 10^7 takes about 10 s on two workers; set ZSLEN_STRETCH=1")
+EXCEPTIONAL_SHA256 = "776cc5fa0de736c4e6df863e2a165705881bc498ae471fb4fc2d99807ff8d0d7"
+
+
 def test_cf_scan_to_ten_million_on_two_workers(capsys):
     code, out, err = run(capsys, "cf-scan", "--lo", "8", "--hi", "10000000", "--engine", "e1",
                          "--shards", "8", "--workers", "2")
@@ -168,7 +169,27 @@ def test_cf_scan_to_ten_million_on_two_workers(capsys):
     summary = json.loads(out.splitlines()[-1])
     assert summary["exceptionalCount"] == 25
     assert summary["witnessedCount"] == 4999972
-    assert summary["sha256"] == "776cc5fa0de736c4e6df863e2a165705881bc498ae471fb4fc2d99807ff8d0d7"
+    assert summary["sha256"] == EXCEPTIONAL_SHA256
+
+
+@pytest.mark.skipif(not os.environ.get("ZSLEN_STRETCH"),
+                    reason="E1 to 10^8 takes about 12 s on two workers; set ZSLEN_STRETCH=1")
+def test_cf_scan_to_one_hundred_million_on_two_workers(capsys):
+    code, out, err = run(capsys, "cf-scan", "--lo", "8", "--hi", "100000000", "--engine", "e1",
+                         "--shards", "64", "--workers", "2")
+    assert (code, err) == (0, "")
+    summary = json.loads(out.splitlines()[-1])
+    assert summary["exceptionalCount"] == 25
+    assert summary["witnessedCount"] == 49999972
+    assert summary["sha256"] == EXCEPTIONAL_SHA256
+
+
+@pytest.mark.parametrize("engine", ["e1", "e2"])
+def test_cf_scan_out_of_memory_exits_3(capsys, engine):
+    # one witness slot per even n up to 10^15 takes 4 PB, far beyond any machine's memory
+    code, out, err = run(capsys, "cf-scan", "--lo", "8", "--hi", str(10**15), "--engine", engine)
+    assert (code, out) == (3, "")
+    assert err == "budget: out of memory\n"
 
 
 def test_min_delta_of_a_deep_support(capsys):
