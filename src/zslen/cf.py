@@ -30,9 +30,9 @@ import signal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, count
 from math import gcd, isqrt
-from operator import not_
+from operator import le, not_
 from pathlib import Path
 
 from .errors import EngineMismatchError, InputError
@@ -197,13 +197,7 @@ class ScanReport:
         return {n: w for n, w in zip(_evens(self.lo, self.hi), self.smallest) if w}
 
     def digest(self) -> str:
-        return _digest(",".join(map(str, self.exceptional)))
-
-
-def _digest(text: str) -> str:
-    """sha256 of ``text``: the comma-joined exceptional orders of a report,
-    or the canonical JSON of a checkpoint record without its ``sha256``."""
-    return hashlib.sha256(text.encode()).hexdigest()
+        return hashlib.sha256(",".join(map(str, self.exceptional)).encode()).hexdigest()
 
 
 def _evens(lo: int, hi: int) -> range:
@@ -296,44 +290,45 @@ def _shard_ranges(lo: int, hi: int, shards: int) -> list[tuple[int, int]]:
 
 
 def _load_checkpoint(path: Path) -> dict[tuple[int, int], list[int]]:
-    """Completed shards of a JSON-lines checkpoint, one record per shard.
+    """Completed shards of a checkpoint: one line per shard, the sha256 hex
+    of a payload, a space and the payload, the JSON ``[lo, hi, witnesses]``.
 
-    A record is reused when its ``sha256`` matches, ``lo`` and ``hi`` are
-    ints and ``witnesses`` holds one int per even n in [lo, hi], each 0 or in
+    A line is reused when its seal matches, ``lo`` and ``hi`` are ints and
+    ``witnesses`` holds one int per even n in [lo, hi], each 0 or in
     [2, n // 2], the range that :func:`exceptional_witness` searches; any
     other line is skipped, so its shard is recomputed.  A witness in range is
     trusted without re-checking its criterion.  Opening the file to append
     first makes an unwritable path an :class:`InputError` before any shard
     runs, and ends a torn last line so that the next record starts its own."""
+    done: dict[tuple[int, int], list[int]] = {}
     try:
         with path.open("a+b") as fh:
             fh.seek(0)
-            data = fh.read()
-            if data[-1:] not in (b"", b"\n"):
+            line = b""
+            for line in fh:
+                seal, _, payload = line.rstrip(b"\n").partition(b" ")
+                try:
+                    lo, hi, ws = json.loads(payload)
+                    if (seal == hashlib.sha256(payload).hexdigest().encode()
+                            and type(lo) is type(hi) is int and type(ws) is list
+                            and len(ws) == len(_evens(lo, hi)) and set(map(type, ws)) <= {int}
+                            and 1 not in ws and min(ws, default=0) >= 0
+                            and all(map(le, ws, count((lo + 1) // 2)))):
+                        done[(lo, hi)] = ws
+                except (ValueError, TypeError, OverflowError):
+                    continue  # torn, foreign or corrupt: recompute this shard
+            if line[-1:] not in (b"", b"\n"):
                 fh.write(b"\n")
     except OSError as exc:
         raise InputError(f"cannot write checkpoint {path}: {exc.strerror}") from None
-    done: dict[tuple[int, int], list[int]] = {}
-    for line in data.splitlines():
-        try:
-            rec = json.loads(line)
-            lo, hi, witnesses = rec["lo"], rec["hi"], rec["witnesses"]
-            if (rec.pop("sha256") == _digest(json.dumps(rec, sort_keys=True))
-                    and type(lo) is type(hi) is int and type(witnesses) is list
-                    and all(type(w) is int and (w == 0 or 2 <= w <= n // 2)
-                            for w, n in zip(witnesses, _evens(lo, hi), strict=True))):
-                done[(lo, hi)] = witnesses
-        except (ValueError, TypeError, KeyError, AttributeError, OverflowError):
-            continue  # torn, foreign or corrupt: recompute this shard
     return done
 
 
 def _append_checkpoint(path: Path, lo: int, hi: int, witnesses: list[int]):
-    """Append one shard record; its ``sha256`` covers the other three keys."""
-    record = {"lo": lo, "hi": hi, "witnesses": witnesses}
-    record["sha256"] = _digest(json.dumps(record, sort_keys=True))
+    """Append one shard line: the seal, a space and the payload."""
+    payload = json.dumps([lo, hi, witnesses]).encode()
     with path.open("ab") as fh:
-        fh.write(json.dumps(record).encode() + b"\n")
+        fh.write(hashlib.sha256(payload).hexdigest().encode() + b" " + payload + b"\n")
 
 
 def _scan_e1(lo: int, hi: int, shards: int, workers: int, ck_path: Path | None) -> tuple[int, ...]:
@@ -355,12 +350,12 @@ def _scan_e1(lo: int, hi: int, shards: int, workers: int, ck_path: Path | None) 
                                    initargs=(signal.SIGINT, signal.SIG_IGN))
     failure = None
     try:
-        jobs = [pool.submit(_scan_direct_range, *r) for r in fresh] if pool else None
-        for i, r in enumerate(fresh):
+        jobs = {r: pool.submit(_scan_direct_range, *r) for r in fresh} if pool else {}
+        for r in fresh:
             try:
-                done[r] = jobs[i].result() if jobs else _scan_direct_range(*r)
+                done[r] = jobs.pop(r).result() if pool else _scan_direct_range(*r)
             except Exception as exc:
-                if not jobs:
+                if not pool:
                     raise  # no later shard has run
                 failure = failure or exc
                 continue
@@ -371,7 +366,7 @@ def _scan_e1(lo: int, hi: int, shards: int, workers: int, ck_path: Path | None) 
             pool.shutdown(cancel_futures=True)
     if failure:
         raise failure
-    return tuple(chain.from_iterable(done[r] for r in ranges))
+    return tuple(chain.from_iterable(done.pop(r) for r in ranges))  # one reference per n
 
 
 def scan_exceptional(

@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 all checks pass / computation done, 1 verification failure,
-2 usage error, 3 budget exhaustion without failures.  Output field order is
+2 usage error, 3 budget exhaustion without failures, 130 interrupted by
+Ctrl-C (128 + SIGINT; nothing is printed to stdout).  Output field order is
 fixed and sets are emitted ascending, so runs are byte-reproducible; empty
 distance sets print as the sentinel "empty", never as a bare null.
 """
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERRUPT = 130
 
 
 def _set_or_empty(values) -> list[int] | str:
@@ -318,6 +320,9 @@ def main(argv: list[str] | None = None) -> int:
     except ZslenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
 
 
 if __name__ == "__main__":

@@ -225,9 +225,16 @@ def subgroup_generated(G: AbelianGroup, gens) -> set:
     return elems
 
 
-def sealed_checkpoint_line(record: dict) -> str:
-    """One scan checkpoint line holding ``record`` and a valid ``sha256``:
-    the sha256 of the record as canonical JSON (sorted keys)."""
+def sealed_checkpoint_line(payload) -> str:
+    """One scan checkpoint line holding ``payload`` under a valid seal: the
+    sha256 hex of the payload's JSON, a space, then that JSON."""
+    text = json.dumps(payload)
+    return f"{hashlib.sha256(text.encode()).hexdigest()} {text}\n"
+
+
+def object_checkpoint_line(record: dict) -> str:
+    """A checkpoint line in the older object format: ``record`` plus a
+    ``sha256`` key, the sha256 of the record as canonical JSON (sorted keys)."""
     text = json.dumps(record, sort_keys=True)
     return json.dumps(dict(record, sha256=hashlib.sha256(text.encode()).hexdigest())) + "\n"
 

@@ -1,4 +1,5 @@
 import faulthandler
+import hashlib
 import json
 import random
 import signal
@@ -7,7 +8,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from oracles import sealed_checkpoint_line, smallest_witness
+from oracles import object_checkpoint_line, smallest_witness
 
 from zslen.cf import (
     _load_checkpoint,
@@ -135,10 +136,14 @@ def test_scan_engines_agree_and_shard_invariance():
 def test_scan_checkpoint_resume(tmp_path):
     ck = tmp_path / "scan.ck"
     first = scan_exceptional(8, 400, engine="e1", shards=4, checkpoint=ck)
-    records = [json.loads(line) for line in ck.read_text().splitlines()]
-    assert len(records) == 4
-    for rec in records:
-        assert len(rec["sha256"]) == 64
+    # one line per shard: the sha256 hex of the payload, a space, the payload
+    payloads = []
+    for line in ck.read_bytes().splitlines():
+        seal, payload = line.split(b" ", 1)
+        assert seal == hashlib.sha256(payload).hexdigest().encode()
+        payloads.append(json.loads(payload))
+    assert [(lo, hi) for lo, hi, _ in payloads] == _shard_ranges(8, 400, 4)
+    assert [w for *_, witnesses in payloads for w in witnesses] == list(first.smallest)
     assert [p.name for p in tmp_path.iterdir()] == ["scan.ck"]  # one file, no sidecar
     # resume: completed shards are reused, results identical
     second = scan_exceptional(8, 400, engine="e1", shards=4, checkpoint=ck)
@@ -146,11 +151,28 @@ def test_scan_checkpoint_resume(tmp_path):
     assert first.witnesses == second.witnesses
     # a corrupt record forces recomputation, not wrong reuse: n = 8 is
     # exceptional, and the edit gives it the witness 3
-    assert '"witnesses": [0, ' in ck.read_text()
-    ck.write_text(ck.read_text().replace('"witnesses": [0, ', '"witnesses": [3, ', 1))
+    text = ck.read_text()
+    assert text[64:].startswith(" [8, 106, [0, ")
+    ck.write_text(text.replace(" [8, 106, [0, ", " [8, 106, [3, ", 1))
     assert len(_load_checkpoint(ck)) == 3
     third = scan_exceptional(8, 400, engine="e1", shards=4, checkpoint=ck)
     assert third.exceptional == first.exceptional
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_rerun_with_every_shard_recorded_computes_none(tmp_path, monkeypatch, workers):
+    import zslen.cf as cf_module
+
+    ck = tmp_path / "scan.ck"
+    fresh = scan_exceptional(8, 4000, engine="e1", shards=4)
+    scan_exceptional(8, 4000, engine="e1", shards=4, checkpoint=ck)
+    written = ck.read_bytes()
+    calls = []
+    monkeypatch.setattr(cf_module, "_scan_direct_range", lambda *r: calls.append(r))
+    assert scan_exceptional(8, 4000, engine="e1", shards=4, workers=workers,
+                            checkpoint=ck) == fresh
+    assert calls == []
+    assert ck.read_bytes() == written
 
 
 def test_scan_resumes_after_torn_checkpoint_record(tmp_path):
@@ -196,8 +218,8 @@ def test_scan_recomputes_a_record_with_a_forged_witness(tmp_path):
     assert fresh.witnesses[10] == 3
     # the list starts at n = 8, 10; 9 is no witness for n = 10, and the
     # record's checksum must catch the edit
-    ck.write_text(ck.read_text().replace('"witnesses": [0, 3, ', '"witnesses": [0, 9, ', 1))
-    assert '"witnesses": [0, 9, ' in ck.read_text()
+    ck.write_text(ck.read_text().replace(", [0, 3, ", ", [0, 9, ", 1))
+    assert ", [0, 9, " in ck.read_text()
     assert len(_load_checkpoint(ck)) == 1
     assert scan_exceptional(8, 400, engine="e1", shards=2, checkpoint=ck) == fresh
 
@@ -208,11 +230,34 @@ def test_scan_recomputes_a_record_in_the_exceptional_and_witness_map_format(tmp_
     old = scan_exceptional(8, 204, engine="e1")
     # the record format before the witness list: exceptional orders plus a
     # map with string keys, its checksum valid for that format
-    ck.write_text(sealed_checkpoint_line({
+    ck.write_text(object_checkpoint_line({
         "lo": 8, "hi": 204, "exceptional": list(old.exceptional),
         "witnesses": {str(n): w for n, w in old.witnesses.items()}}))
     assert _load_checkpoint(ck) == {}
     assert scan_exceptional(8, 400, engine="e1", shards=2, checkpoint=ck) == fresh
+    assert len(_load_checkpoint(ck)) == 2
+
+
+def test_scan_recomputes_a_record_in_the_object_format(tmp_path, monkeypatch):
+    import zslen.cf as cf_module
+
+    ck = tmp_path / "scan.ck"
+    fresh = scan_exceptional(8, 400, engine="e1", shards=2)
+    ranges = _shard_ranges(8, 400, 2)
+    # the record format before the sealed line: an object whose sha256 key
+    # covers the other three keys as canonical JSON, its checksum valid
+    ck.write_text("".join(object_checkpoint_line(
+        {"lo": lo, "hi": hi, "witnesses": _scan_direct_range(lo, hi)}) for lo, hi in ranges))
+    assert _load_checkpoint(ck) == {}
+    calls = []
+
+    def counted(lo, hi):
+        calls.append((lo, hi))
+        return _scan_direct_range(lo, hi)
+
+    monkeypatch.setattr(cf_module, "_scan_direct_range", counted)
+    assert scan_exceptional(8, 400, engine="e1", shards=2, checkpoint=ck) == fresh
+    assert calls == ranges
     assert len(_load_checkpoint(ck)) == 2
 
 

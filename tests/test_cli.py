@@ -122,6 +122,24 @@ def test_cf_scan_workers_do_not_change_output(capsys):
     assert run(capsys, *args, "--workers", "2") == run(capsys, *args, "--workers", "1")
 
 
+@pytest.mark.parametrize("command, argv", [
+    ("cmd_cf_scan", ["cf-scan", "--hi", "300"]),
+    ("cmd_delta_rho", ["delta-rho", "--group", "C10"]),
+])
+def test_ctrl_c_exits_130_without_a_traceback(capsys, monkeypatch, command, argv):
+    import zslen.cli as cli_module
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli_module, command, interrupted)
+    try:
+        result = run(capsys, *argv)
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped main")
+    assert result == (130, "", "interrupted\n")
+
+
 @pytest.mark.parametrize("where", ["missing/ck", "."])
 def test_cf_scan_unwritable_checkpoint_exits_2(capsys, tmp_path, where):
     # a path inside a missing directory, and a path that is a directory
@@ -133,22 +151,23 @@ def test_cf_scan_unwritable_checkpoint_exits_2(capsys, tmp_path, where):
 
 
 @pytest.mark.parametrize("record", [
-    {"lo": 8, "hi": 100, "exceptional": 5, "witnesses": {}},
-    {"lo": 8, "hi": 100, "witnesses": 5},
-    {"lo": 8, "hi": 100, "witnesses": ["3"] * 47},
-    {"lo": 8, "hi": 100, "witnesses": [True] * 47},
-    {"lo": 8, "hi": 100, "witnesses": [0] * 3},
-    {"lo": 8.0, "hi": 100, "witnesses": [0] * 47},
-    {"lo": 8, "hi": 10**30, "witnesses": []},
-    # witnesses outside {0} and [2, n // 2], the range a witness is searched in
-    {"lo": 8, "hi": 100, "witnesses": [-1] + [0] * 46},
-    {"lo": 8, "hi": 100, "witnesses": [1] + [0] * 46},
-    {"lo": 8, "hi": 100, "witnesses": [5] + [0] * 46},
-    {"lo": 8, "hi": 100, "witnesses": [0] * 46 + [51]},
+    [8, 100, {"exceptional": 5}],  # type: a map, not a list
+    [8, 100, 5],  # type
+    [8, 100, ["3"] * 47],  # type
+    [8, 100, [True] * 47],  # type
+    [8, 100, [0] * 3],  # length
+    [8.0, 100, [0] * 47],  # type
+    [8, 10**30, []],  # length
+    # range: witnesses outside {0} and [2, n // 2], where a witness is searched
+    [8, 100, [-1] + [0] * 46],
+    [8, 100, [1] + [0] * 46],
+    [8, 100, [5] + [0] * 46],
+    [8, 100, [0] * 46 + [51]],
+    [8, 100, [0.0] * 47],  # type: floats that pass every other check
 ])
 def test_cf_scan_recomputes_a_sealed_record_of_the_wrong_shape(capsys, tmp_path, record):
-    # the record's sha256 is valid, so only the types, the length and the
-    # range of its fields can reject it; [8, 100] holds 47 even n
+    # the line's seal is valid, so only the types, the length and the range
+    # of its [lo, hi, witnesses] payload can reject it; [8, 100] holds 47 even n
     ck = tmp_path / "scan.ck"
     ck.write_text(sealed_checkpoint_line(record))
     args = ("cf-scan", "--lo", "8", "--hi", "100", "--engine", "e1")

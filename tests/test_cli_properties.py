@@ -11,7 +11,6 @@ inputs.
 """
 
 import io
-import json
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -21,7 +20,7 @@ from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import sealed_checkpoint_line
+from oracles import object_checkpoint_line, sealed_checkpoint_line
 
 from zslen.cli import main
 from zslen.groups import make_group
@@ -146,11 +145,10 @@ def test_fp_profile_never_traces(q_gens, budget_atoms, budget):
 
 
 def torn_record(lo: int, width: int, cut: int) -> bytes:
-    """The first ``cut`` bytes of a shard record (which is longer than 60
-    bytes): an interrupted write."""
-    line = json.dumps({"lo": lo, "hi": lo + width, "witnesses": [0] * (width // 2 + 1),
-                       "sha256": "0" * 64}).encode()
-    return line[:cut]
+    """A sealed shard line (longer than 60 bytes) without its newline and
+    its last ``cut`` bytes: an interrupted write."""
+    line = sealed_checkpoint_line([lo, lo + width, [0] * (width // 2 + 1)]).encode()
+    return line[:-1 - cut]
 
 
 # a checkpoint file's contents; None passes no --checkpoint, "fresh" a path
@@ -161,7 +159,8 @@ checkpoints = st.one_of(
     st.builds(torn_record, st.integers(8, 60), st.integers(0, 60), st.integers(1, 60)),
     st.sampled_from([b"8 204 " + b"0" * 64 + b"\n", b"[1, 2]\n", b'{"lo": 8, "hi": 30}\n',
                      b"\xff\xfe\x00 not utf-8\n", b"sha256\n\n",
-                     sealed_checkpoint_line({"lo": 8, "hi": 30, "witnesses": 5}).encode()]),
+                     sealed_checkpoint_line([8, 30, 5]).encode(),
+                     object_checkpoint_line({"lo": 8, "hi": 30, "witnesses": [0] * 12}).encode()]),
 )
 
 
