@@ -30,9 +30,9 @@ import signal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, count
+from itertools import chain, count
 from math import gcd, isqrt
-from operator import le, not_
+from operator import le
 from pathlib import Path
 
 from .errors import EngineMismatchError, InputError
@@ -190,7 +190,8 @@ class ScanReport:
 
     @cached_property
     def exceptional(self) -> tuple[int, ...]:
-        return tuple(compress(_evens(self.lo, self.hi), map(not_, self.smallest)))
+        evens = _evens(self.lo, self.hi)
+        return tuple(evens[i] for i in _zeros(self.smallest))
 
     @cached_property
     def witnesses(self) -> dict[int, int]:
@@ -202,6 +203,17 @@ class ScanReport:
 
 def _evens(lo: int, hi: int) -> range:
     return range(lo + lo % 2, hi + 1, 2)
+
+
+def _zeros(seq) -> list[int]:
+    """The indices of the zeros of ``seq``, found by ``seq.index`` alone."""
+    out, i = [], -1
+    try:
+        while True:
+            i = seq.index(0, i + 1)
+            out.append(i)
+    except ValueError:
+        return out
 
 
 def _scan_direct_range(lo: int, hi: int) -> list[int]:
@@ -236,7 +248,7 @@ def _scan_direct_range(lo: int, hi: int) -> list[int]:
                 start = max(start, first + (start - first) % step)
                 i, j = (start - first) // 2, step // 2
                 best[i::j] = [a] * len(range(i, size, j))
-    for i in list(compress(range(size), map(not_, best))):
+    for i in _zeros(best):
         best[i] = _trial_witness(first + 2 * i, cutoff + 1)
     return best
 

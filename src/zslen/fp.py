@@ -69,14 +69,23 @@ class LocalProfile:
     d: int  # gcd of consecutive atom-value differences (0 for one value)
 
 
+def _key(q: int, x: tuple[int, int]) -> int:
+    """The element ``x = (cls, val)`` as one int: the value above a class
+    field wide enough for the sum of two classes mod q."""
+    return x[1] << (2 * q).bit_length() | x[0]
+
+
 def _products(monoid: FPMonoid, gens, bound: int, max_states: float) -> dict:
-    """Length bitsets of the products of ``gens`` with value at most ``bound``."""
+    """Length bitsets of the products of ``gens`` with value at most ``bound``,
+    keyed by :func:`_key`."""
     q = monoid.unit_modulus
+    mask = (1 << (2 * q).bit_length()) - 1
 
     def mul(p, a):
-        return ((p[0] + a[0]) % q, p[1] + a[1])
+        r = p + a
+        return r - q if r & mask >= q else r
 
-    return _product_bits((0, 0), [(g, g[1]) for g in gens], bound, mul, max_states)
+    return _product_bits([(_key(q, g), g[1]) for g in gens], bound, mul, max_states)
 
 
 def fp_atoms(monoid: FPMonoid, *, config: ResourceConfig | None = None) -> list[tuple[int, int]]:
@@ -97,15 +106,16 @@ def fp_atoms(monoid: FPMonoid, *, config: ResourceConfig | None = None) -> list[
             f"some unit classes mod {q} are never reached"
         )
     bits = _products(monoid, monoid.generators, monoid.max_value, cfg.max_states)
-    return sorted((g for g in monoid.generators if bits[g] == 0b10), key=lambda t: (t[1], t[0]))
+    return sorted((g for g in monoid.generators if bits[_key(q, g)] == 0b10), key=lambda t: (t[1], t[0]))
 
 
 def fp_membership(monoid: FPMonoid, x: tuple[int, int]) -> bool:
+    q = monoid.unit_modulus
     cls, val = x
     if val < 0:
         return False
     products = _products(monoid, monoid.generators, val, float("inf"))
-    return (cls % monoid.unit_modulus, val) in products
+    return _key(q, (cls % q, val)) in products
 
 
 def fp_length_set(
@@ -121,7 +131,7 @@ def fp_length_set(
     cls, val = x[0] % q, x[1]
     if val < 0:
         raise InputError("values are nonnegative")
-    bits = _products(monoid, atoms, val, cfg.max_states).get((cls, val), 0)
+    bits = _products(monoid, atoms, val, cfg.max_states).get(_key(q, (cls, val)), 0)
     if not bits:
         raise InputError(f"element {x} is not in the monoid")
     return LengthSet(_set_bits(bits))

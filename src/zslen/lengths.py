@@ -9,12 +9,14 @@ linear functional over a lattice is reached on any generating set, so no
 individual factorizations ever need to be expanded.
 
 Sets of lengths come from one engine, :func:`_product_bits`: a dynamic
-program over the products of a list of atoms that stores each length set as
-an int with bit k set when some factorization has k atoms, so that
-``L(p * a)`` collects ``L(p) << 1`` over all atoms ``a``.  Zero-sum length
-sets, the extreme-elasticity witness, rank-one atoms, membership and length
-sets, and the exhaustive ``min Δ`` oracle in :mod:`zslen.verify` all call it;
-it holds the only ``max_states`` check.
+program over the products of a list of atoms that keys each product by one
+int (a multiplicity vector packed into fixed-width bit fields, so that a
+product is a sum) and stores its length set as an int with bit k set when
+some factorization has k atoms, so that ``L(p * a)`` collects ``L(p) << 1``
+over all atoms ``a``.  Zero-sum length sets, the extreme-elasticity witness,
+rank-one atoms, membership and length sets, and the exhaustive ``min Δ``
+oracle in :mod:`zslen.verify` all call it; it holds the only
+``max_states`` check.
 
 Rational quantities use :class:`fractions.Fraction` throughout; no floating
 point enters any invariant computation.
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd
-from operator import add, le
 
 from .config import ResourceConfig, default_config
 from .errors import BudgetExceededError, InputError
@@ -256,21 +257,21 @@ def min_delta(support: SupportSet, *, config: ResourceConfig | None = None) -> i
 
 # -- length sets -------------------------------------------------------------
 
-def _product_bits(zero, atoms, bound: int, mul, max_states: float) -> dict:
+def _product_bits(atoms, bound: int, mul, max_states: float) -> dict:
     """Length bitsets of every product of atoms whose grade is at most ``bound``.
 
-    ``atoms`` holds ``(a, w)`` pairs with a positive weight ``w``; the grade of
-    a product is the sum of its atoms' weights.  ``mul(p, a)`` is the product
-    of ``p`` and the atom ``a``, or None outside the region of interest.  Bit
-    k of ``bits[p]`` is set when ``p`` has a factorization into k atoms, so
-    ``bits[p * a] |= bits[p] << 1`` over all atoms.  Products are expanded in
-    order of grade, which completes every bitset before it is extended.
-    Storing more than ``max_states`` products raises
-    :class:`BudgetExceededError`.
+    Products are int keys, the empty product 0.  ``atoms`` holds ``(a, w)``
+    pairs with a positive weight ``w``; the grade of a product is the sum of
+    its atoms' weights.  ``mul(p, a)`` is the product of ``p`` and the atom
+    ``a``, or None outside the region of interest.  Bit k of ``bits[p]`` is
+    set when ``p`` has a factorization into k atoms, so ``bits[p * a] |=
+    bits[p] << 1`` over all atoms.  Products are expanded in order of grade,
+    which completes every bitset before it is extended.  Storing more than
+    ``max_states`` products raises :class:`BudgetExceededError`.
     """
     atoms = sorted(atoms, key=lambda aw: aw[1])
-    bits = {zero: 1}
-    layers = {0: [zero]}
+    bits = {0: 1}
+    layers = {0: [0]}
     grades = [0]
     while grades:
         grade = heappop(grades)
@@ -309,16 +310,31 @@ def _set_bits(bits: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _pack(vec, width: int) -> int:
+    """The vector as one int: coordinate i in the ``width``-bit field at ``i * width``."""
+    return sum(c << i * width for i, c in enumerate(vec))
+
+
 def _submultiset_bits(target: tuple[int, ...], vectors, cfg: ResourceConfig) -> int:
-    """Length bitset of ``target`` as a sum of the given vectors."""
+    """Length bitset of ``target`` as a sum of the given vectors.
+
+    Vectors are packed with a guard bit above each field, wide enough for a
+    sum of two coordinates of ``target``, so ``q <= target`` coordinate-wise
+    exactly when ``(target | guard) - q`` keeps every guard bit.
+    """
+    field = (2 * max(target, default=0)).bit_length()
+    width = field + 1
+    guard = _pack([1 << field] * len(target), width)
+    packed = _pack(target, width)
+    ceiling = packed | guard
 
     def mul(p, a):
-        q = tuple(map(add, p, a))
-        return q if all(map(le, q, target)) else None
+        q = p + a
+        return q if (ceiling - q) & guard == guard else None
 
-    weighted = [(a, sum(a)) for a in vectors if all(map(le, a, target))]
-    zero = (0,) * len(target)
-    return _product_bits(zero, weighted, sum(target), mul, cfg.max_states).get(target, 0)
+    packed_vectors = ((_pack(v, width), sum(v)) for v in vectors)
+    weighted = [(a, w) for a, w in packed_vectors if mul(0, a) is not None]
+    return _product_bits(weighted, sum(target), mul, cfg.max_states).get(packed, 0)
 
 
 def _check_same_support(seq: GSequence, atoms: AtomSet):

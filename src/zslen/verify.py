@@ -23,7 +23,7 @@ from .delta_rho import delta_rho, delta_rho_star, divisor_closure, gcd_closure, 
 from .errors import BudgetExceededError, EngineMismatchError, InputError
 from .fp import FPMonoid, delta_rho_star_product, fp_length_set, local_profile
 from .groups import AbelianGroup, cyclic, make_group, parse_group
-from .lengths import _product_bits, _set_bits, length_set, min_delta, min_delta_of_atoms, sumset
+from .lengths import _pack, _product_bits, _set_bits, length_set, min_delta, min_delta_of_atoms, sumset
 from .sequences import GSequence, SupportSet, enumerate_atoms
 
 
@@ -259,21 +259,31 @@ def _random_atom_sets(rng: random.Random, pool, cfg: ResourceConfig, count: int,
             yield support, atoms
 
 
+def _packed_lengths(atoms, bound: int) -> tuple[int, dict[int, int]]:
+    """Length bitsets of every product of atoms with |B| <= bound (never
+    truncated), keyed by multiplicity vectors packed ``width`` bits per
+    coordinate; no coordinate exceeds |B| <= bound, so no field overflows."""
+    width = bound.bit_length() or 1
+    weighted = [(_pack(v, width), n) for v, n in zip(atoms.mult_vectors, atoms.lengths)]
+    return width, _product_bits(weighted, bound, add, inf)
+
+
 def _exhaustive_lengths(atoms, bound: int) -> dict[tuple[int, ...], frozenset[int]]:
     """L(B) for every product of atoms with |B| <= bound (never truncated)."""
-    zero = (0,) * len(atoms.support.elements)
-    weighted = list(zip(atoms.mult_vectors, atoms.lengths))
-    bits = _product_bits(zero, weighted, bound, lambda p, a: tuple(map(add, p, a)), inf)
-    return {v: frozenset(_set_bits(b)) for v, b in bits.items()}
+    width, bits = _packed_lengths(atoms, bound)
+    mask = (1 << width) - 1
+    shifts = range(0, width * len(atoms.support.elements), width)
+    return {tuple(k >> s & mask for s in shifts): frozenset(_set_bits(b)) for k, b in bits.items()}
 
 
 def observed_min_delta(atoms, bound: int) -> int | None:
-    """gcd of all distances over exhaustively generated products."""
+    """gcd of all distances over exhaustively generated products: the gcd
+    of the gaps of a length set is the gcd of its lengths less its least."""
     g = 0
-    for lengths in _exhaustive_lengths(atoms, bound).values():
-        vals = sorted(lengths)
-        for a, b in zip(vals, vals[1:]):
-            g = gcd(g, b - a)
+    for b in _packed_lengths(atoms, bound)[1].values():
+        g = gcd(g, *_set_bits(b >> (b & -b).bit_length() - 1))
+        if g == 1:
+            break
     return g if g else None
 
 

@@ -85,6 +85,21 @@ def brute_length_set(seq: GSequence, atom_vectors: list[tuple[int, ...]]) -> set
     return lengths
 
 
+def brute_distance_gcd(support: SupportSet, atom_vectors: list[tuple[int, ...]], bound: int) -> int | None:
+    """gcd of the gaps of the length sets of every zero-sum sequence over the
+    support with at most ``bound`` terms (every vector of that size is tried;
+    length sets by :func:`brute_length_set`), None when no set has a gap."""
+    g = 0
+    for vec in product(range(bound + 1), repeat=len(support.elements)):
+        seq = GSequence(support, vec)
+        if sum(vec) > bound or not seq.is_zero_sum():
+            continue
+        vals = sorted(brute_length_set(seq, atom_vectors))
+        for a, b in zip(vals, vals[1:]):
+            g = gcd(g, b - a)
+    return g or None
+
+
 def brute_fp_length_set(atoms: list[tuple[int, int]], q: int, x: tuple[int, int]) -> set[int]:
     """Lengths of all factorizations of ``x = (class, value)`` over
     ``(class, value)`` atoms, enumerated with non-increasing atom index: a

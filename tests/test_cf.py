@@ -5,7 +5,9 @@ import random
 import signal
 import time
 from fractions import Fraction
+from itertools import compress
 from math import gcd
+from operator import not_
 
 import pytest
 from oracles import object_checkpoint_line, smallest_witness
@@ -20,6 +22,7 @@ from zslen.cf import (
     exceptional_witness,
     min_delta_pair,
     min_delta_sym_quad,
+    ScanReport,
     scan_exceptional,
     sufficient_filters,
 )
@@ -122,6 +125,23 @@ def test_scan_small_ranges():
     assert report.witnesses == {10: 3}
     with pytest.raises(InputError):
         scan_exceptional(4, 9)
+
+
+def test_report_exceptional_matches_the_compress_form():
+    rng = random.Random(1518)
+    for size in (0, 1, 2, 3, 40, 1000):
+        tuples = [(0,) * size, tuple(rng.randrange(1, 9) for _ in range(size))]
+        for _ in range(8):
+            t = [rng.choice((0, 0, 3, 5, 7)) for _ in range(size)]
+            if size and rng.random() < 0.5:
+                t[0] = t[-1] = 0
+            tuples.append(tuple(t))
+        for smallest in tuples:
+            lo = rng.choice((8, 9, 1000))
+            hi = lo + lo % 2 + 2 * size - 1
+            report = ScanReport(lo, hi, "e1", smallest)
+            want = tuple(compress(range(lo + lo % 2, hi + 1, 2), map(not_, smallest)))
+            assert report.exceptional == want
 
 
 def test_scan_engines_agree_and_shard_invariance():

@@ -4,6 +4,8 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zslen.config import ResourceConfig
 from zslen.errors import BudgetExceededError, InputError
@@ -22,8 +24,9 @@ from zslen.lengths import (
     sumset,
 )
 from zslen.sequences import GSequence, SupportSet, enumerate_atoms, full_support
+from zslen.verify import observed_min_delta
 
-from oracles import brute_aap, brute_length_set
+from oracles import brute_aap, brute_distance_gcd, brute_length_set
 
 
 def make(group, elements, counts):
@@ -285,3 +288,86 @@ def test_min_delta_equals_gnorm_characterization_for_cyclic_supports():
         else:
             assert norm_gcd == kernel
         checked += 1
+
+
+# -- packed product keys ------------------------------------------------------
+
+PROPERTY = settings(max_examples=80, derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def atoms_and_target(draw):
+    """A support of one to three elements of a small group and a zero-sum
+    target that is a sum of up to three atoms.  Half the time the atoms avoid
+    one support element, so the target is 0 there while other atoms are not."""
+    G = make_group(draw(st.sampled_from([[4], [5], [6], [8], [2, 4], [3, 3]])))
+    sup = SupportSet.of(G, draw(st.lists(st.sampled_from(G.elements()), min_size=1, max_size=3, unique=True)))
+    atoms = enumerate_atoms(sup)
+    pool = list(atoms.mult_vectors)
+    if draw(st.booleans()):
+        j = draw(st.integers(0, len(sup.elements) - 1))
+        pool = [a for a in pool if a[j] == 0]
+    picks = draw(st.lists(st.sampled_from(pool), max_size=3)) if pool else []
+    total = tuple(map(sum, zip(*picks))) if picks else (0,) * len(sup.elements)
+    return atoms, GSequence(sup, total)
+
+
+@PROPERTY
+@given(atoms_and_target())
+def test_length_set_matches_brute_force_on_random_targets(case):
+    atoms, b = case
+    assert set(length_set(b, atoms).values) == brute_length_set(b, list(atoms.mult_vectors))
+
+
+# (group, support, target, length set, products stored by length_set and by
+# max_elasticity_witness): the bound check decides which products are stored,
+# so a wrong check shows in the count at which the budget runs out
+BOUND_CASES = [
+    # a coordinate of the target is 0 and atoms of size <= 4 use it
+    (cyclic(4), [(1,), (2,), (3,)], [2, 0, 2], (2,), 3, 1),
+    # the atoms 1^6 and 5^6 overshoot one coordinate at the total 6
+    (cyclic(6), [(1,), (5,)], [3, 3], (3,), 4, 1),
+    # max(target) = 8 = 2^3, so a product reaches 2 * max(target) = 16
+    (cyclic(8), [(1,), (3,), (7,)], [8, 0, 8], (2, 8), 11, 9),
+    (cyclic(4), [(1,), (3,)], [8, 8], (4, 6, 8), 21, 9),
+    (cyclic(10), [(1,), (9,)], [10, 10], (2, 10), 13, 11),
+    (cyclic(6), [(1,), (2,), (3,)], [6, 3, 2], (3,), 16, 2),
+    (make_group([2, 4]), [(0, 1), (1, 1), (1, 2)], [4, 4, 2], (3,), 12, 5),
+    (make_group([2, 2]), [(0, 1), (1, 0), (1, 1)], [1, 1, 1], (1,), 2, 2),
+]
+
+
+@pytest.mark.parametrize("group, elements, counts, lengths, states, witness_states", BOUND_CASES)
+def test_bound_check_sets_the_budget_count(group, elements, counts, lengths, states, witness_states):
+    sup, b = make(group, elements, counts)
+    atoms = enumerate_atoms(sup)
+    assert set(lengths) == brute_length_set(b, list(atoms.mult_vectors))
+    for run, need in ((length_set, states), (max_elasticity_witness, witness_states)):
+        run(b, atoms, config=ResourceConfig(max_states=need))
+        if need == 1:  # budgets are positive
+            continue
+        with pytest.raises(BudgetExceededError) as err:
+            run(b, atoms, config=ResourceConfig(max_states=need - 1))
+        assert (err.value.what, err.value.limit) == ("length-set memo entries", need - 1)
+    assert length_set(b, atoms).values == lengths
+
+
+@pytest.mark.parametrize("factors, elements", [
+    ([3], [(1,), (2,)]),
+    ([4], [(1,), (3,)]),
+    ([4], [(1,), (2,), (3,)]),
+    ([5], [(1,), (2,)]),
+    ([6], [(1,), (5,)]),
+    ([6], [(2,), (3,), (5,)]),
+    ([2, 2], [(0, 1), (1, 0), (1, 1)]),
+    ([8], [(1,), (3,)]),
+    ([8], [(1,), (7,)]),
+    # half-factorial: no gaps, both sides None
+    ([5], [(1,)]),
+    ([2, 2], [(0, 1), (1, 0)]),
+])
+def test_observed_min_delta_matches_gaps_of_brute_length_sets(factors, elements):
+    sup = SupportSet.of(make_group(factors), elements)
+    atoms = enumerate_atoms(sup)
+    bound = 4 * atoms.davenport  # the bound of the kernel-brute suite
+    assert observed_min_delta(atoms, bound) == brute_distance_gcd(sup, list(atoms.mult_vectors), bound)
