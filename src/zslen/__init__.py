@@ -40,13 +40,11 @@ from .lengths import (
 )
 from .delta_rho import (
     DeltaRhoResult,
-    QualifyingSupport,
     delta_rho,
     delta_rho_star,
     divisor_closure,
     gcd_closure,
     one_in_delta_rho,
-    qualifying_supports,
     realize_delta_set,
 )
 from .cf import (

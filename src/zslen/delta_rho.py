@@ -19,23 +19,26 @@ exactly ``g^n`` with ``ord g = n`` (Geroldinger and Halter-Koch 2006), so the
 classes are the unit pairs ``{u, n - u}``; a union's value comes from the
 atoms over it alone, and its canonical form is its least unit multiple, so
 the walk starts from ``{1, n - 1}``.  For other groups the atoms of the full
-group are enumerated once, one support bitmask each; a union's value is one
-pass over the atoms inside it, and every union is canonical.  Values produced
-by either shortcut coincide with the kernel-lattice value; the property suite
-checks this on every build.
+group are enumerated once and stored as one bit column per group element
+(bit i set when atom i uses it); the atoms inside a union are all atoms less
+the OR of the columns outside it, the atoms of one length are one run of
+bits, and every union is canonical.  Values produced by either shortcut
+coincide with the kernel-lattice value; the property suite checks this on
+every build.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from math import gcd
 
 from .config import ResourceConfig, default_config
 from .errors import BudgetExceededError, InputError
 from .groups import AbelianGroup, _factorint, cyclic, direct_sum_with_embeddings, make_group
 from .lengths import _set_bits, min_delta_of_atoms
-from .sequences import GSequence, SupportSet, enumerate_atoms, full_support
+from .sequences import SupportSet, enumerate_atoms, full_support
 
 
 def gcd_closure(values) -> frozenset[int]:
@@ -64,15 +67,6 @@ def divisor_closure(values) -> frozenset[int]:
 
 
 @dataclass(frozen=True)
-class QualifyingSupport:
-    """A support realizable by an element of extreme elasticity, together
-    with the maximal-length atoms witnessing every element of it."""
-
-    support: SupportSet
-    generating_atoms: tuple[GSequence, ...]
-
-
-@dataclass(frozen=True)
 class DeltaRhoResult:
     star: frozenset[int]
     exact: frozenset[int] | None
@@ -92,32 +86,45 @@ def _settles_to_one(lengths) -> bool:
     return False
 
 
+_TO_ASCII = bytes.maketrans(b"\0\1", b"01")
+_COLUMN_CHUNK = 4096  # atoms per slice of the flag matrix, so it never holds every atom at once
+
+
 class _MaxAtomScan:
-    """Every atom of the full group, the walk's source for non-cyclic groups;
-    ``masks[i]`` has bit j when atom i uses group index j (the full support
-    lists the group in ``group.elements()`` order)."""
+    """Every atom of the full group, the walk's source for non-cyclic groups.
+
+    ``columns[j]`` has bit i when atom i uses group index j (the full support
+    lists the group in ``group.elements()`` order); atoms are sorted by
+    length, so ``runs`` holds, for each length L >= 3, ``L - 2`` and the mask
+    of the atoms of length L."""
 
     def __init__(self, group: AbelianGroup, config: ResourceConfig):
         if group.order() < 3:
             raise InputError("scan needs a group of order >= 3")
-        self.group = group
         self.atoms = enumerate_atoms(full_support(group), config=config)
-        self.davenport = self.atoms.davenport
-        bits = [1 << j for j in range(group.order())]
-        self.masks = [sum(compress(bits, v)) for v in self.atoms.mult_vectors]
-        elems = group.elements()
-        self._neg_idx = [group.index_of(group.neg(e)) for e in elems]
-        self.max_indices = [
-            i for i, length in enumerate(self.atoms.lengths) if length == self.davenport
-        ]
-        self.class_masks = sorted({self._sym_mask(self.masks[i]) for i in self.max_indices})
-
-    def _sym_mask(self, mask: int) -> int:
-        return mask | sum(1 << self._neg_idx[j] for j in _set_bits(mask))
-
-    def support_of_mask(self, mask: int) -> SupportSet:
-        elems = self.group.elements()
-        return SupportSet.of(self.group, [elems[j] for j in _set_bits(mask)])
+        n = group.order()
+        vectors, lengths = self.atoms.mult_vectors, self.atoms.lengths
+        # a slice of atoms as a 0/1 byte matrix, one row per atom, reversed so
+        # that column j, read by int(..., 2), has the slice's first atom lowest
+        columns = [0] * n
+        for start in range(0, len(vectors), _COLUMN_CHUNK):
+            flags = bytes(map(bool, chain.from_iterable(vectors[start:start + _COLUMN_CHUNK])))
+            flags = flags.translate(_TO_ASCII)[::-1]
+            for j in range(n):
+                columns[j] |= int(flags[n - 1 - j::n], 2) << start
+        self.columns = columns
+        self.all_elements, self.all_atoms = (1 << n) - 1, (1 << len(vectors)) - 1
+        self.runs = []
+        for length in sorted(set(lengths)):
+            if length >= 3:
+                first, stop = bisect_left(lengths, length), bisect_right(lengths, length)
+                self.runs.append((length - 2, (1 << stop) - (1 << first)))
+        bits = [1 << j for j in range(n)]
+        neg_bits = [1 << group.index_of(group.neg(e)) for e in group.elements()]
+        first_max = bisect_left(lengths, self.atoms.davenport)
+        self.class_masks = sorted(
+            {sum(compress(bits, v)) | sum(compress(neg_bits, v)) for v in vectors[first_max:]}
+        )
 
     @staticmethod
     def canonical(mask: int) -> int:
@@ -126,16 +133,23 @@ class _MaxAtomScan:
     def min_delta_of_mask(self, mask: int) -> int:
         """Minimum distance of the (negation-closed) union ``mask``.
 
-        One pass over the atoms inside the union feeds the gcd-of-lengths
-        shortcut, which settles the value 1 early; anything else falls
-        through to the exact kernel computation on those atoms.
+        The atoms inside the union are all atoms less those that use an
+        element outside it, one OR of columns; at most one test per length
+        feeds the gcd-of-lengths shortcut, which settles the value 1 early,
+        and anything else falls through to the exact kernel computation on
+        those atoms.
         """
-        outside = ~mask
-        if _settles_to_one(length for m, length in zip(self.masks, self.atoms.lengths)
-                           if not m & outside):
-            return 1
-        indices = [i for i, m in enumerate(self.masks) if not m & outside]
-        return min_delta_of_atoms(self.atoms, indices)
+        outside = 0
+        for j in _set_bits(self.all_elements & ~mask):
+            outside |= self.columns[j]
+        inside = self.all_atoms ^ outside
+        g = 0
+        for step, run in self.runs:
+            if inside & run:
+                g = gcd(g, step)
+                if g == 1:
+                    return 1
+        return min_delta_of_atoms(self.atoms, _set_bits(inside))
 
 
 class _UnitClassScan:
@@ -168,39 +182,6 @@ class _UnitClassScan:
         if _settles_to_one(atoms.lengths):
             return 1
         return min_delta_of_atoms(atoms)
-
-
-def qualifying_supports(
-    group: AbelianGroup, *, config: ResourceConfig | None = None
-) -> list[QualifyingSupport]:
-    """All distinct supports of elements with extreme elasticity.
-
-    Materializes every union of the negation-closed supports of maximal-length
-    atoms.  Raises a budget error when the number of support classes makes the
-    subset walk infeasible; the star-set computation does not go through this
-    entry point and survives much larger groups.
-    """
-    cfg = config or default_config()
-    scan = _MaxAtomScan(group, cfg)
-    k = len(scan.class_masks)
-    if k > 20 or 2**k > cfg.max_supports:
-        raise BudgetExceededError("qualifying support subsets", cfg.max_supports)
-    unions: dict[int, None] = {}
-    masks = scan.class_masks
-    union_of: list[int] = [0] * (1 << k)
-    for s in range(1, 1 << k):
-        low = s & -s
-        union_of[s] = union_of[s ^ low] | masks[low.bit_length() - 1]
-        unions.setdefault(union_of[s])
-    longest = [
-        (scan._sym_mask(scan.masks[i]), GSequence(scan.atoms.support, scan.atoms.mult_vectors[i]))
-        for i in scan.max_indices
-    ]
-    out = []
-    for mask in sorted(unions):
-        gens = tuple(a for m, a in longest if m & ~mask == 0)
-        out.append(QualifyingSupport(scan.support_of_mask(mask), gens))
-    return out
 
 
 def delta_rho_star(group: AbelianGroup, *, config: ResourceConfig | None = None) -> frozenset[int]:

@@ -2,7 +2,7 @@
 
 A sequence is a finite multiset over a fixed, sorted support; atoms are the
 minimal zero-sum sequences.  ``enumerate_atoms`` walks the tree of zero-sum-
-free sequences in canonical element order, maintaining the set of achievable
+free sequences in canonical element order, maintaining the negated
 subsequence sums as a bitmask over group elements.  A sorted sequence ``S``
 is an atom exactly when its sum vanishes and the prefix obtained by dropping
 its last element is zero-sum free, so every atom is emitted exactly once,
@@ -11,14 +11,17 @@ from its own maximal proper prefix.
 Zero-sum-free sequences acquire a fresh subsequence sum with every appended
 element, which bounds the search depth by ``|G| - 1``.
 
-A child ``S·g`` of a zero-sum-free node ``S`` is rejected with one bit test,
-before its own mask is built.  Let ``Σ₀(S)`` be the subsequence sums of ``S``
-with the empty sum 0 included.  The nonempty subsequences of ``S·g`` sum to
-``Σ(S) ∪ (Σ₀(S) + g)``, and ``Σ(S)`` misses 0, so ``S·g`` has a zero-sum
-subsequence exactly when ``-g ∈ Σ₀(S)``: ``-g`` is a nonempty subsum (that
-subsequence times ``g`` sums to 0) or ``g = 0``.  The test is exact, so the
-walk visits the same nodes as one that builds every child's mask, and only
-the child that is taken pays for the shifts to ``Σ₀(S·g) = Σ₀(S) ∪ (Σ₀(S) + g)``.
+A child ``S·g`` of a zero-sum-free node ``S`` is zero-sum free exactly when
+``g ∉ -Σ₀(S)``, where ``Σ₀(S)`` holds the subsequence sums of ``S`` with the
+empty sum 0 included: the nonempty subsequences of ``S·g`` sum to
+``Σ(S) ∪ (Σ₀(S) + g)``, and ``Σ(S)`` misses 0.  So a node carries the bitmask
+``-Σ₀(S)``, and its zero-sum-free children are the bits of the support
+elements at or after its last position that lie outside it, one mask
+operation for all of them.
+The sorted support lists the group in index order, so the walk takes them
+lowest bit first, in canonical order, and visits the same nodes as one that
+tests every child; only the child that is taken pays for the shifts to
+``-Σ₀(S·g) = -Σ₀(S) ∪ (-Σ₀(S) - g)``.
 """
 
 from __future__ import annotations
@@ -142,9 +145,9 @@ class AtomSet:
     (length, vector); the ``GSequence`` objects of ``atoms`` and iteration
     are built on first use and cached."""
 
-    def __init__(self, support: SupportSet, vectors: Iterable[tuple[int, ...]]):
+    def __init__(self, support: SupportSet, vectors: list[tuple[int, ...]]):
         self.support = support
-        keyed = sorted((sum(v), tuple(v)) for v in vectors)
+        keyed = sorted(zip(map(sum, vectors), vectors))
         self.lengths = tuple(length for length, _ in keyed)
         self.mult_vectors = tuple(v for _, v in keyed)
         self.davenport = self.lengths[-1] if keyed else 0
@@ -234,41 +237,47 @@ def enumerate_atoms(
     Depth-first, on an explicit stack of one frame per node of the current
     path, over sorted zero-sum-free sequences; a node emits an atom when the
     completing element (the negated running sum) lies in the support at or
-    after the node's last position.  Child ``g`` is skipped when bit ``-g`` of
-    the parent's sums ``Σ₀`` (empty sum included) is set, exactly when the
-    child has a zero-sum subsequence; its own mask is built only when it is
-    taken.  The atom and node caps raise :class:`BudgetExceededError`, never
-    a truncated set.  Sum table rows are built on first use, so a cap stops a
-    large group early.
+    after the node's last position.  A node carries ``-Σ₀``, its negated
+    subsequence sums with the empty sum, so its zero-sum-free children are the
+    bits of the support elements at or after its last position outside that
+    mask; the walk takes them lowest bit first and keeps the rest in the
+    node's frame.  The atom and node caps raise :class:`BudgetExceededError`,
+    never a truncated set.  Sum table rows are built on first use, so a cap
+    stops a large group early.
     """
     cfg = config or default_config()
     G = support.group
     n = G.order()
     zero_idx = G.index_of(G.zero())
-    zero_bit = 1 << zero_idx
     sup_idx = [G.index_of(g) for g in support.elements]
     k = len(sup_idx)
 
     neg_of = [G.index_of(G.neg(e)) for e in G.elements()]
-    neg_bit = [1 << neg_of[gi] for gi in sup_idx]
     # add_to[p][s] = index of element s + support[p]; rows built on first use
     add_to: list[list[int] | None] = [None] * k
-    shifts = _mask_shift_transforms(G, support.elements)
+    neg_shifts = _mask_shift_transforms(G, tuple(G.neg(g) for g in support.elements))
 
     # position of each group element inside the support, -1 if absent
     pos_of = [-1] * n
     for p, gi in enumerate(sup_idx):
         pos_of[gi] = p
+    # from_pos[p]: the support bits at or after position p; the sorted support
+    # lists the group in index order, so the lowest bit is the first position;
+    # from_pos[-1] (the root's last position) is the whole support
+    from_pos = [0] * (k + 1)
+    for p in range(k - 1, -1, -1):
+        from_pos[p] = from_pos[p + 1] | 1 << sup_idx[p]
+    from_pos[k] = from_pos[0]
 
     atoms: list[tuple[int, ...]] = []
     counts = [0] * k
     nodes = 0
-    # the current path, one frame per node: (position of its last element,
-    # mask of its subsequence sums with the empty sum 0, sum index, iterator
-    # over its child positions); a child's mask is built only when the walk
-    # takes that child, so memory stays linear in depth
+    # the current path, one frame per node with a zero-sum-free child (a leaf
+    # pushes none): (position of its last element, its mask -Σ₀, sum index,
+    # mask of the children not yet taken); a child's mask is built only when
+    # the walk takes that child, so memory stays linear in depth
     frames: list[tuple] = []
-    last_pos, sums, sigma_idx = -1, zero_bit, zero_idx  # the root, the empty sequence
+    last_pos, negs, sigma_idx = -1, 1 << zero_idx, zero_idx  # the root, the empty sequence
     while True:
         nodes += 1
         if nodes > cfg.max_nodes:
@@ -280,25 +289,30 @@ def enumerate_atoms(
             counts[p] -= 1
             if len(atoms) > cfg.max_atoms:
                 raise BudgetExceededError("atom count", cfg.max_atoms)
-        first_child = last_pos if last_pos > 0 else 0
-        frames.append((last_pos, sums, sigma_idx, iter(range(first_child, k))))
-        while frames:  # the next node: the first zero-sum-free child of the deepest frame
-            last_pos, parent_sums, parent_sigma, children = frames[-1]
-            for p in children:
-                if not parent_sums & neg_bit[p]:  # no subsequence of the parent sums to -g
+        free = (from_pos[last_pos] | negs) ^ negs  # the children with no zero-sum subsequence
+        if free:  # descend to the lowest one
+            low = free & -free
+            frames.append((last_pos, negs, sigma_idx, free ^ low))
+            parent_negs, parent_sigma = negs, sigma_idx
+        else:  # a leaf: back up to the deepest frame with a child left
+            if last_pos >= 0:
+                counts[last_pos] -= 1
+            while frames:
+                last_pos, parent_negs, parent_sigma, free = frames[-1]
+                if free:
+                    low = free & -free
+                    frames[-1] = (last_pos, parent_negs, parent_sigma, free ^ low)
                     break
-            else:
                 frames.pop()
                 if last_pos >= 0:
                     counts[last_pos] -= 1
-                continue
-            break
-        else:
-            break  # every frame is exhausted
-        shifted = parent_sums
-        for keep, left, wrap, right in shifts[p]:
+            else:
+                break  # every frame is exhausted
+        p = pos_of[low.bit_length() - 1]
+        shifted = parent_negs
+        for keep, left, wrap, right in neg_shifts[p]:
             shifted = ((shifted & keep) << left) | ((shifted & wrap) >> right)
-        sums = parent_sums | shifted
+        negs = parent_negs | shifted
         counts[p] += 1
         row = add_to[p]
         if row is None:

@@ -195,6 +195,26 @@ def full_enumeration_star(G: AbelianGroup) -> frozenset[int]:
     return frozenset(values)
 
 
+def qualifying_supports(G: AbelianGroup) -> list[tuple[SupportSet, tuple[GSequence, ...]]]:
+    """Every support of an element of extreme elasticity: each union of the
+    negation-closed supports of the atoms of maximal length, as a frozenset
+    of elements (the unpruned walk: every union, no bitmasks, no shortcut),
+    paired with the maximal-length atoms whose support lies inside it."""
+    atoms = enumerate_atoms(full_support(G))
+    longest = [
+        GSequence(atoms.support, v)
+        for v, length in zip(atoms.mult_vectors, atoms.lengths) if length == atoms.davenport
+    ]
+    classes = {frozenset(a.supp()) | {G.neg(g) for g in a.supp()} for a in longest}
+    unions: set[frozenset] = set()
+    for c in classes:
+        unions |= {u | c for u in unions} | {c}
+    return [
+        (SupportSet.of(G, u), tuple(a for a in longest if set(a.supp()) <= u))
+        for u in sorted(unions, key=sorted)
+    ]
+
+
 def brute_aap(values: tuple[int, ...], d: int):
     """Best AAP decomposition by exhaustive split search.
 

@@ -1,8 +1,9 @@
 import importlib
+import random
 
 import pytest
 
-from oracles import full_enumeration_star
+from oracles import full_enumeration_star, qualifying_supports
 from zslen.cf import exceptional_witness
 from zslen.config import ResourceConfig, default_config
 from zslen.delta_rho import (
@@ -12,13 +13,12 @@ from zslen.delta_rho import (
     divisor_closure,
     gcd_closure,
     one_in_delta_rho,
-    qualifying_supports,
     realize_delta_set,
 )
 from zslen.errors import BudgetExceededError, InputError
 from zslen.groups import cyclic, make_group, parse_group
-from zslen.lengths import min_delta
-from zslen.sequences import enumerate_atoms
+from zslen.lengths import min_delta, min_delta_of_atoms
+from zslen.sequences import SupportSet, enumerate_atoms
 
 
 def test_gcd_closure():
@@ -44,59 +44,95 @@ def test_divisor_closure():
 
 def test_qualifying_supports_c10():
     sups = qualifying_supports(cyclic(10))
-    as_sets = {tuple(s.support.elements) for s in sups}
+    as_sets = {support.elements for support, _ in sups}
     assert as_sets == {
         ((1,), (9,)),
         ((3,), (7,)),
         ((1,), (3,), (7,), (9,)),
     }
-    for s in sups:
-        assert s.support.is_symmetric
-        for atom in s.generating_atoms:
+    for support, generating_atoms in sups:
+        assert support.is_symmetric
+        for atom in generating_atoms:
             assert atom.length == 10
-            assert set(atom.supp()) <= set(s.support.elements)
+            assert set(atom.supp()) <= set(support.elements)
         # every support element divides a maximal-length atom inside the
         # support (possibly the negation of a listed one)
-        G = s.support.group
+        G = support.group
         covered = set()
-        for atom in s.generating_atoms:
+        for atom in generating_atoms:
             covered.update(atom.supp())
             covered.update(G.neg(g) for g in atom.supp())
-        assert covered == set(s.support.elements)
+        assert covered == set(support.elements)
 
 
 def test_qualifying_supports_small():
     assert len(qualifying_supports(cyclic(3))) == 1
     sups = qualifying_supports(make_group([2, 2]))
     assert len(sups) == 1
-    assert sups[0].support.elements == ((0, 1), (1, 0), (1, 1))
-
-
-def test_qualifying_supports_budget():
-    # C2^4 has 840 maximal-length atom classes; the subset walk must refuse
-    with pytest.raises(BudgetExceededError):
-        qualifying_supports(make_group([2, 2, 2, 2]))
+    assert sups[0][0].elements == ((0, 1), (1, 0), (1, 1))
 
 
 @pytest.mark.parametrize("name", ["C4", "C5", "C6", "C7", "C8", "C9", "C10",
                                   "C2xC2", "C2xC2xC2", "C2xC4", "C3xC3"])
 def test_star_scan_agrees_with_unpruned_enumeration(name):
-    # the pruned union walk must match min deltas over the full support list
+    # the pruned union walk must match min deltas over the oracle's list of
+    # every union, each valued from atoms enumerated over that union alone
     G = parse_group(name)
     star = delta_rho_star(G)
-    unpruned = {min_delta(s.support) for s in qualifying_supports(G)}
+    unpruned = {min_delta(support) for support, _ in qualifying_supports(G)}
     unpruned.discard(None)
     assert star == frozenset(unpruned)
 
 
-@pytest.mark.parametrize("name", ["C9", "C2xC4", "C2xC2xC2"])
-def test_min_delta_of_mask_matches_min_delta_of_its_support(name):
-    # the one-pass filter over full-group atoms against atoms enumerated
-    # afresh over the union's own support
-    scan = _MaxAtomScan(parse_group(name), default_config())
-    masks = set(scan.class_masks) | {a | b for a in scan.class_masks for b in scan.class_masks}
-    for m in sorted(masks):
-        assert scan.min_delta_of_mask(m) == min_delta(scan.support_of_mask(m)), m
+@pytest.mark.parametrize("name", ["C9", "C2xC4", "C2xC2xC2", "C3xC6", "C2xC2xC2xC2"])
+def test_min_delta_of_mask_matches_min_delta_of_its_support(name, monkeypatch):
+    # column valuation over full-group atoms against atoms enumerated afresh
+    # over the union's own support, on every class and on the unions of two
+    # classes (a fixed sample of them for C2^4, whose 168 classes make 8,001);
+    # the C2^4 classes have value 3, so they reach the kernel fallback, whose
+    # atom indices must be exactly the atoms with support inside the union
+    G = parse_group(name)
+    scan = _MaxAtomScan(G, default_config())
+    elems = G.elements()
+    supports = [frozenset(g for g, m in zip(elems, v) if m) for v in scan.atoms.mult_vectors]
+    passed = []
+
+    def kernel(atoms, indices):
+        passed.append(indices)
+        return min_delta_of_atoms(atoms, indices)
+
+    monkeypatch.setattr(importlib.import_module("zslen.delta_rho"), "min_delta_of_atoms", kernel)
+    pairs = sorted({a | b for a in scan.class_masks for b in scan.class_masks})
+    if name == "C2xC2xC2xC2":
+        pairs = random.Random(1606).sample(pairs, 150)
+    for m in sorted(set(scan.class_masks)) + pairs:
+        union = frozenset(g for j, g in enumerate(elems) if m >> j & 1)
+        passed.clear()
+        assert scan.min_delta_of_mask(m) == min_delta(SupportSet.of(G, union)), m
+        for indices in passed:
+            assert list(indices) == [i for i, s in enumerate(supports) if s <= union]
+    if name == "C2xC2xC2xC2":
+        passed.clear()
+        assert scan.min_delta_of_mask(scan.class_masks[0]) == 3 and len(passed) == 1
+
+
+@pytest.mark.parametrize("name", ["C3xC6", "C2xC2xC6"])
+def test_max_atom_scan_columns_and_runs(name):
+    # C2xC2xC6 has 12,240 atoms, so its columns are built over three slices
+    G = parse_group(name)
+    scan = _MaxAtomScan(G, default_config())
+    vectors, lengths = scan.atoms.mult_vectors, scan.atoms.lengths
+    for j in range(G.order()):
+        assert scan.columns[j] == sum(1 << i for i, v in enumerate(vectors) if v[j]), j
+    assert scan.runs == [
+        (length - 2, sum(1 << i for i, n in enumerate(lengths) if n == length))
+        for length in sorted(set(lengths)) if length >= 3
+    ]
+    elems = G.elements()
+    assert scan.class_masks == sorted({
+        sum(1 << G.index_of(g) | 1 << G.index_of(G.neg(g)) for g, m in zip(elems, v) if m)
+        for v, n in zip(vectors, lengths) if n == scan.atoms.davenport
+    })
 
 
 def test_star_values():
@@ -275,8 +311,8 @@ def test_qualifying_supports_generate_the_group():
     # supports of maximal-length atoms always generate; so do their unions
     for name in ("C10", "C12", "C2xC2", "C2xC4"):
         G = parse_group(name)
-        for s in qualifying_supports(G):
-            assert G.generates(s.support.elements)
+        for support, _ in qualifying_supports(G):
+            assert G.generates(support.elements)
 
 
 STRETCH = bool(os.environ.get("ZSLEN_STRETCH"))
@@ -294,7 +330,7 @@ def test_cyclic_route_agrees_with_full_enumeration_walk(n):
 def test_noncyclic_walk_agrees_with_full_enumeration_walk(name):
     # the walk over _MaxAtomScan (bitmask classes, gcd shortcut, divisor
     # pruning) against the oracle's own frozenset classes and unions, valued
-    # by the kernel alone; qualifying_supports shares _MaxAtomScan, this does not
+    # by the kernel alone
     group = parse_group(name)
     assert delta_rho_star(group) == full_enumeration_star(group)
 

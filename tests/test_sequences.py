@@ -1,8 +1,11 @@
 import random
 import time
 import tracemalloc
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zslen.config import ResourceConfig
 from zslen.errors import BudgetExceededError, InputError
@@ -129,17 +132,60 @@ def test_atom_budget_stops_a_large_group_early():
     assert peak < 10 * 2**20
 
 
+def _walk_visits_exactly(sup, nodes, atom_count):
+    assert len(enumerate_atoms(sup, config=ResourceConfig(max_nodes=nodes))) == atom_count
+    with pytest.raises(BudgetExceededError, match=f"enumeration nodes \\(limit {nodes - 1}\\)"):
+        enumerate_atoms(sup, config=ResourceConfig(max_nodes=nodes - 1))
+
+
 @pytest.mark.parametrize("factors,nodes,atom_count", [
     ([2, 2, 6], 57419, 12240),
     ([5, 5], 138865, 31029),
+    ([3, 3, 3], 138425, 27912),
 ])
 def test_full_group_walk_visits_an_exact_node_count(factors, nodes, atom_count):
     # the DFS visits exactly one node per zero-sum-free sequence in canonical
     # order; a change in which children are walked or counted moves the count
-    sup = full_support(make_group(factors))
-    assert len(enumerate_atoms(sup, config=ResourceConfig(max_nodes=nodes))) == atom_count
-    with pytest.raises(BudgetExceededError, match=f"enumeration nodes \\(limit {nodes - 1}\\)"):
-        enumerate_atoms(sup, config=ResourceConfig(max_nodes=nodes - 1))
+    _walk_visits_exactly(full_support(make_group(factors)), nodes, atom_count)
+
+
+def _order_3_or_6(group):
+    return [g for g in group.elements() if group.element_order(g) in (3, 6)]
+
+
+def _units(n):
+    return [(u,) for u in range(n) if gcd(u, n) == 1]
+
+
+@pytest.mark.parametrize("factors,elements,nodes,atom_count", [
+    ([2, 2, 6], _order_3_or_6(make_group([2, 2, 6])), 14677, 2446),
+    ([30], _units(30), 2943, 286),
+])
+def test_sub_support_walk_visits_an_exact_node_count(factors, elements, nodes, atom_count):
+    # supports whose positions are not the group indices: 16 of the 24
+    # elements of C2xC2xC6, without 0, and the 8 units of C30 (the largest
+    # unit-class union of the cyclic walk); counts recorded before the walk
+    # took its children from a mask
+    _walk_visits_exactly(SupportSet.of(make_group(factors), elements), nodes, atom_count)
+
+
+@st.composite
+def supports_with_zero_and_involutions(draw):
+    """A support with 0, an element of order 2 and up to three more elements,
+    in a group of even order at most 8."""
+    G = make_group(draw(st.sampled_from([[2], [4], [6], [8], [2, 2], [2, 4], [2, 2, 2]])))
+    elems = G.elements()
+    involutions = [g for g in elems if G.element_order(g) == 2]
+    rest = draw(st.lists(st.sampled_from(elems), max_size=3))
+    return SupportSet.of(G, [G.zero(), draw(st.sampled_from(involutions)), *rest])
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(supports_with_zero_and_involutions())
+def test_enumeration_matches_brute_oracle_with_zero_and_involutions(sup):
+    # 0 is an atom on its own and never a child; an element of order 2 is its
+    # own negative, so its bit of -Σ₀ is set by its own sum
+    assert set(enumerate_atoms(sup).mult_vectors) == brute_atoms(sup, sup.group.order())
 
 
 def test_davenport_of_full_groups():
