@@ -17,11 +17,10 @@ empty sum 0 included: the nonempty subsequences of ``S·g`` sum to
 ``Σ(S) ∪ (Σ₀(S) + g)``, and ``Σ(S)`` misses 0.  So a node carries the bitmask
 ``-Σ₀(S)``, and its zero-sum-free children are the bits of the support
 elements at or after its last position that lie outside it, one mask
-operation for all of them.
-The sorted support lists the group in index order, so the walk takes them
-lowest bit first, in canonical order, and visits the same nodes as one that
-tests every child; only the child that is taken pays for the shifts to
-``-Σ₀(S·g) = -Σ₀(S) ∪ (-Σ₀(S) - g)``.
+operation for all of them.  The sorted support lists the group in index
+order, so the walk takes them lowest bit first, in canonical order, and
+visits the same nodes as one that tests every child; only the child that is
+taken pays for the shifts to ``-Σ₀(S·g) = -Σ₀(S) ∪ (-Σ₀(S) - g)``.
 """
 
 from __future__ import annotations

@@ -163,9 +163,8 @@ def _units(n):
 ])
 def test_sub_support_walk_visits_an_exact_node_count(factors, elements, nodes, atom_count):
     # supports whose positions are not the group indices: 16 of the 24
-    # elements of C2xC2xC6, without 0, and the 8 units of C30 (the largest
-    # unit-class union of the cyclic walk); counts recorded before the walk
-    # took its children from a mask
+    # elements of C2xC2xC6, without 0, and the 8 units of C30 (the union of
+    # all four unit classes that the cyclic walk enumerates over)
     _walk_visits_exactly(SupportSet.of(make_group(factors), elements), nodes, atom_count)
 
 
