@@ -196,30 +196,19 @@ def cmd_verify(args) -> int:
     names = list(SUITES) if args.all or not args.suites else args.suites
     cfg = _config_from(args)
     suites = run_suites(names, cfg)
-    failed = skipped = 0
     for suite in suites:
         for check in suite.checks:
+            line = f"{suite.name} :: {check.description}"
             if check.skipped:
-                status = "SKIP"
-                skipped += 1
+                print(f"[SKIP] {line} ({check.reason})")
             elif check.passed:
-                status = "PASS"
+                print(f"[PASS] {line}")
             else:
-                status = "FAIL"
-                failed += 1
-            line = f"[{status}] {suite.name} :: {check.description}"
-            if status == "FAIL":
-                line += f" (expected {check.expected}, computed {check.computed})"
-            if status == "SKIP":
-                line += f" ({check.reason})"
-            print(line)
+                print(f"[FAIL] {line} (expected {check.expected}, computed {check.computed})")
+    failed, skipped = sum(s.failed for s in suites), sum(s.skipped for s in suites)
     total = sum(len(s.checks) for s in suites)
     print(f"{total - failed - skipped}/{total} passed, {failed} failed, {skipped} skipped")
-    if failed:
-        return EXIT_FAIL
-    if skipped:
-        return EXIT_BUDGET
-    return EXIT_OK
+    return EXIT_FAIL if failed else EXIT_BUDGET if skipped else EXIT_OK  # a FAIL outranks a SKIP
 
 
 def _add_common(parser: argparse.ArgumentParser, *, suppress: bool):

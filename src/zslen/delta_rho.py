@@ -95,8 +95,8 @@ class _MaxAtomScan:
 
     ``columns[j]`` has bit i when atom i uses group index j (the full support
     lists the group in ``group.elements()`` order); atoms are sorted by
-    length, so ``runs`` holds, for each length L >= 3, ``L - 2`` and the mask
-    of the atoms of length L."""
+    length, so ``runs`` holds, for each length L >= 3, L and the mask of the
+    atoms of length L."""
 
     def __init__(self, group: AbelianGroup, config: ResourceConfig):
         if group.order() < 3:
@@ -118,7 +118,7 @@ class _MaxAtomScan:
         for length in sorted(set(lengths)):
             if length >= 3:
                 first, stop = bisect_left(lengths, length), bisect_right(lengths, length)
-                self.runs.append((length - 2, (1 << stop) - (1 << first)))
+                self.runs.append((length, (1 << stop) - (1 << first)))
         bits = [1 << j for j in range(n)]
         neg_bits = [1 << group.index_of(group.neg(e)) for e in group.elements()]
         first_max = bisect_left(lengths, self.atoms.davenport)
@@ -143,12 +143,8 @@ class _MaxAtomScan:
         for j in _set_bits(self.all_elements & ~mask):
             outside |= self.columns[j]
         inside = self.all_atoms ^ outside
-        g = 0
-        for step, run in self.runs:
-            if inside & run:
-                g = gcd(g, step)
-                if g == 1:
-                    return 1
+        if _settles_to_one(length for length, run in self.runs if inside & run):
+            return 1
         return min_delta_of_atoms(self.atoms, _set_bits(inside))
 
 

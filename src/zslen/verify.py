@@ -3,9 +3,12 @@ with exact expected values (integers, rationals, finite sets; no tolerances).
 
 The pytest acceptance module runs two of them, ``kernel-brute`` and
 ``props``, through :func:`run_suite` and asserts every check; its other
-criteria recompute their tables directly.  Budget exhaustion marks a check
-as skipped, which is reported distinctly from pass/fail so an audit can
-tell "unverified" from "passed".
+criteria recompute their tables directly.  Every check is recorded by
+:func:`_add`, which runs the check's work: a check whose work exceeds a
+budget (``--budget-atoms`` or ``ZSLEN_BUDGET``) is skipped with the budget
+message, which is reported distinctly from pass/fail so an audit can tell
+"unverified" from "passed", and the other checks still run.  ``zslen
+verify`` then exits 3, or 1 if any check fails.
 """
 
 from __future__ import annotations
@@ -63,15 +66,40 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _add(suite: VerifySuite, description: str, expected, compute: Callable[[], object]):
+def _add(suite: VerifySuite, description: str | Callable[[], str], expected,
+         compute: Callable[[], object]):
+    """Record one check: run its work ``compute`` and compare the result with
+    ``expected``, or skip the check when the work exceeds a budget.  A
+    callable ``description`` is read after the work, so it can report counts
+    the work found."""
     try:
         computed = compute()
     except BudgetExceededError as exc:
-        suite.checks.append(Check(description, _fmt(expected), "-", False, True, str(exc)))
-        return
-    suite.checks.append(
-        Check(description, _fmt(expected), _fmt(computed), computed == expected)
-    )
+        computed, reason = "-", str(exc)
+    else:
+        reason = ""
+    text = description() if callable(description) else description
+    suite.checks.append(Check(text, _fmt(expected), _fmt(computed),
+                              not reason and computed == expected, bool(reason), reason))
+
+
+def _once(compute: Callable[[], object]) -> Callable[[], object]:
+    """``compute`` for checks that report on one piece of work: it runs at
+    the first call, and every call returns its result or raises its budget
+    error again, so a budget stop skips each of those checks."""
+    outcome = []
+
+    def shared():
+        if not outcome:
+            try:
+                outcome.append(compute())
+            except BudgetExceededError as exc:
+                outcome.append(exc)
+        if isinstance(outcome[0], BudgetExceededError):
+            raise outcome[0]
+        return outcome[0]
+
+    return shared
 
 
 # -- individual suites -------------------------------------------------------
@@ -104,19 +132,21 @@ def suite_cyclic_table(cfg: ResourceConfig) -> VerifySuite:
 
 def suite_cf_scan(cfg: ResourceConfig) -> VerifySuite:
     suite = VerifySuite("cf-scan")
-    try:
-        report = scan_exceptional(8, 3000, engine="both")
-    except EngineMismatchError as exc:
-        suite.checks.append(Check("engines E1 and E2 agree on [8,3000]",
-                                  "agree", str(exc), False))
-        return suite
-    suite.checks.append(Check(
-        "engines E1 and E2 agree on [8,3000]", "agree", "agree", True,
-    ))
-    _add(suite, "exceptional n in [8,3000] match the published table",
-         tuple(PUBLISHED_EXCEPTIONAL), lambda: report.exceptional)
-    _add(suite, "every witnessed n has a coprime witness below n/2", True,
-         lambda: all(gcd(a, n) == 1 and 2 <= a <= n // 2 for n, a in report.witnesses.items()))
+    report = _once(lambda: scan_exceptional(8, 3000, engine="both"))
+
+    def agreement():
+        try:
+            report()
+        except EngineMismatchError as exc:
+            return str(exc)
+        return "agree"
+
+    _add(suite, "engines E1 and E2 agree on [8,3000]", "agree", agreement)
+    if suite.checks[-1].passed:  # the other checks read the agreed report
+        _add(suite, "exceptional n in [8,3000] match the published table",
+             tuple(PUBLISHED_EXCEPTIONAL), lambda: report().exceptional)
+        _add(suite, "every witnessed n has a coprime witness below n/2", True,
+             lambda: all(gcd(a, n) == 1 and 2 <= a <= n // 2 for n, a in report().witnesses.items()))
     return suite
 
 
@@ -161,29 +191,18 @@ def suite_rank_two_often(cfg: ResourceConfig) -> VerifySuite:
 
 def suite_cf_cross(cfg: ResourceConfig) -> VerifySuite:
     suite = VerifySuite("cf-cross")
-    pair_bad = []
-    quad_bad = []
-    pairs = quads = 0
-    for n in range(5, 61):
-        G = cyclic(n)
-        for a in range(2, n):
-            if gcd(a, n) != 1:
-                continue
-            pairs += 1
-            support = SupportSet.of(G, [(1,), (a,)])
-            if min_delta(support, config=cfg) != min_delta_pair(n, a):
-                pair_bad.append((n, a))
-            if 2 * a < n:
-                quads += 1
-                support = SupportSet.of(G, [(1,), (a,), (n - a,), (n - 1,)])
-                if min_delta(support, config=cfg) != min_delta_sym_quad(n, a):
-                    quad_bad.append((n, a))
-    suite.checks.append(Check(
-        f"pair formula equals kernel oracle on {pairs} cases (n in [5,60])",
-        "[]", _fmt(pair_bad), not pair_bad))
-    suite.checks.append(Check(
-        f"symmetric-quadruple formula equals kernel oracle on {quads} cases",
-        "[]", _fmt(quad_bad), not quad_bad))
+    groups = {n: cyclic(n) for n in range(5, 61)}
+    pairs = [(n, a) for n in groups for a in range(2, n) if gcd(a, n) == 1]
+    quads = [(n, a) for n, a in pairs if 2 * a < n]
+
+    def mismatches(cases, residues, formula):
+        return [(n, a) for n, a in cases
+                if min_delta(SupportSet.of(groups[n], residues(n, a)), config=cfg) != formula(n, a)]
+
+    _add(suite, f"pair formula equals kernel oracle on {len(pairs)} cases (n in [5,60])", [],
+         lambda: mismatches(pairs, lambda n, a: [(1,), (a,)], min_delta_pair))
+    _add(suite, f"symmetric-quadruple formula equals kernel oracle on {len(quads)} cases", [],
+         lambda: mismatches(quads, lambda n, a: [(1,), (a,), (n - a,), (n - 1,)], min_delta_sym_quad))
     return suite
 
 
@@ -235,25 +254,17 @@ def _random_atom_sets(rng: random.Random, pool, cfg: ResourceConfig, count: int,
 
     Each draw takes a group from ``pool``, a size in [1, max_size] and that
     many distinct elements, closed under negation when ``symmetric``.  Draws
-    whose enumeration exceeds the budget, that have no atoms, or that
-    ``keep`` rejects are skipped; more than 80 draws per pair is an
-    :class:`InputError`.
+    that have no atoms or that ``keep`` rejects are drawn again.  A draw whose
+    enumeration exceeds a budget raises, so the check that draws is skipped;
+    from a given ``rng`` state a budget cuts the draws short, never changes them.
     """
-    limit = 80 * count
-    draws = 0
     while count:
-        draws += 1
-        if draws > limit:
-            raise InputError("sampling stalled; budgets too tight for the pool")
         G = rng.choice(pool)
         elems = rng.sample(G.elements(), rng.randint(1, min(max_size, G.order())))
         if symmetric:
             elems += [G.neg(g) for g in elems]
         support = SupportSet.of(G, elems)
-        try:
-            atoms = enumerate_atoms(support, config=cfg)
-        except BudgetExceededError:
-            continue
+        atoms = enumerate_atoms(support, config=cfg)
         if atoms and keep(support, atoms):
             count -= 1
             yield support, atoms
@@ -295,44 +306,45 @@ PROPS_SEED = 90521
 def suite_kernel_brute(cfg: ResourceConfig) -> VerifySuite:
     """Kernel-lattice min delta vs gcd of exhaustively observed distances."""
     suite = VerifySuite("kernel-brute")
-    rng = random.Random(KERNEL_BRUTE_SEED)
-    agree = 0
-    both_empty = 0
-    disagreements = []
+    tally = []  # " (n with distances, m empty)", known once every sample has run
 
     def keep(support, atoms):
         # resample pathologically large searches; never truncate one
         bound = 4 * atoms.davenport
         return len(atoms) <= 40 and len(atoms) * bound ** min(len(support.elements), 2) <= 600_000
 
-    for support, atoms in _random_atom_sets(rng, small_groups(16), cfg, KERNEL_BRUTE_SAMPLES, 4, keep):
-        kernel = min_delta_of_atoms(atoms)
-        brute = observed_min_delta(atoms, 4 * atoms.davenport)
-        if kernel == brute:
-            if kernel is None:
+    def disagreements():
+        rng = random.Random(KERNEL_BRUTE_SEED)
+        agree = both_empty = 0
+        bad = []
+        for support, atoms in _random_atom_sets(rng, small_groups(16), cfg, KERNEL_BRUTE_SAMPLES, 4, keep):
+            kernel = min_delta_of_atoms(atoms)
+            brute = observed_min_delta(atoms, 4 * atoms.davenport)
+            if kernel != brute:
+                bad.append((str(support.group), str(support), kernel, brute))
+            elif kernel is None:
                 both_empty += 1
             else:
                 agree += 1
-        else:
-            disagreements.append((str(support.group), str(support), kernel, brute))
-    suite.checks.append(Check(
-        f"kernel min delta equals brute-force gcd on {KERNEL_BRUTE_SAMPLES} sampled supports "
-        f"({agree} with distances, {both_empty} empty)",
-        "[]", _fmt(disagreements), not disagreements))
+        tally.append(f" ({agree} with distances, {both_empty} empty)")
+        return bad
+
+    _add(suite, lambda: f"kernel min delta equals brute-force gcd on {KERNEL_BRUTE_SAMPLES} "
+                        f"sampled supports{''.join(tally)}", [], disagreements)
     return suite
 
 
 def suite_realize(cfg: ResourceConfig) -> VerifySuite:
     suite = VerifySuite("realize")
-    group1, sups1 = realize_delta_set([1])
-    _add(suite, "distance 1 realization group and support", ("C8", "{1,3}"),
-         lambda: (str(group1), str(sups1[0])))
-    for d in (2, 3, 4):
-        _, sups = realize_delta_set([d])
-        support = sups[0]
-        atoms = enumerate_atoms(support, config=cfg)
 
-        def facts(atoms=atoms, d=d):
+    def distance_one():
+        group, sups = realize_delta_set([1])
+        return str(group), str(sups[0])
+
+    _add(suite, "distance 1 realization group and support", ("C8", "{1,3}"), distance_one)
+    for d in (2, 3, 4):
+        def facts(d=d):
+            atoms = enumerate_atoms(realize_delta_set([d])[1][0], config=cfg)
             # the distance witness needs d maximal-length atoms: size 2*d*d
             observed = _exhaustive_lengths(atoms, max(3 * atoms.davenport, 2 * d * d))
             distances = set()
@@ -346,24 +358,23 @@ def suite_realize(cfg: ResourceConfig) -> VerifySuite:
 
         _add(suite, f"distance {d} realization: min delta, observed distances, peak elasticity",
              (d, {d}, Fraction(2)), facts)
-    total, sups = realize_delta_set([2, 3])
-    _add(suite, "composite realization [2,3]: local min deltas", (2, 3),
-         lambda: tuple(min_delta(s, config=cfg) for s in sups))
+    local = _once(lambda: [min_delta(s, config=cfg) for s in realize_delta_set([2, 3])[1]])
+    _add(suite, "composite realization [2,3]: local min deltas", (2, 3), lambda: tuple(local()))
     _add(suite, "composite realization [2,3]: product star set", frozenset({1, 2, 3}),
-         lambda: gcd_closure([min_delta(s, config=cfg) for s in sups]))
+         lambda: gcd_closure(local()))
     return suite
 
 
 def suite_char_separation(cfg: ResourceConfig) -> VerifySuite:
     suite = VerifySuite("char-separation")
-    r10 = delta_rho(cyclic(10), config=cfg)
-    r29 = delta_rho(make_group([2] * 9), config=cfg)
-    _add(suite, "exact set for C10", frozenset({2, 8}), lambda: frozenset(r10.exact))
+    r10 = _once(lambda: delta_rho(cyclic(10), config=cfg))
+    r29 = _once(lambda: delta_rho(make_group([2] * 9), config=cfg))
+    _add(suite, "exact set for C10", frozenset({2, 8}), lambda: frozenset(r10().exact))
     _add(suite, "exact set for C2^9 via formula (no enumeration)",
-         frozenset({1, 8}), lambda: frozenset(r29.exact))
-    _add(suite, "formula provenance for C2^9", "theorem-elem2", lambda: r29.provenance)
+         frozenset({1, 8}), lambda: frozenset(r29().exact))
+    _add(suite, "formula provenance for C2^9", "theorem-elem2", lambda: r29().provenance)
     _add(suite, "C10 set not contained in C2^9 set", True,
-         lambda: not set(r10.exact) <= set(r29.exact))
+         lambda: not set(r10().exact) <= set(r29().exact))
     return suite
 
 
@@ -384,85 +395,85 @@ def suite_props(cfg: ResourceConfig) -> VerifySuite:
     def at_most_30(support, atoms):
         return len(atoms) <= 30
 
-    # sumset containment and elasticity multiplicativity on random products
-    containment_bad = []
-    rho_bad = []
-    for support, atoms in _random_atom_sets(rng, pool, cfg, 30, 3, at_most_30):
-        a = _random_zero_sum(rng, atoms, 3)
-        b = _random_zero_sum(rng, atoms, 3)
-        la = length_set(a, atoms, config=cfg)
-        lb = length_set(b, atoms, config=cfg)
-        lab = length_set(a.mul(b), atoms, config=cfg)
-        if not set(sumset(la, lb).values) <= set(lab.values):
-            containment_bad.append((str(support), str(a), str(b)))
-        peak = Fraction(atoms.davenport, 2)
-        if la.rho() == peak and lb.rho() == peak and lab.rho() != peak:
-            rho_bad.append((str(support), str(a), str(b)))
-    suite.checks.append(Check(
-        "sumset containment L(a)+L(b) within L(ab) on 30 random products",
-        "[]", _fmt(containment_bad), not containment_bad))
-    suite.checks.append(Check(
-        "peak elasticity is multiplicative on the same samples",
-        "[]", _fmt(rho_bad), not rho_bad))
+    @_once
+    def products():
+        # sumset containment and elasticity multiplicativity on the same random products
+        containment_bad, rho_bad = [], []
+        for support, atoms in _random_atom_sets(rng, pool, cfg, 30, 3, at_most_30):
+            a = _random_zero_sum(rng, atoms, 3)
+            b = _random_zero_sum(rng, atoms, 3)
+            la = length_set(a, atoms, config=cfg)
+            lb = length_set(b, atoms, config=cfg)
+            lab = length_set(a.mul(b), atoms, config=cfg)
+            if not set(sumset(la, lb).values) <= set(lab.values):
+                containment_bad.append((str(support), str(a), str(b)))
+            peak = Fraction(atoms.davenport, 2)
+            if la.rho() == peak and lb.rho() == peak and lab.rho() != peak:
+                rho_bad.append((str(support), str(a), str(b)))
+        return containment_bad, rho_bad
 
-    # distance divisibility against the kernel value
-    divis_bad = []
-    for support, atoms in _random_atom_sets(rng, pool, cfg, 40, 3, at_most_30):
-        md = min_delta_of_atoms(atoms)
-        b = _random_zero_sum(rng, atoms, 4)
-        lengths = length_set(b, atoms, config=cfg)
-        for d in lengths.delta():
-            if md is None or d % md:
-                divis_bad.append((str(support), str(b), md, d))
-    suite.checks.append(Check(
-        "kernel min delta divides every observed distance on 40 random products",
-        "[]", _fmt(divis_bad), not divis_bad))
+    _add(suite, "sumset containment L(a)+L(b) within L(ab) on 30 random products", [],
+         lambda: products()[0])
+    _add(suite, "peak elasticity is multiplicative on the same samples", [], lambda: products()[1])
 
-    # symmetric supports: min delta divides gcd of atom lengths minus two
-    sym_bad = []
-    for support, atoms in _random_atom_sets(rng, pool, cfg, 100, 3, symmetric=True):
-        md = min_delta_of_atoms(atoms)
-        g = 0
-        for length in atoms.lengths:
-            if length >= 3:
-                g = gcd(g, length - 2)
-        if md is None:
-            if g != 0:
-                sym_bad.append((str(support), md, g))
-        elif g % md:
-            sym_bad.append((str(support), md, g))
-    suite.checks.append(Check(
-        "min delta divides gcd(|U|-2) on 100 random symmetric supports",
-        "[]", _fmt(sym_bad), not sym_bad))
+    def divisibility():
+        # distance divisibility against the kernel value
+        bad = []
+        for support, atoms in _random_atom_sets(rng, pool, cfg, 40, 3, at_most_30):
+            md = min_delta_of_atoms(atoms)
+            b = _random_zero_sum(rng, atoms, 4)
+            lengths = length_set(b, atoms, config=cfg)
+            for d in lengths.delta():
+                if md is None or d % md:
+                    bad.append((str(support), str(b), md, d))
+        return bad
 
-    # sandwich with max equality on every dispatchable group with enumerable star
-    sandwich_bad = []
-    for name in ("C4", "C5", "C6", "C7", "C8", "C9", "C10", "C11", "C12",
-                 "C2xC2", "C2xC2xC2", "C2xC2xC2xC2", "C2xC4", "C3xC3",
-                 "C2xC6", "C2xC2xC4"):
-        G = parse_group(name)
-        result = delta_rho(G, config=cfg)
-        star = delta_rho_star(G, config=cfg)
-        exact = result.exact if result.exact is not None else star
-        closure = divisor_closure(star)
-        if not (star <= exact <= closure and max(star) == max(closure) == max(exact)):
-            sandwich_bad.append((name, sorted(star), sorted(exact)))
-        if frozenset(star) != frozenset(result.star):
-            sandwich_bad.append((name, "star-vs-dispatch", sorted(star), sorted(result.star)))
-    suite.checks.append(Check(
-        "star within exact within divisor closure, with equal maxima, on 16 groups",
-        "[]", _fmt(sandwich_bad), not sandwich_bad))
+    _add(suite, "kernel min delta divides every observed distance on 40 random products", [],
+         divisibility)
 
-    # closed-form filters are sound: every filter hit has a witness
-    report = scan_exceptional(8, 3000, engine="e1")
-    filter_bad = [
-        n for n in range(8, 3001, 2)
-        if sufficient_filters(n) & {"cond1", "cond2", "cond3", "cond4"}
-        and n not in report.witnesses
-    ]
-    suite.checks.append(Check(
-        "every even n in [8,3000] hit by a closed-form filter has a witness",
-        "[]", _fmt(filter_bad), not filter_bad))
+    def symmetric():
+        # symmetric supports: min delta divides gcd of atom lengths minus two
+        bad = []
+        for support, atoms in _random_atom_sets(rng, pool, cfg, 100, 3, symmetric=True):
+            md = min_delta_of_atoms(atoms)
+            g = gcd(*(length - 2 for length in atoms.lengths if length >= 3))
+            if md is None and g or md is not None and g % md:
+                bad.append((str(support), md, g))
+        return bad
+
+    _add(suite, "min delta divides gcd(|U|-2) on 100 random symmetric supports", [], symmetric)
+
+    def sandwich():
+        # sandwich with max equality on every dispatchable group with enumerable star
+        bad = []
+        for name in ("C4", "C5", "C6", "C7", "C8", "C9", "C10", "C11", "C12",
+                     "C2xC2", "C2xC2xC2", "C2xC2xC2xC2", "C2xC4", "C3xC3",
+                     "C2xC6", "C2xC2xC4"):
+            G = parse_group(name)
+            result = delta_rho(G, config=cfg)
+            star = delta_rho_star(G, config=cfg)
+            exact = result.exact if result.exact is not None else star
+            closure = divisor_closure(star)
+            if not (star <= exact <= closure and max(star) == max(closure) == max(exact)):
+                bad.append((name, sorted(star), sorted(exact)))
+            if frozenset(star) != frozenset(result.star):
+                bad.append((name, "star-vs-dispatch", sorted(star), sorted(result.star)))
+        return bad
+
+    _add(suite, "star within exact within divisor closure, with equal maxima, on 16 groups", [],
+         sandwich)
+
+    def unwitnessed_filter_hits():
+        # closed-form filters are sound: every filter hit has a witness
+        report = scan_exceptional(8, 3000, engine="e1")
+        return [
+            n for n in range(8, 3001, 2)
+            if sufficient_filters(n) & {"cond1", "cond2", "cond3", "cond4"}
+            and n not in report.witnesses
+        ]
+
+    _add(suite, "every even n in [8,3000] hit by a closed-form filter has a witness", [],
+         unwitnessed_filter_hits)
     return suite
 
 

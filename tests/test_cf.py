@@ -308,6 +308,40 @@ def test_worker_shards_finished_around_a_failed_one_are_recorded(tmp_path, monke
     assert len(_load_checkpoint(ck)) == 4
 
 
+@pytest.mark.parametrize("shards, workers, kept, size", [
+    (2, 64, 0, 2),  # never more workers than shards
+    (4, 2, 0, 2),  # never more than asked for
+    (4, 64, 1, 3),  # only the shards the checkpoint lacks run
+])
+def test_worker_pool_is_sized_by_the_shards_it_runs(tmp_path, monkeypatch, shards, workers, kept, size):
+    # ProcessPoolExecutor may fork all its max_workers at the first submit, so
+    # the pool asks for no more than there are fresh shards; this stand-in
+    # records that number and runs each shard here, starting no process
+    import concurrent.futures
+    from concurrent.futures import Future
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            sizes.append(max_workers)
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    ck = tmp_path / "scan.ck"
+    fresh = scan_exceptional(8, 3000, engine="e1", shards=shards, checkpoint=ck)
+    ck.write_text("".join(ck.read_text().splitlines(keepends=True)[:kept]))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    assert scan_exceptional(8, 3000, engine="e1", shards=shards, workers=workers, checkpoint=ck) == fresh
+    assert sizes == [size]
+
+
 _MARKS = None  # a directory, set before the pool forks its workers
 
 

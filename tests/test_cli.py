@@ -266,6 +266,60 @@ def test_verify_budget_skips_exit_3(capsys, monkeypatch):
     assert "[SKIP]" in out and "FAIL" not in out
 
 
+def test_verify_all_under_a_budget_reports_every_check(capsys, monkeypatch):
+    # a budget stop inside any check is a SKIP of that check alone: every
+    # check still prints, and the 272 row of the published table still fails
+    monkeypatch.delenv("ZSLEN_BUDGET", raising=False)
+    code, out, _ = run(capsys, "--budget-atoms", "20", "verify", "--all")
+    *lines, summary = out.splitlines()
+    assert (len(lines), summary) == (65, "49/65 passed, 1 failed, 15 skipped")
+    fails = [line for line in lines if line.startswith("[FAIL]")]
+    assert len(fails) == 1
+    assert fails[0].startswith("[FAIL] cf-scan :: exceptional n in [8,3000] match the published table")
+    budget = " (budget exceeded: atom count (limit 20))"
+    skips = [line for line in lines if line.startswith("[SKIP]")]
+    assert all(line.endswith(budget) for line in skips)
+    assert [line.removesuffix(budget) for line in skips if " cf-cross :: " in line or " props :: " in line] == [
+        "[SKIP] cf-cross :: pair formula equals kernel oracle on 1040 cases (n in [5,60])",
+        "[SKIP] cf-cross :: symmetric-quadruple formula equals kernel oracle on 492 cases",
+        "[SKIP] props :: min delta divides gcd(|U|-2) on 100 random symmetric supports",
+        "[SKIP] props :: star within exact within divisor closure, with equal maxima, on 16 groups",
+    ]
+    assert code == 1  # a FAIL outranks a SKIP
+
+
+def test_verify_budget_stops_are_skips_not_aborts(capsys, monkeypatch):
+    monkeypatch.delenv("ZSLEN_BUDGET", raising=False)
+    code, out, _ = run(capsys, "--budget-atoms", "20", "verify", "cf-cross", "props")
+    assert code == 3
+    assert "[SKIP] cf-cross :: " in out and "[SKIP] props :: " in out and "[FAIL]" not in out
+    assert out.splitlines()[-1] == "4/8 passed, 0 failed, 4 skipped"
+
+
+@pytest.mark.parametrize("budget", ["5", "12"])
+def test_verify_checks_on_one_sample_loop_share_its_outcome(capsys, monkeypatch, budget):
+    # containment and elasticity report on one loop: a budget stop in it skips
+    # both, and a loop that finishes is not run again for the second check
+    # (a rerun draws other samples, which at 12 atoms exceed the budget)
+    monkeypatch.delenv("ZSLEN_BUDGET", raising=False)
+    code, out, _ = run(capsys, "--budget-atoms", budget, "verify", "props")
+    statuses = [line.split()[0] for line in out.splitlines()[:2]]
+    assert statuses in (["[PASS]", "[PASS]"], ["[SKIP]", "[SKIP]"])
+    assert code == 3
+
+
+def test_verify_kernel_brute_under_a_budget_is_a_skip(capsys, monkeypatch):
+    # a sampler that redraws past every budget stop reports a PASS on 200
+    # supports that all came out empty; a stopped sample leaves its counts out
+    monkeypatch.delenv("ZSLEN_BUDGET", raising=False)
+    code, out, _ = run(capsys, "--budget-atoms", "1", "verify", "kernel-brute")
+    assert out == (
+        "[SKIP] kernel-brute :: kernel min delta equals brute-force gcd on 200 sampled supports"
+        " (budget exceeded: atom count (limit 1))\n0/1 passed, 0 failed, 1 skipped\n"
+    )
+    assert code == 3
+
+
 def test_zero_element_sequences(capsys):
     code, out, _ = run(capsys, "--format", "json", "lengths", "--group", "C6",
                        "--sequence", "0^3")

@@ -125,7 +125,7 @@ def test_max_atom_scan_columns_and_runs(name):
     for j in range(G.order()):
         assert scan.columns[j] == sum(1 << i for i, v in enumerate(vectors) if v[j]), j
     assert scan.runs == [
-        (length - 2, sum(1 << i for i, n in enumerate(lengths) if n == length))
+        (length, sum(1 << i for i, n in enumerate(lengths) if n == length))
         for length in sorted(set(lengths)) if length >= 3
     ]
     elems = G.elements()

@@ -50,6 +50,7 @@ COMMANDS = (
         ["fp", "--q", "3", "--gens", "1:4,2:7,0:9", "profile"],
         ["--format", "json", "fp", "--q", "1", "--gens", "0:2,0:4,0:3", "profile"],
         ["fp", "--q", "2", "--gens", "0:4,1:6,1:9", "profile"],
+        ["--budget-atoms", "20", "verify", "cf-cross", "kernel-brute"],
     ]
 )
 
