@@ -88,18 +88,14 @@ def cf_odd_length(n: int, a: int) -> CFExpansion:
     """Expansion of n/a with an odd number of quotients.
 
     From the regular form: keep it if already odd; else split the last
-    quotient (q >= 2 becomes q-1, 1), or merge a trailing 1 into its
-    predecessor.
+    quotient q into q-1, 1 (an even-length regular form ends in q >= 2, as
+    each divisor after the first exceeds its remainder).
     """
     reg = cf_regular(n, a)
     qs = list(reg.quotients)
     if len(qs) % 2 == 0:
-        if qs[-1] >= 2:
-            qs[-1] -= 1
-            qs.append(1)
-        else:
-            qs.pop()
-            qs[-1] += 1
+        qs[-1] -= 1
+        qs.append(1)
     return CFExpansion(n, a, tuple(qs))
 
 

@@ -2,15 +2,17 @@
 
 Exit codes: 0 all checks pass / computation done, 1 verification failure,
 2 usage error, 3 budget exhaustion without failures, 130 interrupted by
-Ctrl-C (128 + SIGINT; nothing is printed to stdout).  Output field order is
-fixed and sets are emitted ascending, so runs are byte-reproducible; empty
-distance sets print as the sentinel "empty", never as a bare null.
+Ctrl-C (128 + SIGINT; nothing is printed to stdout), 141 stdout closed by
+its reader (128 + SIGPIPE; the rest of the output is dropped).  Output field
+order is fixed and sets are emitted ascending, so runs are byte-reproducible;
+empty distance sets print as the sentinel "empty", never as a bare null.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .cf import scan_exceptional
@@ -28,6 +30,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERRUPT = 130
+EXIT_PIPE = 141
 
 
 def _set_or_empty(values) -> list[int] | str:
@@ -293,7 +296,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -312,6 +317,9 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPT
+    except BrokenPipeError:  # so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -93,10 +93,10 @@ _COLUMN_CHUNK = 4096  # atoms per slice of the flag matrix, so it never holds ev
 class _MaxAtomScan:
     """Every atom of the full group, the walk's source for non-cyclic groups.
 
-    ``columns[j]`` has bit i when atom i uses group index j (the full support
-    lists the group in ``group.elements()`` order); atoms are sorted by
-    length, so ``runs`` holds, for each length L >= 3, L and the mask of the
-    atoms of length L."""
+    ``columns[j]`` has bit i when atom i uses the element of index j (the
+    full support is in index order, ``AbelianGroup.index_of``); atoms are
+    sorted by length, so ``runs`` holds, for each length L >= 3, L and the
+    mask of the atoms of length L."""
 
     def __init__(self, group: AbelianGroup, config: ResourceConfig):
         if group.order() < 3:
@@ -151,7 +151,7 @@ class _MaxAtomScan:
 class _UnitClassScan:
     """The walk's source for a cyclic group of order n >= 3: the unit pairs
     ``{u, n - u}`` are the classes, and nothing is enumerated up front; bit j
-    of a mask stands for the residue j."""
+    of a mask stands for the residue j, whose index is j."""
 
     def __init__(self, group: AbelianGroup, config: ResourceConfig):
         self.group = group

@@ -3,8 +3,11 @@
 A group is a product ``C_{n_1} x ... x C_{n_r}`` with ``n_1 | n_2 | ... | n_r``
 and every ``n_i >= 2``; the empty product is the trivial group.  Elements are
 tuples of residues, one per factor, always kept componentwise reduced.  The
-lexicographic order on residue tuples is the canonical element order used by
-every enumeration downstream, so it must never change.
+lexicographic order on residue tuples (mixed radix, last coordinate fastest)
+is the canonical element order used by every enumeration downstream, so it
+must never change.  An element's index is its position in that order, zero
+at 0; this module owns that layout, so code on indices, or on bitmasks with
+bit ``i`` for index ``i``, takes them from :class:`AbelianGroup`.
 
 All values here are immutable and all operations pure; concurrent use is
 unrestricted.
@@ -13,7 +16,9 @@ unrestricted.
 from __future__ import annotations
 
 import re
+from itertools import product
 from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import InputError
 
@@ -69,7 +74,7 @@ def _invariant_factors(factors: list[int]) -> list[int]:
 class AbelianGroup:
     """A finite abelian group, canonicalized to invariant-factor form."""
 
-    __slots__ = ("invariant_factors", "_elements", "_index")
+    __slots__ = ("invariant_factors", "strides", "_elements")
 
     def __init__(self, invariant_factors: tuple[int, ...]):
         for a, b in zip(invariant_factors, invariant_factors[1:]):
@@ -78,8 +83,8 @@ class AbelianGroup:
         if any(n < 2 for n in invariant_factors):
             raise InputError(f"invariant factors must be >= 2: {invariant_factors}")
         self.invariant_factors = tuple(invariant_factors)
+        self.strides = tuple(prod(invariant_factors[j + 1:]) for j in range(len(invariant_factors)))
         self._elements: tuple[Element, ...] | None = None
-        self._index: dict[Element, int] | None = None
 
     # -- structure ---------------------------------------------------------
 
@@ -122,18 +127,41 @@ class AbelianGroup:
         return tuple(r % n for r, n in zip(residues, self.invariant_factors))
 
     def elements(self) -> tuple[Element, ...]:
-        """All elements in lexicographic order of residue tuples."""
+        """All elements in index order (lexicographic, last coordinate fastest)."""
         if self._elements is None:
-            elems = [()]
-            for n in self.invariant_factors:
-                elems = [e + (r,) for e in elems for r in range(n)]
-            self._elements = tuple(elems)
+            self._elements = tuple(product(*map(range, self.invariant_factors)))
         return self._elements
 
     def index_of(self, g: Element) -> int:
-        if self._index is None:
-            self._index = {e: i for i, e in enumerate(self.elements())}
-        return self._index[g]
+        """Position of the reduced element ``g`` in :meth:`elements`."""
+        return sum(map(mul, g, self.strides))
+
+    def translation(self, g: Element) -> list[int]:
+        """The index of ``s + g`` for every index ``s``, one coordinate at a time."""
+        out = [0]
+        for r, n, width in zip(g, self.invariant_factors, self.strides):
+            offsets = [(c + r) % n * width for c in range(n)]
+            out = [base + off for base in out for off in offsets]
+        return out
+
+    def mask_translation(self, g: Element) -> tuple[tuple[int, int, int, int], ...]:
+        """Steps ``(keep, up, wrap, down)`` realizing ``s -> s + g`` on index
+        bitmasks, one per nonzero coordinate (each rotates on its own), applied
+        as ``mask = ((mask & keep) << up) | ((mask & wrap) >> down)``."""
+        n = self.order()
+        full = (1 << n) - 1
+        steps = []
+        for r, nj, width in zip(g, self.invariant_factors, self.strides):
+            if r == 0:
+                continue
+            period = nj * width
+            low = (nj - r) * width
+            pattern = (1 << low) - 1
+            keep = 0
+            for start in range(0, n, period):
+                keep |= pattern << start
+            steps.append((keep, r * width, full & ~keep, low))
+        return tuple(steps)
 
     def add(self, g: Element, h: Element) -> Element:
         if len(g) != len(h) or len(g) != self.rank():

@@ -17,10 +17,11 @@ empty sum 0 included: the nonempty subsequences of ``S·g`` sum to
 ``Σ(S) ∪ (Σ₀(S) + g)``, and ``Σ(S)`` misses 0.  So a node carries the bitmask
 ``-Σ₀(S)``, and its zero-sum-free children are the bits of the support
 elements at or after its last position that lie outside it, one mask
-operation for all of them.  The sorted support lists the group in index
-order, so the walk takes them lowest bit first, in canonical order, and
-visits the same nodes as one that tests every child; only the child that is
-taken pays for the shifts to ``-Σ₀(S·g) = -Σ₀(S) ∪ (-Σ₀(S) - g)``.
+operation for all of them.  Bits are element indices (``groups`` owns that
+layout, in which a sorted support is in index order), so the walk takes them
+lowest bit first, in canonical order, and visits the same nodes as one that
+tests every child; only the child that is taken pays for the shifts to
+``-Σ₀(S·g) = -Σ₀(S) ∪ (-Σ₀(S) - g)``.
 """
 
 from __future__ import annotations
@@ -142,14 +143,16 @@ class AtomSet:
 
     Stored once, as the flat views ``mult_vectors`` and ``lengths`` sorted by
     (length, vector); the ``GSequence`` objects of ``atoms`` and iteration
-    are built on first use and cached."""
+    are built on first use and cached.  ``vectors`` must hold the atoms of
+    each length in descending order, as :func:`enumerate_atoms` emits them
+    (it visits prefixes in lexicographic order of their positions), so a
+    stable sort of the reversed list by length alone gives that order."""
 
     def __init__(self, support: SupportSet, vectors: list[tuple[int, ...]]):
         self.support = support
-        keyed = sorted(zip(map(sum, vectors), vectors))
-        self.lengths = tuple(length for length, _ in keyed)
-        self.mult_vectors = tuple(v for _, v in keyed)
-        self.davenport = self.lengths[-1] if keyed else 0
+        self.mult_vectors = tuple(sorted(reversed(vectors), key=sum))
+        self.lengths = tuple(map(sum, self.mult_vectors))
+        self.davenport = self.lengths[-1] if vectors else 0
 
     @cached_property
     def atoms(self) -> tuple[GSequence, ...]:
@@ -193,39 +196,6 @@ def is_atom(seq: GSequence) -> bool:
     return G.zero() not in _achievable_sums(G, items)
 
 
-def _mask_shift_transforms(group: AbelianGroup, elements: tuple[Element, ...]):
-    """Bit permutations realizing s -> s + g on subsum masks.
-
-    Group elements are enumerated in mixed radix, so adding a fixed g rotates
-    every coordinate independently; each nonzero coordinate becomes one pair
-    of masked shifts (non-wrapping bits move up, wrapping bits move down).
-    """
-    inv = group.invariant_factors
-    n = group.order()
-    full = (1 << n) - 1
-    block = []
-    b = 1
-    for nj in reversed(inv):
-        block.append(b)
-        b *= nj
-    block.reverse()
-    out = []
-    for g in elements:
-        steps = []
-        for r, nj, width in zip(g, inv, block):
-            if r == 0:
-                continue
-            period = nj * width
-            low = (nj - r) * width
-            pattern = (1 << low) - 1
-            keep = 0
-            for start in range(0, n, period):
-                keep |= pattern << start
-            steps.append((keep, r * width, full & ~keep, low))
-        out.append(tuple(steps))
-    return out
-
-
 def enumerate_atoms(
     support: SupportSet,
     *,
@@ -234,35 +204,33 @@ def enumerate_atoms(
     """Enumerate every atom supported in ``support``.
 
     Depth-first, on an explicit stack of one frame per node of the current
-    path, over sorted zero-sum-free sequences; a node emits an atom when the
-    completing element (the negated running sum) lies in the support at or
-    after the node's last position.  A node carries ``-Σ₀``, its negated
-    subsequence sums with the empty sum, so its zero-sum-free children are the
-    bits of the support elements at or after its last position outside that
-    mask; the walk takes them lowest bit first and keeps the rest in the
-    node's frame.  The atom and node caps raise :class:`BudgetExceededError`,
-    never a truncated set.  Sum table rows are built on first use, so a cap
-    stops a large group early.
+    path, over sorted zero-sum-free sequences.  A node carries ``nsig``, the
+    index of its negated sum, and emits an atom when that completing element
+    lies in the support at or after the node's last position; it also carries
+    ``-Σ₀``, its negated subsequence sums with the empty sum, so its
+    zero-sum-free children are the bits of the support elements at or after
+    its last position outside that mask.  The walk takes them lowest bit
+    first and keeps the rest in the node's frame.  The atom and node caps
+    raise :class:`BudgetExceededError`, never a truncated set.  Translation
+    rows are built on first use, so a cap stops a large group early.
     """
     cfg = config or default_config()
     G = support.group
     n = G.order()
-    zero_idx = G.index_of(G.zero())
     sup_idx = [G.index_of(g) for g in support.elements]
     k = len(sup_idx)
 
-    neg_of = [G.index_of(G.neg(e)) for e in G.elements()]
-    # add_to[p][s] = index of element s + support[p]; rows built on first use
-    add_to: list[list[int] | None] = [None] * k
-    neg_shifts = _mask_shift_transforms(G, tuple(G.neg(g) for g in support.elements))
+    negated = [G.neg(g) for g in support.elements]
+    neg_shifts = [G.mask_translation(g) for g in negated]
+    # sub_rows[p][s] = index of element s - support[p]; rows built on first use
+    sub_rows: list[list[int] | None] = [None] * k
 
     # position of each group element inside the support, -1 if absent
     pos_of = [-1] * n
     for p, gi in enumerate(sup_idx):
         pos_of[gi] = p
-    # from_pos[p]: the support bits at or after position p; the sorted support
-    # lists the group in index order, so the lowest bit is the first position;
-    # from_pos[-1] (the root's last position) is the whole support
+    # from_pos[p]: the support bits at or after position p, the lowest bit
+    # first; from_pos[-1] (the root's last position) is the whole support
     from_pos = [0] * (k + 1)
     for p in range(k - 1, -1, -1):
         from_pos[p] = from_pos[p + 1] | 1 << sup_idx[p]
@@ -272,16 +240,16 @@ def enumerate_atoms(
     counts = [0] * k
     nodes = 0
     # the current path, one frame per node with a zero-sum-free child (a leaf
-    # pushes none): (position of its last element, its mask -Σ₀, sum index,
+    # pushes none): (position of its last element, its mask -Σ₀, its nsig,
     # mask of the children not yet taken); a child's mask is built only when
     # the walk takes that child, so memory stays linear in depth
     frames: list[tuple] = []
-    last_pos, negs, sigma_idx = -1, 1 << zero_idx, zero_idx  # the root, the empty sequence
+    last_pos, negs, nsig = -1, 1, 0  # the root, the empty sequence; zero has index 0
     while True:
         nodes += 1
         if nodes > cfg.max_nodes:
             raise BudgetExceededError("enumeration nodes", cfg.max_nodes)
-        p = pos_of[neg_of[sigma_idx]]
+        p = pos_of[nsig]
         if p >= 0 and p >= last_pos:
             counts[p] += 1
             atoms.append(tuple(counts))
@@ -291,16 +259,16 @@ def enumerate_atoms(
         free = (from_pos[last_pos] | negs) ^ negs  # the children with no zero-sum subsequence
         if free:  # descend to the lowest one
             low = free & -free
-            frames.append((last_pos, negs, sigma_idx, free ^ low))
-            parent_negs, parent_sigma = negs, sigma_idx
+            frames.append((last_pos, negs, nsig, free ^ low))
+            parent_negs, parent_nsig = negs, nsig
         else:  # a leaf: back up to the deepest frame with a child left
             if last_pos >= 0:
                 counts[last_pos] -= 1
             while frames:
-                last_pos, parent_negs, parent_sigma, free = frames[-1]
+                last_pos, parent_negs, parent_nsig, free = frames[-1]
                 if free:
                     low = free & -free
-                    frames[-1] = (last_pos, parent_negs, parent_sigma, free ^ low)
+                    frames[-1] = (last_pos, parent_negs, parent_nsig, free ^ low)
                     break
                 frames.pop()
                 if last_pos >= 0:
@@ -313,11 +281,10 @@ def enumerate_atoms(
             shifted = ((shifted & keep) << left) | ((shifted & wrap) >> right)
         negs = parent_negs | shifted
         counts[p] += 1
-        row = add_to[p]
+        row = sub_rows[p]
         if row is None:
-            g = support.elements[p]
-            row = add_to[p] = [G.index_of(G.add(e, g)) for e in G.elements()]
-        last_pos, sigma_idx = p, row[parent_sigma]
+            row = sub_rows[p] = G.translation(negated[p])
+        last_pos, nsig = p, row[parent_nsig]
     return AtomSet(support, atoms)
 
 

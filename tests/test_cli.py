@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 from oracles import sealed_checkpoint_line
 
+import zslen
 from zslen.cli import main
 from zslen.config import ResourceConfig
 from zslen.errors import InputError
@@ -138,6 +141,24 @@ def test_ctrl_c_exits_130_without_a_traceback(capsys, monkeypatch, command, argv
     except KeyboardInterrupt:
         pytest.fail("KeyboardInterrupt escaped main")
     assert result == (130, "", "interrupted\n")
+
+
+def test_a_reader_that_closes_early_gets_exit_141_without_a_traceback():
+    # every atom of C5xC5 prints about 1.2 MB, far more than a pipe buffers,
+    # so the writer is still printing when the reader goes away
+    support = ",".join(f"({a},{b})" for a in range(5) for b in range(5))
+    src = os.path.dirname(os.path.dirname(zslen.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from zslen.cli import main; sys.exit(main())",
+         "atoms", "--group", "C5xC5", "--support", support],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline() == b"(0,0)\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 @pytest.mark.parametrize("where", ["missing/ck", "."])

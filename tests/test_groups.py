@@ -11,7 +11,11 @@ from zslen.groups import (
     parse_group,
 )
 
+from zslen.verify import small_groups
+
 from oracles import subgroup_generated
+
+LAYOUT_GROUPS = [AbelianGroup(())] + small_groups(32)
 
 
 def test_make_group_normalizes_to_invariant_chain():
@@ -102,6 +106,41 @@ def test_element_enumeration_is_lexicographic():
     assert G.elements() == tuple((r,) for r in range(6))
     H = AbelianGroup((2, 2))
     assert H.elements() == ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _positions(G):
+    """Each element's position in ``elements()``, independent of ``index_of``."""
+    return {e: i for i, e in enumerate(G.elements())}
+
+
+@pytest.mark.parametrize("G", LAYOUT_GROUPS, ids=str)
+def test_index_of_is_the_position_in_elements(G):
+    elems = G.elements()
+    assert len(elems) == G.order() and list(elems) == sorted(elems)
+    assert [G.index_of(e) for e in elems] == list(range(G.order()))
+
+
+@pytest.mark.parametrize("G", LAYOUT_GROUPS, ids=str)
+def test_translation_row_holds_the_index_of_each_sum(G):
+    elems, pos = G.elements(), _positions(G)
+    for g in elems:
+        assert G.translation(g) == [pos[G.add(e, g)] for e in elems]
+
+
+@pytest.mark.parametrize("G", LAYOUT_GROUPS, ids=str)
+def test_mask_translation_moves_every_set_bit_by_g(G):
+    rng = random.Random(G.order())
+    elems, pos = G.elements(), _positions(G)
+    n = G.order()
+    masks = [rng.getrandbits(n) for _ in range(4)] + [1 << i for i in range(n)]
+    for g in elems:
+        steps = G.mask_translation(g)
+        for mask in masks:
+            moved = mask
+            for keep, up, wrap, down in steps:
+                moved = ((moved & keep) << up) | ((moved & wrap) >> down)
+            want = sum(1 << pos[G.add(elems[i], g)] for i in range(n) if mask >> i & 1)
+            assert moved == want
 
 
 def test_direct_sum_embeddings_are_isomorphic_images():

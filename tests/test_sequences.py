@@ -183,8 +183,13 @@ def supports_with_zero_and_involutions(draw):
 @given(supports_with_zero_and_involutions())
 def test_enumeration_matches_brute_oracle_with_zero_and_involutions(sup):
     # 0 is an atom on its own and never a child; an element of order 2 is its
-    # own negative, so its bit of -Σ₀ is set by its own sum
-    assert set(enumerate_atoms(sup).mult_vectors) == brute_atoms(sup, sup.group.order())
+    # own negative, so its bit of -Σ₀ is set by its own sum.  The atoms come
+    # in (length, vector) order, which AtomSet gets from the DFS's emission
+    # order without comparing vectors
+    atoms = enumerate_atoms(sup)
+    want = sorted(brute_atoms(sup, sup.group.order()), key=lambda v: (sum(v), v))
+    assert list(atoms.mult_vectors) == want
+    assert list(atoms.lengths) == [sum(v) for v in want]
 
 
 def test_davenport_of_full_groups():
