@@ -15,12 +15,10 @@ from .sequences import (
     AtomSet,
     GSequence,
     SupportSet,
-    davenport_constant,
     enumerate_atoms,
     full_support,
     g_norm,
     is_atom,
-    is_zero_sum,
     max_length_atoms,
     parse_sequence,
     parse_support,
@@ -28,7 +26,6 @@ from .sequences import (
 from .lengths import (
     AAPWitness,
     LengthSet,
-    RelationKernel,
     RhoBound,
     is_aap,
     length_set,

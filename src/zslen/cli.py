@@ -175,20 +175,18 @@ def cmd_fp(args) -> int:
         }
         _emit(args, payload)
         return EXIT_OK
-    if args.fp_cmd == "obstruction":
-        try:
-            d_list = [int(t) for t in args.d.split(",") if t.strip()]
-        except ValueError:
-            raise InputError(f"bad integer list {args.d!r}") from None
-        report = transfer_obstruction(d_list)
-        payload = {
-            "d": list(report.d_list),
-            "gcd": report.overall_gcd,
-            "messages": report.messages(),
-        }
-        _emit(args, payload)
-        return EXIT_OK
-    raise InputError("fp needs a subcommand: profile or obstruction")
+    try:  # obstruction, the other subcommand
+        d_list = [int(t) for t in args.d.split(",") if t.strip()]
+    except ValueError:
+        raise InputError(f"bad integer list {args.d!r}") from None
+    report = transfer_obstruction(d_list)
+    payload = {
+        "d": list(report.d_list),
+        "gcd": report.overall_gcd,
+        "messages": report.messages(),
+    }
+    _emit(args, payload)
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:

@@ -99,8 +99,6 @@ class _MaxAtomScan:
     mask of the atoms of length L."""
 
     def __init__(self, group: AbelianGroup, config: ResourceConfig):
-        if group.order() < 3:
-            raise InputError("scan needs a group of order >= 3")
         self.atoms = enumerate_atoms(full_support(group), config=config)
         n = group.order()
         vectors, lengths = self.atoms.mult_vectors, self.atoms.lengths

@@ -56,10 +56,6 @@ class FPMonoid:
     def max_value(self) -> int:
         return max(v for _, v in self.generators)
 
-    @property
-    def min_value(self) -> int:
-        return min(v for _, v in self.generators)
-
 
 @dataclass(frozen=True)
 class LocalProfile:
@@ -191,6 +187,7 @@ class ObstructionReport:
             )
         if self.excludes_rank_two:
             out.append("no such group has rank two")
+        if self.excludes_homocyclic:
             out.append("no such group is homocyclic of prime-power exponent >= 3")
         for r in self.conditional_elementary2_ranks:
             out.append(

@@ -210,32 +210,6 @@ def kernel_basis_of(mult_vectors: list[tuple[int, ...]]) -> list[tuple[int, ...]
     return [tuple(v[r:]) for v in _vanishing_part(rows, r)]
 
 
-@dataclass(frozen=True)
-class RelationKernel:
-    """Atom-exponent matrix (rows = support elements, columns = atoms)
-    together with a basis of its integer kernel lattice."""
-
-    atom_matrix: tuple[tuple[int, ...], ...]
-    kernel_basis: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def from_atoms(atoms: AtomSet) -> "RelationKernel":
-        cols = atoms.mult_vectors
-        r = len(atoms.support.elements)
-        matrix = tuple(tuple(c[i] for c in cols) for i in range(r))
-        return RelationKernel(matrix, tuple(kernel_basis_of(list(cols))))
-
-    def verify(self) -> bool:
-        for b in self.kernel_basis:
-            for row in self.atom_matrix:
-                if sum(x * c for x, c in zip(b, row)):
-                    return False
-        return True
-
-    def functional_gcd(self) -> int:
-        return gcd(*(abs(sum(b)) for b in self.kernel_basis)) if self.kernel_basis else 0
-
-
 def min_delta_of_atoms(atoms: AtomSet, atom_indices: list[int] | None = None) -> int | None:
     """Minimum distance of the monoid generated by the given atoms.
 

@@ -165,10 +165,6 @@ class AtomSet:
         return iter(self.atoms)
 
 
-def is_zero_sum(seq: GSequence) -> bool:
-    return seq.is_zero_sum()
-
-
 def _achievable_sums(group: AbelianGroup, items: list[tuple[Element, int]]) -> set[Element]:
     """Sums of all nonempty sub-multisets of ``items``."""
     sums: set[Element] = set()
@@ -299,10 +295,6 @@ def max_length_atoms(group: AbelianGroup, *, config: ResourceConfig | None = Non
     atom_set = enumerate_atoms(full_support(group), config=config)
     first = atom_set.lengths.index(atom_set.davenport)  # atoms are sorted by length
     return [GSequence(atom_set.support, v) for v in atom_set.mult_vectors[first:]]
-
-
-def davenport_constant(group: AbelianGroup, *, config: ResourceConfig | None = None) -> int:
-    return enumerate_atoms(full_support(group), config=config).davenport
 
 
 def g_norm(seq: GSequence, g: Element) -> int:

@@ -8,9 +8,10 @@ import pytest
 from oracles import sealed_checkpoint_line
 
 import zslen
+from zslen.cf import scan_exceptional
 from zslen.cli import main
 from zslen.config import ResourceConfig
-from zslen.errors import InputError
+from zslen.errors import EngineMismatchError, InputError
 
 
 def run(capsys, *argv):
@@ -35,6 +36,13 @@ def test_delta_rho_c272_settles_without_full_enumeration(capsys):
     assert time.perf_counter() - start < 10
     assert code == 0
     assert json.loads(out)["star"] == [1, 270]
+
+
+def test_delta_rho_sandwich_only_prints_the_conjectured_set(capsys):
+    code, out, _ = run(capsys, "--format", "json", "delta-rho", "--group", "C2xC2xC2xC4")
+    assert code == 0
+    assert json.loads(out)["provenance"] == "sandwich-only"
+    assert '"conjectured": [1]' in out
 
 
 def test_delta_rho_empty_sentinel(capsys):
@@ -245,12 +253,42 @@ def test_cf_scan_lines(capsys):
     assert summary["exceptionalCount"] == 7
 
 
+def _disagreeing_engines(monkeypatch):
+    import zslen.cf as cf_module
+
+    monkeypatch.setattr(cf_module, "_scan_inverted", lambda hi: [0] * (hi // 2 + 1))
+
+
+def test_cf_scan_engine_mismatch_exits_1(capsys, monkeypatch):
+    _disagreeing_engines(monkeypatch)
+    code, out, err = run(capsys, "cf-scan", "--lo", "8", "--hi", "40")
+    assert (code, out) == (1, "")
+    assert err.startswith("mismatch: scan engines disagree on [8, 40]")
+
+
+def test_verify_cf_scan_reports_an_engine_mismatch_as_its_only_check(capsys, monkeypatch):
+    # the table and witness checks read the agreed report, so they are not run
+    _disagreeing_engines(monkeypatch)
+    with pytest.raises(EngineMismatchError) as exc:
+        scan_exceptional(8, 3000, engine="both")
+    code, out, _ = run(capsys, "verify", "cf-scan")
+    assert code == 1
+    assert out.splitlines() == [
+        f"[FAIL] cf-scan :: engines E1 and E2 agree on [8,3000] (expected agree, computed {exc.value})",
+        "0/1 passed, 1 failed, 0 skipped",
+    ]
+
+
 def test_usage_errors_exit_2(capsys):
     code, _, err = run(capsys, "delta-rho", "--group", "D4")
     assert code == 2
     assert "error" in err
     code, _, err = run(capsys, "min-delta", "--group", "C10", "--support", "")
     assert code == 2
+    code, out, err = run(capsys, "fp", "profile")
+    assert (code, out) == (2, "") and "--gens is required" in err
+    code, out, err = run(capsys, "fp", "--gens", "x:1", "profile")
+    assert (code, out) == (2, "") and err.startswith("error: bad generator")
 
 
 def test_budget_exit_3(capsys):

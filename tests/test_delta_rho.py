@@ -155,6 +155,10 @@ def test_delta_rho_dispatch():
     assert (r.exact, r.provenance) == (frozenset({1, 4}), "theorem-elem2")
     r = delta_rho(cyclic(2))
     assert r.exact == frozenset() and r.provenance == "trivial"
+    # outside every settled class; its exact set is left open here
+    r = delta_rho(make_group([2, 2, 2, 4]))
+    assert r.provenance == "sandwich-only"
+    assert r.star == r.upper == r.conjectured == frozenset({1})
 
 
 def test_delta_rho_invariants():
@@ -199,6 +203,27 @@ def test_realize_list_assembles_blocks():
 def test_star_budget_error_propagates():
     with pytest.raises(BudgetExceededError):
         delta_rho_star(cyclic(12), config=ResourceConfig(max_nodes=50))
+
+
+def test_support_union_budget_admits_exactly_the_walk(monkeypatch):
+    # k unions visited, one value each: a budget of k completes the walk,
+    # one less stops it at the last visit
+    module = importlib.import_module("zslen.delta_rho")
+    value_of = module._UnitClassScan.min_delta_of_mask
+    visits = []
+
+    def counted(self, mask):
+        visits.append(mask)
+        return value_of(self, mask)
+
+    monkeypatch.setattr(module._UnitClassScan, "min_delta_of_mask", counted)
+    star = delta_rho_star(cyclic(12))
+    k = len(visits)
+    assert k == len(set(visits)) >= 2
+    assert delta_rho_star(cyclic(12), config=ResourceConfig(max_supports=k)) == star
+    with pytest.raises(BudgetExceededError) as exc:
+        delta_rho_star(cyclic(12), config=ResourceConfig(max_supports=k - 1))
+    assert exc.value.what == "distinct support unions"
 
 
 class _TableSource:

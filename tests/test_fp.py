@@ -8,6 +8,7 @@ from zslen.config import ResourceConfig
 from zslen.errors import BudgetExceededError, InputError
 from zslen.fp import (
     FPMonoid,
+    ObstructionReport,
     delta_rho_star_product,
     fp_atoms,
     fp_length_set,
@@ -195,6 +196,14 @@ def test_transfer_obstruction():
     assert not r.cyclic_4_6_10_only
     assert r.excludes_rank_two and r.excludes_homocyclic
     assert r.conditional_elementary2_ranks == (4,)
+
+
+def test_obstruction_messages_follow_their_own_flags():
+    rank_two = "no such group has rank two"
+    homocyclic = "no such group is homocyclic of prime-power exponent >= 3"
+    for rank, homo in ((True, False), (False, True)):
+        r = ObstructionReport((3,), 3, False, rank, homo, ())
+        assert (rank_two in r.messages(), homocyclic in r.messages()) == (rank, homo)
 
 
 def test_product_elasticity_is_max_of_factors():

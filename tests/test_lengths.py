@@ -13,7 +13,6 @@ from zslen.groups import cyclic, make_group
 from zslen.lengths import (
     AAPWitness,
     LengthSet,
-    RelationKernel,
     is_aap,
     kernel_basis_of,
     length_set,
@@ -85,17 +84,6 @@ def test_min_delta_examples():
     assert min_delta(SupportSet.of(C10, [(1,), (3,), (7,), (9,)])) == 2
     C2 = cyclic(2)
     assert min_delta(SupportSet.of(C2, [(1,)])) is None
-
-
-def test_relation_kernel_basis():
-    C10 = cyclic(10)
-    for elements in ([(1,), (9,)], [(1,), (3,), (7,), (9,)], [(2,), (5,)]):
-        atoms = enumerate_atoms(SupportSet.of(C10, elements))
-        kernel = RelationKernel.from_atoms(atoms)
-        assert kernel.verify()
-        want = min_delta_of_atoms(atoms)
-        got = kernel.functional_gcd()
-        assert (got if got else None) == want
 
 
 def _rank(rows) -> int:

@@ -17,7 +17,6 @@ from zslen.sequences import (
     full_support,
     g_norm,
     is_atom,
-    is_zero_sum,
     max_length_atoms,
     parse_sequence,
     parse_support,
@@ -34,9 +33,9 @@ def seq(group, pairs):
 def test_is_zero_sum():
     C5 = cyclic(5)
     sup = SupportSet.of(C5, [(1,)])
-    assert is_zero_sum(GSequence(sup, (0,)))  # empty sequence
-    assert is_zero_sum(GSequence(sup, (5,)))
-    assert not is_zero_sum(GSequence(sup, (4,)))
+    assert GSequence(sup, (0,)).is_zero_sum()  # empty sequence
+    assert GSequence(sup, (5,)).is_zero_sum()
+    assert not GSequence(sup, (4,)).is_zero_sum()
 
 
 def test_is_atom_examples():
