@@ -18,7 +18,7 @@ import sys
 from .cf import scan_exceptional
 from .config import default_config
 from .delta_rho import delta_rho
-from .errors import BudgetExceededError, EngineMismatchError, InputError, ZslenError
+from .errors import BudgetExceededError, EngineMismatchError, InputError
 from .fp import FPMonoid, local_profile, transfer_obstruction
 from .groups import parse_group
 from .lengths import length_set, min_delta_of_atoms
@@ -308,9 +308,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BUDGET
     except EngineMismatchError as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except ZslenError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

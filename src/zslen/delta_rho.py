@@ -248,8 +248,7 @@ def delta_rho(group: AbelianGroup, *, config: ResourceConfig | None = None) -> D
     if r >= 2 and len(set(factors)) == 1 and len(_factorint(factors[0])) == 1 and factors[0] >= 3:
         return DeltaRhoResult(one, one, one, "theorem-ppower")
     star = delta_rho_star(group, config=cfg)
-    conjectured = frozenset({1}) if group.order() > 4 else None
-    return DeltaRhoResult(star, None, divisor_closure(star), "sandwich-only", conjectured)
+    return DeltaRhoResult(star, None, divisor_closure(star), "sandwich-only", one)
 
 
 def realize_delta_set(d_list: list[int]) -> tuple[AbelianGroup, list[SupportSet]]:

@@ -5,7 +5,8 @@ Every element is a product of generators, so the atoms are exactly the
 generators with no factorization into two or more generators.  One pass of
 the length engine :func:`zslen.lengths._product_bits` over the generators, up
 to the largest generator value, finds them: an atom's length set is {1}.
-Membership and length sets run on the same engine.
+Membership and length sets run on the same engine, which yields elements in
+order of value with final length sets, so both stop at their element.
 
 The minimum distance accounts for the unit-class torsion: the relation
 lattice is cut out by the value equation together with the class congruence,
@@ -14,6 +15,7 @@ realized by an auxiliary column of weight q.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -71,9 +73,10 @@ def _key(q: int, x: tuple[int, int]) -> int:
     return x[1] << (2 * q).bit_length() | x[0]
 
 
-def _products(monoid: FPMonoid, gens, bound: int, max_states: float) -> dict:
-    """Length bitsets of the products of ``gens`` with value at most ``bound``,
-    keyed by :func:`_key`."""
+def _products(monoid: FPMonoid, gens, bound: int, max_states: float) -> Iterator[tuple[int, int]]:
+    """Stream ``(key, bits)`` for the products of ``gens`` with value at most
+    ``bound`` in order of value, keyed by :func:`_key`, as
+    :func:`zslen.lengths._product_bits` yields them."""
     q = monoid.unit_modulus
     mask = (1 << (2 * q).bit_length()) - 1
 
@@ -101,17 +104,21 @@ def fp_atoms(monoid: FPMonoid, *, config: ResourceConfig | None = None) -> list[
             f"generators and ({q}, 0) span a sublattice of index {index} in Z^2: "
             f"some unit classes mod {q} are never reached"
         )
-    bits = _products(monoid, monoid.generators, monoid.max_value, cfg.max_states)
-    return sorted((g for g in monoid.generators if bits[_key(q, g)] == 0b10), key=lambda t: (t[1], t[0]))
+    gens = {_key(q, g): g for g in monoid.generators}
+    products = _products(monoid, monoid.generators, monoid.max_value, cfg.max_states)
+    atoms = [gens[p] for p, bits in products if bits == 0b10 and p in gens]
+    return sorted(atoms, key=lambda t: (t[1], t[0]))
 
 
-def fp_membership(monoid: FPMonoid, x: tuple[int, int]) -> bool:
+def fp_membership(monoid: FPMonoid, x: tuple[int, int], *, config: ResourceConfig | None = None) -> bool:
+    """Whether the element ``x = (cls, val)`` is a product of generators."""
+    cfg = config or default_config()
     q = monoid.unit_modulus
     cls, val = x
     if val < 0:
         return False
-    products = _products(monoid, monoid.generators, val, float("inf"))
-    return _key(q, (cls % q, val)) in products
+    key = _key(q, (cls % q, val))
+    return any(p == key for p, _ in _products(monoid, monoid.generators, val, cfg.max_states))
 
 
 def fp_length_set(
@@ -127,7 +134,8 @@ def fp_length_set(
     cls, val = x[0] % q, x[1]
     if val < 0:
         raise InputError("values are nonnegative")
-    bits = _products(monoid, atoms, val, cfg.max_states).get(_key(q, (cls, val)), 0)
+    key = _key(q, (cls, val))
+    bits = next((b for p, b in _products(monoid, atoms, val, cfg.max_states) if p == key), 0)
     if not bits:
         raise InputError(f"element {x} is not in the monoid")
     return LengthSet(_set_bits(bits))

@@ -13,10 +13,13 @@ program over the products of a list of atoms that keys each product by one
 int (a multiplicity vector packed into fixed-width bit fields, so that a
 product is a sum) and stores its length set as an int with bit k set when
 some factorization has k atoms, so that ``L(p * a)`` collects ``L(p) << 1``
-over all atoms ``a``.  Zero-sum length sets, the extreme-elasticity witness,
-rank-one atoms, membership and length sets, and the exhaustive ``min Δ``
-oracle in :mod:`zslen.verify` all call it; it holds the only
-``max_states`` check.
+over all atoms ``a``.  It is a generator: it yields each product with its
+length set in order of grade, when the set is final, and a caller stops
+iterating once it has what it needs.  Zero-sum length sets and the
+extreme-elasticity witness stop at their target; rank-one atoms, membership
+and length sets read the stream in :mod:`zslen.fp`; the exhaustive ``min
+Δ`` oracle in :mod:`zslen.verify` stops once its gcd is 1.  The engine holds
+the only ``max_states`` check.
 
 Rational quantities use :class:`fractions.Fraction` throughout; no floating
 point enters any invariant computation.
@@ -24,6 +27,7 @@ point enters any invariant computation.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -231,16 +235,19 @@ def min_delta(support: SupportSet, *, config: ResourceConfig | None = None) -> i
 
 # -- length sets -------------------------------------------------------------
 
-def _product_bits(atoms, bound: int, mul, max_states: float) -> dict:
-    """Length bitsets of every product of atoms whose grade is at most ``bound``.
+def _product_bits(atoms, bound: int, mul, max_states: float) -> Iterator[tuple[int, int]]:
+    """Yield ``(p, bits)`` for every product ``p`` of atoms whose grade is at
+    most ``bound``, in order of grade, each product once.
 
     Products are int keys, the empty product 0.  ``atoms`` holds ``(a, w)``
     pairs with a positive weight ``w``; the grade of a product is the sum of
     its atoms' weights.  ``mul(p, a)`` is the product of ``p`` and the atom
-    ``a``, or None outside the region of interest.  Bit k of ``bits[p]`` is
-    set when ``p`` has a factorization into k atoms, so ``bits[p * a] |=
-    bits[p] << 1`` over all atoms.  Products are expanded in order of grade,
-    which completes every bitset before it is extended.  Storing more than
+    ``a``, or None outside the region of interest.  Bit k of ``bits`` is set
+    when ``p`` has a factorization into k atoms, so ``bits(p * a) |=
+    bits(p) << 1`` over all atoms.  A product is yielded when it is popped
+    for expansion: weights are positive, so every contribution to its bitset
+    came from a product of lower grade and the bitset is final.  A caller may
+    stop iterating as soon as it has what it needs.  Storing more than
     ``max_states`` products raises :class:`BudgetExceededError`.
     """
     atoms = sorted(atoms, key=lambda aw: aw[1])
@@ -250,7 +257,9 @@ def _product_bits(atoms, bound: int, mul, max_states: float) -> dict:
     while grades:
         grade = heappop(grades)
         for p in layers.pop(grade):
-            shifted = bits[p] << 1
+            b = bits[p]
+            yield p, b
+            shifted = b << 1
             for a, w in atoms:
                 g = grade + w
                 if g > bound:
@@ -271,7 +280,6 @@ def _product_bits(atoms, bound: int, mul, max_states: float) -> dict:
                     heappush(grades, g)
                 else:
                     layer.append(q)
-    return bits
 
 
 def _set_bits(bits: int) -> tuple[int, ...]:
@@ -308,7 +316,8 @@ def _submultiset_bits(target: tuple[int, ...], vectors, cfg: ResourceConfig) -> 
 
     packed_vectors = ((_pack(v, width), sum(v)) for v in vectors)
     weighted = [(a, w) for a, w in packed_vectors if mul(0, a) is not None]
-    return _product_bits(weighted, sum(target), mul, cfg.max_states).get(packed, 0)
+    products = _product_bits(weighted, sum(target), mul, cfg.max_states)
+    return next((b for p, b in products if p == packed), 0)
 
 
 def _check_same_support(seq: GSequence, atoms: AtomSet):

@@ -56,9 +56,6 @@ class SupportSet:
         have = set(self.elements)
         return all(self.group.neg(g) in have for g in self.elements)
 
-    def negated(self) -> "SupportSet":
-        return SupportSet.of(self.group, [self.group.neg(g) for g in self.elements])
-
     def __str__(self) -> str:
         return "{" + ",".join(format_element(g) for g in self.elements) + "}"
 
@@ -114,20 +111,6 @@ class GSequence:
         if k < 0:
             raise InputError("nonnegative powers only")
         return GSequence(self.support, tuple(k * m for m in self.multiplicities))
-
-    def negated(self) -> "GSequence":
-        """The sequence of negated elements, over the negated support."""
-        G = self.support.group
-        counts = {G.neg(g): m for g, m in zip(self.support.elements, self.multiplicities) if m}
-        if not counts:
-            return GSequence(self.support, tuple(0 for _ in self.multiplicities))
-        neg_support = self.support if self.support.is_symmetric else self.support.negated()
-        return GSequence.of(neg_support, counts)
-
-    def restricted(self, support: SupportSet) -> "GSequence":
-        """Re-express over another support containing every present element."""
-        counts = {g: m for g, m in zip(self.support.elements, self.multiplicities) if m}
-        return GSequence.of(support, counts)
 
     def __str__(self) -> str:
         parts = [

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, inf
 from operator import add
-from typing import Callable
+from typing import Callable, Iterator
 
 from .cf import min_delta_pair, min_delta_sym_quad, scan_exceptional, sufficient_filters
 from .config import ResourceConfig, default_config
@@ -270,28 +270,32 @@ def _random_atom_sets(rng: random.Random, pool, cfg: ResourceConfig, count: int,
             yield support, atoms
 
 
-def _packed_lengths(atoms, bound: int) -> tuple[int, dict[int, int]]:
-    """Length bitsets of every product of atoms with |B| <= bound (never
-    truncated), keyed by multiplicity vectors packed ``width`` bits per
-    coordinate; no coordinate exceeds |B| <= bound, so no field overflows."""
+def _packed_lengths(atoms, bound: int) -> tuple[int, Iterator[tuple[int, int]]]:
+    """The stream of ``(key, bits)`` over every product of atoms with
+    |B| <= bound, keyed by multiplicity vectors packed ``width`` bits per
+    coordinate; no coordinate exceeds |B| <= bound, so no field overflows.
+    No budget applies: a caller stops the stream only when its answer is
+    final."""
     width = bound.bit_length() or 1
     weighted = [(_pack(v, width), n) for v, n in zip(atoms.mult_vectors, atoms.lengths)]
     return width, _product_bits(weighted, bound, add, inf)
 
 
 def _exhaustive_lengths(atoms, bound: int) -> dict[tuple[int, ...], frozenset[int]]:
-    """L(B) for every product of atoms with |B| <= bound (never truncated)."""
-    width, bits = _packed_lengths(atoms, bound)
+    """L(B) for every product of atoms with |B| <= bound."""
+    width, products = _packed_lengths(atoms, bound)
     mask = (1 << width) - 1
     shifts = range(0, width * len(atoms.support.elements), width)
-    return {tuple(k >> s & mask for s in shifts): frozenset(_set_bits(b)) for k, b in bits.items()}
+    return {tuple(k >> s & mask for s in shifts): frozenset(_set_bits(b)) for k, b in products}
 
 
 def observed_min_delta(atoms, bound: int) -> int | None:
     """gcd of all distances over exhaustively generated products: the gcd
-    of the gaps of a length set is the gcd of its lengths less its least."""
+    of the gaps of a length set is the gcd of its lengths less its least.
+    The products stream in, and the fold stops once the gcd is 1, which no
+    further product can change."""
     g = 0
-    for b in _packed_lengths(atoms, bound)[1].values():
+    for _, b in _packed_lengths(atoms, bound)[1]:
         g = gcd(g, *_set_bits(b >> (b & -b).bit_length() - 1))
         if g == 1:
             break

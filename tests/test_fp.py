@@ -123,6 +123,14 @@ def test_fp_membership():
     assert not fp_membership(twisted, (0, 4))
 
 
+def test_fp_membership_budget():
+    numeric = FPMonoid.of(1, [(0, 3), (0, 5)])
+    tight = ResourceConfig(max_states=50)
+    assert fp_membership(numeric, (0, 15), config=tight)
+    with pytest.raises(BudgetExceededError):
+        fp_membership(numeric, (0, 300), config=tight)
+
+
 def test_local_profiles():
     p = local_profile(FPMonoid.of(1, [(0, 3), (0, 5)]))
     assert (p.rho, p.d, p.min_delta, p.accepted) == (Fraction(5, 3), 2, 2, True)

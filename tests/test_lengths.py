@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from itertools import combinations, product
+from math import gcd, inf
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +10,15 @@ from hypothesis import strategies as st
 
 from zslen.config import ResourceConfig
 from zslen.errors import BudgetExceededError, InputError
+from zslen import verify
+from zslen.fp import FPMonoid, _products, fp_atoms
 from zslen.groups import cyclic, make_group
 from zslen.lengths import (
     AAPWitness,
     LengthSet,
+    _pack,
+    _product_bits,
+    _set_bits,
     is_aap,
     kernel_basis_of,
     length_set,
@@ -25,7 +31,7 @@ from zslen.lengths import (
 from zslen.sequences import GSequence, SupportSet, enumerate_atoms, full_support
 from zslen.verify import observed_min_delta
 
-from oracles import brute_aap, brute_distance_gcd, brute_length_set
+from oracles import brute_aap, brute_distance_gcd, brute_fp_length_set, brute_length_set
 
 
 def make(group, elements, counts):
@@ -359,3 +365,89 @@ def test_observed_min_delta_matches_gaps_of_brute_length_sets(factors, elements)
     atoms = enumerate_atoms(sup)
     bound = 4 * atoms.davenport  # the bound of the kernel-brute suite
     assert observed_min_delta(atoms, bound) == brute_distance_gcd(sup, list(atoms.mult_vectors), bound)
+
+
+# -- the product stream -------------------------------------------------------
+
+def _stream_keys_and_grades(stream, decode):
+    """The stream's decoded products and grades, checking that no key repeats
+    and that grades never decrease."""
+    seen, out, last = set(), [], 0
+    for key, bits in stream:
+        assert key not in seen
+        seen.add(key)
+        element, grade = decode(key)
+        assert grade >= last
+        last = grade
+        out.append((element, bits))
+    return out
+
+
+def test_product_stream_yields_each_zero_sum_sequence_once_with_its_final_length_set():
+    rng = random.Random(2106)
+    for _ in range(25):
+        G = make_group(rng.choice([[3], [4], [5], [6], [2, 2], [2, 4]]))
+        sup = SupportSet.of(G, rng.sample(G.elements(), rng.randint(1, min(3, G.order()))))
+        atoms = enumerate_atoms(sup)
+        vectors = list(atoms.mult_vectors)
+        bound = 2 * atoms.davenport
+        width = bound.bit_length()
+        mask = (1 << width) - 1
+        shifts = range(0, width * len(sup.elements), width)
+
+        def decode(key):
+            vec = tuple(key >> s & mask for s in shifts)
+            return vec, sum(vec)
+
+        weighted = [(_pack(v, width), sum(v)) for v in vectors]
+        streamed = _stream_keys_and_grades(_product_bits(weighted, bound, add, inf), decode)
+        for vec, bits in streamed:
+            assert set(_set_bits(bits)) == brute_length_set(GSequence(sup, vec), vectors), (sup, vec)
+        zero_sums = {vec for vec in product(range(bound + 1), repeat=len(sup.elements))
+                     if sum(vec) <= bound and GSequence(sup, vec).is_zero_sum()}
+        assert {vec for vec, _ in streamed} == zero_sums
+
+
+def test_rank_one_product_stream_yields_each_element_once_with_its_final_length_set():
+    rng = random.Random(2107)
+    checked = 0
+    while checked < 25:
+        q = rng.randint(1, 4)
+        gens = [(rng.randrange(q), rng.randint(1, 7)) for _ in range(rng.randint(1, 3))]
+        if gcd(*(v for _, v in gens)) != 1:
+            continue
+        monoid = FPMonoid.of(q, gens)
+        try:
+            atoms = fp_atoms(monoid)
+        except InputError:
+            continue
+        checked += 1
+        field = (2 * q).bit_length()
+        bound = 20
+
+        def decode(key):
+            return (key & (1 << field) - 1, key >> field), key >> field
+
+        streamed = _stream_keys_and_grades(_products(monoid, atoms, bound, inf), decode)
+        for x, bits in streamed:
+            assert set(_set_bits(bits)) == brute_fp_length_set(atoms, q, x), (q, gens, x)
+        members = {(c, v) for v in range(bound + 1) for c in range(q) if brute_fp_length_set(atoms, q, (c, v))}
+        assert {x for x, _ in streamed} == members
+
+
+def test_observed_min_delta_stops_the_stream_once_its_gcd_is_one(monkeypatch):
+    sup = SupportSet.of(cyclic(5), [(1,), (2,)])
+    atoms = enumerate_atoms(sup)
+    bound = 4 * atoms.davenport
+    full = sum(1 for _ in verify._packed_lengths(atoms, bound)[1])
+    taken = []
+
+    def counting(*args):
+        for item in _product_bits(*args):
+            taken.append(item)
+            yield item
+
+    monkeypatch.setattr(verify, "_product_bits", counting)
+    assert min_delta_of_atoms(atoms) == 1
+    assert observed_min_delta(atoms, bound) == 1
+    assert 0 < len(taken) < full
