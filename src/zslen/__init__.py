@@ -26,13 +26,11 @@ from .sequences import (
 from .lengths import (
     AAPWitness,
     LengthSet,
-    RhoBound,
     is_aap,
     length_set,
     max_elasticity_witness,
     min_delta,
     min_delta_of_atoms,
-    rho_of_support,
     sumset,
 )
 from .delta_rho import (

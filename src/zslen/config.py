@@ -22,7 +22,8 @@ ENV_VAR = "ZSLEN_BUDGET"
 class ResourceConfig:
     max_atoms: int = 1_000_000      # atoms emitted per enumeration
     max_nodes: int = 10_000_000     # search-tree nodes per enumeration
-    max_states: int = 2_000_000     # memo entries for length-set recursion
+    max_states: int = 2_000_000     # zero-sum length set: sub-multisets of the
+                                    # target; product stream: stored products
     max_supports: int = 500_000     # distinct support unions per scan
 
     def __post_init__(self):

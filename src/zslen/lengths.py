@@ -8,18 +8,22 @@ equals the gcd of all distances, which is the minimum distance.  The gcd of a
 linear functional over a lattice is reached on any generating set, so no
 individual factorizations ever need to be expanded.
 
-Sets of lengths come from one engine, :func:`_product_bits`: a dynamic
+Sets of lengths come from two engines, each with its own ``max_states``
+check.  A zero-sum length set, and each of the two searches of the
+extreme-elasticity witness, counts atoms over a dense box
+(:func:`_submultiset_bits`): every sub-multiset of the target is one bit of
+an int, numbered in mixed radix, and one step ORs the shifted, masked copies
+of the reachable set for every atom, so L(B) holds k when B's own bit is
+reached after k steps.  There ``max_states`` bounds the box's cells, checked
+before any mask is built.  The stream :func:`_product_bits` is a dynamic
 program over the products of a list of atoms that keys each product by one
-int (a multiplicity vector packed into fixed-width bit fields, so that a
-product is a sum) and stores its length set as an int with bit k set when
-some factorization has k atoms, so that ``L(p * a)`` collects ``L(p) << 1``
-over all atoms ``a``.  It is a generator: it yields each product with its
-length set in order of grade, when the set is final, and a caller stops
-iterating once it has what it needs.  Zero-sum length sets and the
-extreme-elasticity witness stop at their target; rank-one atoms, membership
-and length sets read the stream in :mod:`zslen.fp`; the exhaustive ``min
-Δ`` oracle in :mod:`zslen.verify` stops once its gcd is 1.  The engine holds
-the only ``max_states`` check.
+int and stores its length set as an int with bit k set when some
+factorization has k atoms, so that ``L(p * a)`` collects ``L(p) << 1`` over
+all atoms ``a``.  It yields each product with its final length set in order
+of grade, and a caller stops iterating once it has what it needs: rank-one
+atoms, membership and length sets in :mod:`zslen.fp`, and the exhaustive
+oracles in :mod:`zslen.verify`, whose ``min Δ`` stops once its gcd is 1.
+There ``max_states`` bounds the stored products.
 
 Rational quantities use :class:`fractions.Fraction` throughout; no floating
 point enters any invariant computation.
@@ -242,13 +246,13 @@ def _product_bits(atoms, bound: int, mul, max_states: float) -> Iterator[tuple[i
     Products are int keys, the empty product 0.  ``atoms`` holds ``(a, w)``
     pairs with a positive weight ``w``; the grade of a product is the sum of
     its atoms' weights.  ``mul(p, a)`` is the product of ``p`` and the atom
-    ``a``, or None outside the region of interest.  Bit k of ``bits`` is set
-    when ``p`` has a factorization into k atoms, so ``bits(p * a) |=
-    bits(p) << 1`` over all atoms.  A product is yielded when it is popped
-    for expansion: weights are positive, so every contribution to its bitset
-    came from a product of lower grade and the bitset is final.  A caller may
-    stop iterating as soon as it has what it needs.  Storing more than
-    ``max_states`` products raises :class:`BudgetExceededError`.
+    ``a``.  Bit k of ``bits`` is set when ``p`` has a factorization into k
+    atoms, so ``bits(p * a) |= bits(p) << 1`` over all atoms.  A product is
+    yielded when it is popped for expansion: weights are positive, so every
+    contribution to its bitset came from a product of lower grade and the
+    bitset is final.  A caller may stop iterating as soon as it has what it
+    needs.  Storing more than ``max_states`` products raises
+    :class:`BudgetExceededError`.
     """
     atoms = sorted(atoms, key=lambda aw: aw[1])
     bits = {0: 1}
@@ -265,8 +269,6 @@ def _product_bits(atoms, bound: int, mul, max_states: float) -> Iterator[tuple[i
                 if g > bound:
                     break
                 q = mul(p, a)
-                if q is None:
-                    continue
                 old = bits.get(q)
                 if old is not None:
                     bits[q] = old | shifted
@@ -292,32 +294,71 @@ def _set_bits(bits: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _pack(vec, width: int) -> int:
-    """The vector as one int: coordinate i in the ``width``-bit field at ``i * width``."""
-    return sum(c << i * width for i, c in enumerate(vec))
+def _repeat(piece: int, width: int, count: int) -> int:
+    """``count`` copies of the ``width``-bit ``piece`` side by side, by doubling."""
+    out = 0
+    while count:
+        if count & 1:
+            out = out << width | piece
+        piece |= piece << width
+        width *= 2
+        count >>= 1
+    return out
 
 
 def _submultiset_bits(target: tuple[int, ...], vectors, cfg: ResourceConfig) -> int:
     """Length bitset of ``target`` as a sum of the given vectors.
 
-    Vectors are packed with a guard bit above each field, wide enough for a
-    sum of two coordinates of ``target``, so ``q <= target`` coordinate-wise
-    exactly when ``(target | guard) - q`` keeps every guard bit.
+    Counts vectors over the box of every ``x <= target``: cell ``x`` is bit
+    ``sum_i x_i * stride_i`` of an int, numbered in mixed radix ``t_i + 1``.
+    ``reach`` has bit ``x`` set when ``x`` is a sum of exactly k vectors,
+    and ``reach & keep_a`` shifted by the cell number of ``a`` moves every
+    ``x`` with ``x + a <= target`` to ``x + a``; no digit carries, so the
+    shift is exact.  ``keep_a`` is the AND of one cached digit mask per
+    coordinate that ``a`` uses, the cells whose digit ``i`` is at most ``t_i
+    - a_i``.  Bit k of the result is set when the target's own cell is in
+    ``reach`` after k steps; vectors are nonzero, so ``reach`` moves up and
+    the loop ends when it is 0.
+
+    The box's cells count against ``max_states``, checked before any mask is
+    built.  The big ints held are one digit mask per distinct (coordinate,
+    multiplicity) pair, ``reach`` and the next ``reach``, each of at most
+    ``max_states`` bits, and the temporaries of one term.
     """
-    field = (2 * max(target, default=0)).bit_length()
-    width = field + 1
-    guard = _pack([1 << field] * len(target), width)
-    packed = _pack(target, width)
-    ceiling = packed | guard
-
-    def mul(p, a):
-        q = p + a
-        return q if (ceiling - q) & guard == guard else None
-
-    packed_vectors = ((_pack(v, width), sum(v)) for v in vectors)
-    weighted = [(a, w) for a, w in packed_vectors if mul(0, a) is not None]
-    products = _product_bits(weighted, sum(target), mul, cfg.max_states)
-    return next((b for p, b in products if p == packed), 0)
+    strides = [1]
+    for t in target:
+        strides.append(strides[-1] * (t + 1))
+    cells = strides[-1]
+    if cells > cfg.max_states:
+        raise BudgetExceededError("length-set box cells", cfg.max_states)
+    digit_masks: dict[tuple[int, int], int] = {}
+    terms = []
+    for v in vectors:
+        if any(a > t for a, t in zip(v, target)):
+            continue
+        keeps = []
+        for i, a in enumerate(v):
+            if a:
+                mask = digit_masks.get((i, a))
+                if mask is None:
+                    piece = (1 << (target[i] - a + 1) * strides[i]) - 1
+                    mask = _repeat(piece, strides[i + 1], cells // strides[i + 1])
+                    digit_masks[i, a] = mask
+                keeps.append(mask)
+        terms.append((sum(a * s for a, s in zip(v, strides)), keeps))
+    top = cells - 1
+    bits, k, reach = 0, 0, 1
+    while reach:
+        bits |= (reach >> top & 1) << k
+        step = 0
+        for off, keeps in terms:
+            r = reach
+            for mask in keeps:
+                r &= mask
+            step |= r << off
+        reach = step
+        k += 1
+    return bits
 
 
 def _check_same_support(seq: GSequence, atoms: AtomSet):
@@ -328,8 +369,8 @@ def _check_same_support(seq: GSequence, atoms: AtomSet):
 def length_set(seq: GSequence, atoms: AtomSet, *, config: ResourceConfig | None = None) -> LengthSet:
     """Exact set of factorization lengths of a zero-sum sequence.
 
-    One length bitset per sub-multiset of the sequence, built up from the
-    empty product: keying on the multiset collapses permuted factorizations.
+    Atoms are counted over the box of sub-multisets of the sequence, one bit
+    per sub-multiset, so permuted factorizations reach the same bit.
     """
     cfg = config or default_config()
     _check_same_support(seq, atoms)
@@ -356,19 +397,3 @@ def max_elasticity_witness(seq: GSequence, atoms: AtomSet, *, config: ResourceCo
     longest = [a for a, n in zip(atoms.mult_vectors, atoms.lengths) if n == D]
     pairs = [a for a, n in zip(atoms.mult_vectors, atoms.lengths) if n == 2]
     return bool(_submultiset_bits(v, longest, cfg)) and bool(_submultiset_bits(v, pairs, cfg))
-
-
-@dataclass(frozen=True)
-class RhoBound:
-    """Elasticity of a support monoid: exact when the support is symmetric,
-    otherwise only the general upper bound (flagged)."""
-
-    value: Fraction
-    exact: bool
-    davenport: int
-
-
-def rho_of_support(support: SupportSet, *, config: ResourceConfig | None = None) -> RhoBound:
-    atoms = enumerate_atoms(support, config=config)
-    value = Fraction(atoms.davenport, 2)
-    return RhoBound(value, support.is_symmetric, atoms.davenport)

@@ -26,7 +26,7 @@ from .delta_rho import delta_rho, delta_rho_star, divisor_closure, gcd_closure, 
 from .errors import BudgetExceededError, EngineMismatchError, InputError
 from .fp import FPMonoid, delta_rho_star_product, fp_length_set, local_profile
 from .groups import AbelianGroup, cyclic, make_group, parse_group
-from .lengths import _pack, _product_bits, _set_bits, length_set, min_delta, min_delta_of_atoms, sumset
+from .lengths import _product_bits, _set_bits, length_set, min_delta, min_delta_of_atoms, sumset
 from .sequences import GSequence, SupportSet, enumerate_atoms
 
 
@@ -268,6 +268,11 @@ def _random_atom_sets(rng: random.Random, pool, cfg: ResourceConfig, count: int,
         if atoms and keep(support, atoms):
             count -= 1
             yield support, atoms
+
+
+def _pack(vec, width: int) -> int:
+    """The vector as one int: coordinate i in the ``width``-bit field at ``i * width``."""
+    return sum(c << i * width for i, c in enumerate(vec))
 
 
 def _packed_lengths(atoms, bound: int) -> tuple[int, Iterator[tuple[int, int]]]:

@@ -169,6 +169,21 @@ def test_a_reader_that_closes_early_gets_exit_141_without_a_traceback():
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
+def test_a_length_set_past_the_box_budget_exits_3_without_a_traceback():
+    # every nonzero element of C2^4 to the power 12: 13^15 sub-multisets
+    sequence = ",".join(f"({a},{b},{c},{d})^12" for a in range(2) for b in range(2)
+                        for c in range(2) for d in range(2) if a or b or c or d)
+    src = os.path.dirname(os.path.dirname(zslen.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from zslen.cli import main; sys.exit(main())",
+         "lengths", "--group", "C2xC2xC2xC2", "--sequence", sequence],
+        capture_output=True, text=True, timeout=60,
+        env={k: v for k, v in {**os.environ, "PYTHONPATH": src}.items() if k != "ZSLEN_BUDGET"},
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "budget: budget exceeded: length-set box cells (limit 2000000)\n"
+
+
 @pytest.mark.parametrize("where", ["missing/ck", "."])
 def test_cf_scan_unwritable_checkpoint_exits_2(capsys, tmp_path, where):
     # a path inside a missing directory, and a path that is a directory

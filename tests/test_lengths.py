@@ -1,7 +1,8 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, inf
+from math import gcd, inf, prod
 from operator import add
 
 import pytest
@@ -16,7 +17,6 @@ from zslen.groups import cyclic, make_group
 from zslen.lengths import (
     AAPWitness,
     LengthSet,
-    _pack,
     _product_bits,
     _set_bits,
     is_aap,
@@ -25,11 +25,10 @@ from zslen.lengths import (
     max_elasticity_witness,
     min_delta,
     min_delta_of_atoms,
-    rho_of_support,
     sumset,
 )
-from zslen.sequences import GSequence, SupportSet, enumerate_atoms, full_support
-from zslen.verify import observed_min_delta
+from zslen.sequences import GSequence, SupportSet, enumerate_atoms
+from zslen.verify import _pack, observed_min_delta
 
 from oracles import brute_aap, brute_distance_gcd, brute_fp_length_set, brute_length_set
 
@@ -139,22 +138,6 @@ def test_kernel_basis_spans_the_full_kernel():
             assert gcd(*minors) == 1, (vectors, basis)
 
 
-def test_rho_of_support():
-    C6 = cyclic(6)
-    r = rho_of_support(SupportSet.of(C6, [(1,), (5,)]))
-    assert r.value == 3 and r.exact
-    V = make_group([2, 2])
-    r = rho_of_support(full_support(V))
-    assert r.value == Fraction(3, 2) and r.exact
-    # brute confirmation on the witness element
-    sup, b = make(V, [(0, 1), (1, 0), (1, 1)], [2, 2, 2])
-    atoms = enumerate_atoms(sup)
-    assert length_set(b, atoms).rho() == Fraction(3, 2)
-    C5 = cyclic(5)
-    r = rho_of_support(SupportSet.of(C5, [(1,)]))
-    assert r.value == Fraction(5, 2) and not r.exact  # bound only
-
-
 def test_max_elasticity_witness():
     C10 = cyclic(10)
     sup, b = make(C10, [(1,), (9,)], [10, 10])
@@ -194,10 +177,11 @@ def test_max_elasticity_witness_matches_brute_force():
 def test_max_elasticity_witness_budget():
     sup, b = make(cyclic(10), [(1,), (9,)], [10, 10])
     atoms = enumerate_atoms(sup)
-    # the length-2 run stores the 11 products 1^i 9^i, the longest-atom run 4
-    assert max_elasticity_witness(b, atoms, config=ResourceConfig(max_states=11))
-    with pytest.raises(BudgetExceededError):
-        max_elasticity_witness(b, atoms, config=ResourceConfig(max_states=2))
+    # both searches run over the box of the 11 * 11 sub-multisets of 1^10 9^10
+    assert max_elasticity_witness(b, atoms, config=ResourceConfig(max_states=121))
+    with pytest.raises(BudgetExceededError) as err:
+        max_elasticity_witness(b, atoms, config=ResourceConfig(max_states=120))
+    assert (err.value.what, err.value.limit) == ("length-set box cells", 120)
 
 
 def test_length_set_conventions():
@@ -313,37 +297,50 @@ def test_length_set_matches_brute_force_on_random_targets(case):
     assert set(length_set(b, atoms).values) == brute_length_set(b, list(atoms.mult_vectors))
 
 
-# (group, support, target, length set, products stored by length_set and by
-# max_elasticity_witness): the bound check decides which products are stored,
-# so a wrong check shows in the count at which the budget runs out
+# (group, support, target, length set): the budget counts the box of every
+# sub-multiset of the target, prod(t_i + 1) cells, and the keep masks decide
+# which products stay inside it, so a wrong mask shows in the length set
 BOUND_CASES = [
     # a coordinate of the target is 0 and atoms of size <= 4 use it
-    (cyclic(4), [(1,), (2,), (3,)], [2, 0, 2], (2,), 3, 1),
+    (cyclic(4), [(1,), (2,), (3,)], [2, 0, 2], (2,)),
     # the atoms 1^6 and 5^6 overshoot one coordinate at the total 6
-    (cyclic(6), [(1,), (5,)], [3, 3], (3,), 4, 1),
+    (cyclic(6), [(1,), (5,)], [3, 3], (3,)),
     # max(target) = 8 = 2^3, so a product reaches 2 * max(target) = 16
-    (cyclic(8), [(1,), (3,), (7,)], [8, 0, 8], (2, 8), 11, 9),
-    (cyclic(4), [(1,), (3,)], [8, 8], (4, 6, 8), 21, 9),
-    (cyclic(10), [(1,), (9,)], [10, 10], (2, 10), 13, 11),
-    (cyclic(6), [(1,), (2,), (3,)], [6, 3, 2], (3,), 16, 2),
-    (make_group([2, 4]), [(0, 1), (1, 1), (1, 2)], [4, 4, 2], (3,), 12, 5),
-    (make_group([2, 2]), [(0, 1), (1, 0), (1, 1)], [1, 1, 1], (1,), 2, 2),
+    (cyclic(8), [(1,), (3,), (7,)], [8, 0, 8], (2, 8)),
+    (cyclic(4), [(1,), (3,)], [8, 8], (4, 6, 8)),
+    (cyclic(10), [(1,), (9,)], [10, 10], (2, 10)),
+    (cyclic(6), [(1,), (2,), (3,)], [6, 3, 2], (3,)),
+    (make_group([2, 4]), [(0, 1), (1, 1), (1, 2)], [4, 4, 2], (3,)),
+    (make_group([2, 2]), [(0, 1), (1, 0), (1, 1)], [1, 1, 1], (1,)),
 ]
 
 
-@pytest.mark.parametrize("group, elements, counts, lengths, states, witness_states", BOUND_CASES)
-def test_bound_check_sets_the_budget_count(group, elements, counts, lengths, states, witness_states):
+@pytest.mark.parametrize("group, elements, counts, lengths", BOUND_CASES)
+def test_bound_check_sets_the_budget_count(group, elements, counts, lengths):
     sup, b = make(group, elements, counts)
     atoms = enumerate_atoms(sup)
     assert set(lengths) == brute_length_set(b, list(atoms.mult_vectors))
-    for run, need in ((length_set, states), (max_elasticity_witness, witness_states)):
+    need = prod(c + 1 for c in counts)
+    for run in (length_set, max_elasticity_witness):
         run(b, atoms, config=ResourceConfig(max_states=need))
-        if need == 1:  # budgets are positive
-            continue
         with pytest.raises(BudgetExceededError) as err:
             run(b, atoms, config=ResourceConfig(max_states=need - 1))
-        assert (err.value.what, err.value.limit) == ("length-set memo entries", need - 1)
+        assert (err.value.what, err.value.limit) == ("length-set box cells", need - 1)
     assert length_set(b, atoms).values == lengths
+
+
+def test_box_counts_nothing_when_the_box_exceeds_the_budget():
+    # 13^15, about 5 * 10^16 cells: only a check made before any mask is
+    # built can raise in time
+    G = make_group([2, 2, 2, 2])
+    sup = SupportSet.of(G, [g for g in G.elements() if any(g)])
+    b = GSequence(sup, (12,) * 15)
+    atoms = enumerate_atoms(sup)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as err:
+        length_set(b, atoms, config=ResourceConfig())
+    assert time.perf_counter() - start < 0.5
+    assert err.value.what == "length-set box cells"
 
 
 @pytest.mark.parametrize("factors, elements", [
@@ -433,6 +430,23 @@ def test_rank_one_product_stream_yields_each_element_once_with_its_final_length_
             assert set(_set_bits(bits)) == brute_fp_length_set(atoms, q, x), (q, gens, x)
         members = {(c, v) for v in range(bound + 1) for c in range(q) if brute_fp_length_set(atoms, q, (c, v))}
         assert {x for x, _ in streamed} == members
+
+
+def test_length_set_matches_the_exhaustive_stream_on_every_product():
+    # the stream shares no code with the box: every product up to the bound
+    # has the same length set from both engines
+    rng = random.Random(2201)
+    pool = verify.small_groups(12)
+    checked = 0
+    for _ in range(30):
+        G = rng.choice(pool)
+        sup = SupportSet.of(G, rng.sample(G.elements(), rng.randint(1, min(4, G.order()))))
+        atoms = enumerate_atoms(sup)
+        bound = 2 * atoms.davenport
+        for vec, lengths in verify._exhaustive_lengths(atoms, bound).items():
+            assert set(length_set(GSequence(sup, vec), atoms).values) == lengths, (sup, vec)
+            checked += 1
+    assert checked >= 3000
 
 
 def test_observed_min_delta_stops_the_stream_once_its_gcd_is_one(monkeypatch):
