@@ -19,7 +19,6 @@ from .sequences import (
     full_support,
     g_norm,
     is_atom,
-    max_length_atoms,
     parse_sequence,
     parse_support,
 )

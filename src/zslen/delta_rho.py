@@ -6,7 +6,8 @@ element of extreme elasticity.  Such supports are exactly the unions of the
 distinct unions of those support classes.  Three facts keep it small:
 
 * enlarging a support divides its minimum distance, so a union is expanded
-  only while some divisor of its value is missing from the star set;
+  only while some divisor of its value is missing from the star set, and its
+  expansion stops as soon as none is;
 * over a negation-closed support, the minimum distance divides ``|U| - 2``
   for every atom ``U`` (pair off each element with its negative), so a running
   gcd of atom lengths settles most unions to 1 without touching the kernel;
@@ -14,25 +15,26 @@ distinct unions of those support classes.  Three facts keep it small:
   canonical union per orbit.
 
 A source gives the walk its classes, a union's value and its canonical form.
-For ``C_n`` nothing is enumerated up front: the atoms of length ``n`` are
-exactly ``g^n`` with ``ord g = n`` (Geroldinger and Halter-Koch 2006), so the
-classes are the unit pairs ``{u, n - u}``; a union's value comes from the
-atoms over it alone, and its canonical form is its least unit multiple, so
-the walk starts from ``{1, n - 1}``.  For other groups the atoms of the full
-group are enumerated once and stored as one bit column per group element
-(bit i set when atom i uses it); the atoms inside a union are all atoms less
-the OR of the columns outside it, the atoms of one length are one run of
-bits, and every union is canonical.  Values produced by either shortcut
-coincide with the kernel-lattice value; the property suite checks this on
-every build.
+Both sources value a union from the atoms over it alone.  For ``C_n``
+nothing is enumerated up front: the atoms of length ``n`` are exactly
+``g^n`` with ``ord g = n`` (Geroldinger and Halter-Koch 2006), so the classes
+are the unit pairs ``{u, n - u}``, and a union's canonical form is its least
+unit multiple, so the walk starts from ``{1, n - 1}``.  For other groups the
+elementary automorphisms (``AbelianGroup.automorphism_permutations``) split
+the elements into orbits; the atom DFS visits only the subtrees of orbit
+minima, which meet every orbit of atoms, and the classes of the maximal-length
+atoms it finds, closed under the automorphisms, are all the classes.  A class
+is canonical as one representative of its orbit; any other union is its own
+canonical form.  Values produced by the gcd shortcut coincide with the
+kernel-lattice value; the property suite checks this on every build.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from math import gcd
+from operator import getitem
 
 from .config import ResourceConfig, default_config
 from .errors import BudgetExceededError, InputError
@@ -86,74 +88,98 @@ def _settles_to_one(lengths) -> bool:
     return False
 
 
-_TO_ASCII = bytes.maketrans(b"\0\1", b"01")
-_COLUMN_CHUNK = 4096  # atoms per slice of the flag matrix, so it never holds every atom at once
-
-
-class _MaxAtomScan:
-    """Every atom of the full group, the walk's source for non-cyclic groups.
-
-    ``columns[j]`` has bit i when atom i uses the element of index j (the
-    full support is in index order, ``AbelianGroup.index_of``); atoms are
-    sorted by length, so ``runs`` holds, for each length L >= 3, L and the
-    mask of the atoms of length L."""
+class _UnionValues:
+    """What both walk sources share: a union's value from the atoms over it
+    alone, so the atom and node budgets bound each of these enumerations.
+    Bit j of a mask stands for the element of index j."""
 
     def __init__(self, group: AbelianGroup, config: ResourceConfig):
-        self.atoms = enumerate_atoms(full_support(group), config=config)
-        n = group.order()
-        vectors, lengths = self.atoms.mult_vectors, self.atoms.lengths
-        # a slice of atoms as a 0/1 byte matrix, one row per atom, reversed so
-        # that column j, read by int(..., 2), has the slice's first atom lowest
-        columns = [0] * n
-        for start in range(0, len(vectors), _COLUMN_CHUNK):
-            flags = bytes(map(bool, chain.from_iterable(vectors[start:start + _COLUMN_CHUNK])))
-            flags = flags.translate(_TO_ASCII)[::-1]
-            for j in range(n):
-                columns[j] |= int(flags[n - 1 - j::n], 2) << start
-        self.columns = columns
-        self.all_elements, self.all_atoms = (1 << n) - 1, (1 << len(vectors)) - 1
-        self.runs = []
-        for length in sorted(set(lengths)):
-            if length >= 3:
-                first, stop = bisect_left(lengths, length), bisect_right(lengths, length)
-                self.runs.append((length, (1 << stop) - (1 << first)))
-        bits = [1 << j for j in range(n)]
-        neg_bits = [1 << group.index_of(group.neg(e)) for e in group.elements()]
-        first_max = bisect_left(lengths, self.atoms.davenport)
-        self.class_masks = sorted(
-            {sum(compress(bits, v)) | sum(compress(neg_bits, v)) for v in vectors[first_max:]}
-        )
-
-    @staticmethod
-    def canonical(mask: int) -> int:
-        return mask
+        self.group = group
+        self.config = config
 
     def min_delta_of_mask(self, mask: int) -> int:
-        """Minimum distance of the (negation-closed) union ``mask``.
-
-        The atoms inside the union are all atoms less those that use an
-        element outside it, one OR of columns; at most one test per length
-        feeds the gcd-of-lengths shortcut, which settles the value 1 early,
-        and anything else falls through to the exact kernel computation on
-        those atoms.
-        """
-        outside = 0
-        for j in _set_bits(self.all_elements & ~mask):
-            outside |= self.columns[j]
-        inside = self.all_atoms ^ outside
-        if _settles_to_one(length for length, run in self.runs if inside & run):
+        elements = self.group.elements()
+        # bits in increasing order are elements in index order, which is sorted
+        support = SupportSet(self.group, tuple(elements[j] for j in _set_bits(mask)))
+        atoms = enumerate_atoms(support, config=self.config)
+        if _settles_to_one(atoms.lengths):
             return 1
-        return min_delta_of_atoms(self.atoms, _set_bits(inside))
+        return min_delta_of_atoms(atoms)
 
 
-class _UnitClassScan:
+def _byte_images(perm: tuple[int, ...]) -> list[list[int]]:
+    """``rows[b][v]``: the image under ``perm`` of the mask whose byte ``b``
+    is ``v`` and whose other bytes are zero; a mask's image is the OR of one
+    lookup per byte, and the lookups have disjoint bits."""
+    rows = []
+    for base in range(0, len(perm), 8):
+        row = [0]
+        for image in perm[base:base + 8]:  # the values with this bit follow those without
+            row += [r | 1 << image for r in row]
+        rows.append(row)
+    return rows
+
+
+def _orbits(masks, tables, width: int) -> dict[int, int]:
+    """Every image of ``masks`` under the permutations of ``tables`` (byte
+    images, ``width`` bytes a mask) and their products, mapped to the least
+    of ``masks`` in its orbit."""
+    rep: dict[int, int] = {}
+    for least in sorted(masks):
+        if least in rep:
+            continue
+        rep[least] = least
+        orbit = [least]
+        for mask in orbit:  # grows while it is read
+            as_bytes = mask.to_bytes(width, "little")
+            for rows in tables:
+                image = sum(map(getitem, rows, as_bytes))  # disjoint bits: sum is OR
+                if image not in rep:
+                    rep[image] = least
+                    orbit.append(image)
+    return rep
+
+
+class _OrbitSource(_UnionValues):
+    """The walk's source for a non-cyclic group, from the orbits of the
+    elementary automorphisms (``AbelianGroup.automorphism_permutations``).
+
+    An automorphism maps atoms to atoms.  Of the images of an atom, take one
+    whose least element is smallest: no automorphism moves that element
+    lower, so it is the least of its orbit.  The atom DFS restricted to the
+    subtrees of orbit minima therefore meets every orbit of atoms, finds the
+    Davenport constant, and its maximal-length atoms give classes whose
+    closure under the permutations is every class.  ``canonical`` maps each
+    class to one representative of its orbit and leaves every other union
+    as it is."""
+
+    def __init__(self, group: AbelianGroup, config: ResourceConfig):
+        super().__init__(group, config)
+        n = group.order()
+        tables = [_byte_images(perm) for perm in group.automorphism_permutations()]
+        width = (n + 7) // 8
+        bits = [1 << j for j in range(n)]
+        first = sum(set(_orbits(bits, tables, width).values()))
+        atoms = enumerate_atoms(full_support(group), config=config, first=first)
+        neg_bits = [1 << group.index_of(group.neg(e)) for e in group.elements()]
+        found = {
+            sum(compress(bits, v)) | sum(compress(neg_bits, v))
+            for v, length in zip(atoms.mult_vectors, atoms.lengths) if length == atoms.davenport
+        }
+        self.rep = _orbits(found, tables, width)
+        self.class_masks = sorted(self.rep)
+
+    def canonical(self, mask: int) -> int:
+        return self.rep.get(mask, mask)
+
+
+class _UnitClassScan(_UnionValues):
     """The walk's source for a cyclic group of order n >= 3: the unit pairs
     ``{u, n - u}`` are the classes, and nothing is enumerated up front; bit j
     of a mask stands for the residue j, whose index is j."""
 
     def __init__(self, group: AbelianGroup, config: ResourceConfig):
-        self.group = group
-        self.config = config
+        super().__init__(group, config)
         n = self.n = group.order()
         self.class_masks = [
             (1 << u) | (1 << (n - u)) for u in range(1, (n + 1) // 2) if gcd(u, n) == 1
@@ -168,27 +194,19 @@ class _UnitClassScan:
         best = min(sorted(e * pow(u, -1, n) % n for e in elems) for u in elems)
         return sum(1 << e for e in best)
 
-    def min_delta_of_mask(self, mask: int) -> int:
-        """Minimum distance of the union from the atoms over it alone; the
-        atom and node budgets bound this one enumeration."""
-        support = SupportSet.of(self.group, [(e,) for e in _set_bits(mask)])
-        atoms = enumerate_atoms(support, config=self.config)
-        if _settles_to_one(atoms.lengths):
-            return 1
-        return min_delta_of_atoms(atoms)
-
 
 def delta_rho_star(group: AbelianGroup, *, config: ResourceConfig | None = None) -> frozenset[int]:
     """Exact star set by enumeration over qualifying supports.
 
     Walks distinct canonical unions of support classes breadth-first, and
     expands a union only while some divisor of its value is missing from the
-    star set (every superset's value divides it).
+    star set (every superset's value divides it), checked again after each
+    union it adds.
     """
     cfg = config or default_config()
     if group.order() <= 2:
         return frozenset()
-    source = _UnitClassScan(group, cfg) if group.is_cyclic else _MaxAtomScan(group, cfg)
+    source = _UnitClassScan(group, cfg) if group.is_cyclic else _OrbitSource(group, cfg)
     values: set[int] = set()
     seen: set[int] = set()
     frontier: list[tuple[int, int]] = []
@@ -206,9 +224,10 @@ def delta_rho_star(group: AbelianGroup, *, config: ResourceConfig | None = None)
     while frontier:
         current, frontier = frontier, []
         for u, value in current:
-            if divisor_closure([value]) <= values:
-                continue
+            divisors = divisor_closure([value])
             for s in source.class_masks:
+                if divisors <= values:
+                    break  # the values of u's supersets divide its own
                 merged = source.canonical(u | s)  # u itself when s lies inside u
                 if merged not in seen:
                     visit(merged)

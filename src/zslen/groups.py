@@ -182,26 +182,41 @@ class AbelianGroup:
         """Least k >= 1 with k*g = 0."""
         return lcm(*(n // gcd(a, n) for a, n in zip(g, self.invariant_factors))) if g else 1
 
-    def generates(self, gens) -> bool:
-        """True iff the subgroup generated by ``gens`` is the whole group."""
-        return len(self.subgroup(gens)) == self.order()
+    def automorphism_permutations(self) -> list[tuple[int, ...]]:
+        """Index permutations of elementary automorphisms: ``perm[i]`` is the
+        index of the image of the element of index ``i``.
 
-    def subgroup(self, gens) -> frozenset[Element]:
-        """Closure of ``gens`` under addition (breadth-first)."""
-        zero = self.zero()
-        seen = {zero}
-        frontier = [zero]
-        gens = [self.element(g) for g in gens]
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for g in gens:
-                    s = self.add(h, g)
-                    if s not in seen:
-                        seen.add(s)
-                        nxt.append(s)
-            frontier = nxt
-        return frozenset(seen)
+        An automorphism is given by the images of the basis vectors ``e_i``:
+        a unit ``u != 1`` times one of them, a shear
+        ``e_i -> e_i + (n_j / gcd(n_i, n_j)) e_j`` (well defined, since
+        ``n_i`` times the added term vanishes, and inverted by the opposite
+        shear), or a swap of two equal factors.  They generate a subgroup of
+        Aut(G) that contains negation.
+        """
+        factors = self.invariant_factors
+        basis = [tuple(int(i == k) for k in range(len(factors))) for i in range(len(factors))]
+        generators = []  # the images of the basis under each automorphism
+        for i, n in enumerate(factors):
+            for u in range(2, n):
+                if gcd(u, n) == 1:
+                    generators.append(basis[:i] + [self.scalar_mul(u, basis[i])] + basis[i + 1:])
+        for i, ni in enumerate(factors):
+            for j, nj in enumerate(factors):
+                if i != j:
+                    shear = self.add(basis[i], self.scalar_mul(nj // gcd(ni, nj), basis[j]))
+                    generators.append(basis[:i] + [shear] + basis[i + 1:])
+                if i < j and ni == nj:
+                    swap = basis[:]
+                    swap[i], swap[j] = basis[j], basis[i]
+                    generators.append(swap)
+        # coordinate k of the image of x is sum_i x_i * images[i][k] mod n_k
+        return [
+            tuple(
+                self.index_of([sum(map(mul, x, column)) % n for column, n in zip(zip(*images), factors)])
+                for x in self.elements()
+            )
+            for images in generators
+        ]
 
     # -- protocol ----------------------------------------------------------
 

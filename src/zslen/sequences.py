@@ -122,7 +122,9 @@ class GSequence:
 
 
 class AtomSet:
-    """A complete list of atoms over a support, with its Davenport constant.
+    """A complete list of atoms over a support, with its Davenport constant
+    (or, from :func:`enumerate_atoms` with ``first``, the atoms of the
+    subtrees it names and the longest length among them).
 
     Stored once, as the flat views ``mult_vectors`` and ``lengths`` sorted by
     (length, vector); the ``GSequence`` objects of ``atoms`` and iteration
@@ -179,6 +181,7 @@ def enumerate_atoms(
     support: SupportSet,
     *,
     config: ResourceConfig | None = None,
+    first: int | None = None,
 ) -> AtomSet:
     """Enumerate every atom supported in ``support``.
 
@@ -192,6 +195,12 @@ def enumerate_atoms(
     first and keeps the rest in the node's frame.  The atom and node caps
     raise :class:`BudgetExceededError`, never a truncated set.  Translation
     rows are built on first use, so a cap stops a large group early.
+
+    ``first``, an index bitmask, limits the root's children to its elements:
+    the walk then visits only their subtrees and returns the atoms whose
+    least element lies in ``first`` (the zero atom as well, when zero is in
+    the support), with ``davenport`` the longest of those.  Nothing is kept
+    outside those subtrees, so the caps count only their nodes and atoms.
     """
     cfg = config or default_config()
     G = support.group
@@ -209,11 +218,12 @@ def enumerate_atoms(
     for p, gi in enumerate(sup_idx):
         pos_of[gi] = p
     # from_pos[p]: the support bits at or after position p, the lowest bit
-    # first; from_pos[-1] (the root's last position) is the whole support
+    # first; from_pos[-1] (the root's last position) is the whole support,
+    # or its part in ``first``
     from_pos = [0] * (k + 1)
     for p in range(k - 1, -1, -1):
         from_pos[p] = from_pos[p + 1] | 1 << sup_idx[p]
-    from_pos[k] = from_pos[0]
+    from_pos[k] = from_pos[0] if first is None else from_pos[0] & first
 
     atoms: list[tuple[int, ...]] = []
     counts = [0] * k
@@ -269,15 +279,6 @@ def enumerate_atoms(
 
 def full_support(group: AbelianGroup) -> SupportSet:
     return SupportSet.of(group, group.elements())
-
-
-def max_length_atoms(group: AbelianGroup, *, config: ResourceConfig | None = None) -> list[GSequence]:
-    """All atoms over the full group of length exactly the Davenport constant."""
-    if group.order() < 3:
-        raise InputError("maximal-length atoms need a group of order >= 3")
-    atom_set = enumerate_atoms(full_support(group), config=config)
-    first = atom_set.lengths.index(atom_set.davenport)  # atoms are sorted by length
-    return [GSequence(atom_set.support, v) for v in atom_set.mult_vectors[first:]]
 
 
 def g_norm(seq: GSequence, g: Element) -> int:

@@ -168,6 +168,20 @@ def brute_fp_tail_window(q: int, gens, cap: int) -> int | None:
     return None
 
 
+def _maximal_atom_classes(G: AbelianGroup, atoms) -> set[frozenset]:
+    elements = G.elements()
+    return {
+        frozenset(g for g, m in zip(elements, v) if m) | {G.neg(g) for g, m in zip(elements, v) if m}
+        for v, length in zip(atoms.mult_vectors, atoms.lengths) if length == atoms.davenport
+    }
+
+
+def full_enumeration_classes(G: AbelianGroup) -> set[frozenset]:
+    """The negation-closed supports of the atoms of maximal length, read off
+    every atom of the whole group."""
+    return _maximal_atom_classes(G, enumerate_atoms(full_support(G)))
+
+
 def full_enumeration_star(G: AbelianGroup) -> frozenset[int]:
     """Star set from every atom of the whole group: the classes are the
     negation-closed supports of the atoms of maximal length, unions of classes
@@ -178,10 +192,7 @@ def full_enumeration_star(G: AbelianGroup) -> frozenset[int]:
     atoms = enumerate_atoms(full_support(G))
     elements = G.elements()
     supports = [frozenset(g for g, m in zip(elements, v) if m) for v in atoms.mult_vectors]
-    classes = {
-        s | {G.neg(g) for g in s}
-        for s, length in zip(supports, atoms.lengths) if length == atoms.davenport
-    }
+    classes = _maximal_atom_classes(G, atoms)
 
     def value(union):
         return min_delta_of_atoms(atoms, [i for i, s in enumerate(supports) if s <= union])
@@ -193,6 +204,44 @@ def full_enumeration_star(G: AbelianGroup) -> frozenset[int]:
         values.update(valued.values())
         level = {u | c for u, v in valued.items() if v != 1 for c in classes if not c <= u}
     return frozenset(values)
+
+
+def brute_force_automorphisms(G: AbelianGroup) -> list[dict]:
+    """Every automorphism of G as a dict from element to image.  A
+    homomorphism is fixed by any images ``h_i`` of the basis vectors with
+    ``n_i h_i = 0``; all such choices are tried, and the bijective ones kept
+    (a repeated image rejects a choice at once)."""
+    zero = G.zero()
+    elements = G.elements()
+    choices = [[h for h in elements if G.scalar_mul(n, h) == zero] for n in G.invariant_factors]
+    automorphisms = []
+    for images in product(*choices):
+        mapping, hit = {}, set()
+        for x in elements:
+            y = zero
+            for coefficient, h in zip(x, images):
+                y = G.add(y, G.scalar_mul(coefficient, h))
+            if y in hit:
+                break
+            mapping[x] = y
+            hit.add(y)
+        else:
+            automorphisms.append(mapping)
+    return automorphisms
+
+
+def orbits_of_sets(sets, automorphisms) -> set[frozenset]:
+    """The orbits of ``sets`` (frozensets of elements) under the given
+    automorphisms, each a frozenset of frozensets; the automorphisms must
+    form a group for these to be orbits."""
+    left = set(sets)
+    orbits = set()
+    while left:
+        s = min(left, key=sorted)
+        orbit = frozenset(frozenset(phi[g] for g in s) for phi in automorphisms)
+        left -= orbit
+        orbits.add(orbit)
+    return orbits
 
 
 def qualifying_supports(G: AbelianGroup) -> list[tuple[SupportSet, tuple[GSequence, ...]]]:

@@ -3,11 +3,19 @@ import random
 
 import pytest
 
-from oracles import full_enumeration_star, qualifying_supports
+from oracles import (
+    brute_force_automorphisms,
+    full_enumeration_classes,
+    full_enumeration_star,
+    orbits_of_sets,
+    qualifying_supports,
+    subgroup_generated,
+)
 from zslen.cf import exceptional_witness
+from zslen.cli import main
 from zslen.config import ResourceConfig, default_config
 from zslen.delta_rho import (
-    _MaxAtomScan,
+    _OrbitSource,
     delta_rho,
     delta_rho_star,
     divisor_closure,
@@ -17,7 +25,7 @@ from zslen.delta_rho import (
 )
 from zslen.errors import BudgetExceededError, InputError
 from zslen.groups import cyclic, make_group, parse_group
-from zslen.lengths import min_delta, min_delta_of_atoms
+from zslen.lengths import _set_bits, min_delta, min_delta_of_atoms
 from zslen.sequences import SupportSet, enumerate_atoms
 
 
@@ -86,53 +94,81 @@ def test_star_scan_agrees_with_unpruned_enumeration(name):
 
 @pytest.mark.parametrize("name", ["C9", "C2xC4", "C2xC2xC2", "C3xC6", "C2xC2xC2xC2"])
 def test_min_delta_of_mask_matches_min_delta_of_its_support(name, monkeypatch):
-    # column valuation over full-group atoms against atoms enumerated afresh
-    # over the union's own support, on every class and on the unions of two
-    # classes (a fixed sample of them for C2^4, whose 168 classes make 8,001);
-    # the C2^4 classes have value 3, so they reach the kernel fallback, whose
-    # atom indices must be exactly the atoms with support inside the union
+    # the walk's valuation (atoms over the union, gcd-of-lengths shortcut,
+    # kernel fallback) against the kernel alone on atoms enumerated afresh
+    # over the union, on every class and on the unions of two classes (a
+    # fixed sample of them for C2^4, whose 168 classes make 8,001); the C2^4
+    # classes have value 3, so they reach the kernel fallback, which must get
+    # every atom over the union and nothing else
     G = parse_group(name)
-    scan = _MaxAtomScan(G, default_config())
+    source = _OrbitSource(G, default_config())
     elems = G.elements()
-    supports = [frozenset(g for g, m in zip(elems, v) if m) for v in scan.atoms.mult_vectors]
     passed = []
 
-    def kernel(atoms, indices):
-        passed.append(indices)
+    def kernel(atoms, indices=None):
+        passed.append((atoms.support.elements, indices))
         return min_delta_of_atoms(atoms, indices)
 
     monkeypatch.setattr(importlib.import_module("zslen.delta_rho"), "min_delta_of_atoms", kernel)
-    pairs = sorted({a | b for a in scan.class_masks for b in scan.class_masks})
+    pairs = sorted({a | b for a in source.class_masks for b in source.class_masks})
     if name == "C2xC2xC2xC2":
         pairs = random.Random(1606).sample(pairs, 150)
-    for m in sorted(set(scan.class_masks)) + pairs:
-        union = frozenset(g for j, g in enumerate(elems) if m >> j & 1)
+    for m in source.class_masks + pairs:
+        union = tuple(elems[j] for j in _set_bits(m))
         passed.clear()
-        assert scan.min_delta_of_mask(m) == min_delta(SupportSet.of(G, union)), m
-        for indices in passed:
-            assert list(indices) == [i for i, s in enumerate(supports) if s <= union]
+        assert source.min_delta_of_mask(m) == min_delta(SupportSet.of(G, union)), m
+        assert all(passed_union == union and indices is None for passed_union, indices in passed)
     if name == "C2xC2xC2xC2":
         passed.clear()
-        assert scan.min_delta_of_mask(scan.class_masks[0]) == 3 and len(passed) == 1
+        assert source.min_delta_of_mask(source.class_masks[0]) == 3 and len(passed) == 1
 
 
-@pytest.mark.parametrize("name", ["C3xC6", "C2xC2xC6"])
-def test_max_atom_scan_columns_and_runs(name):
-    # C2xC2xC6 has 12,240 atoms, so its columns are built over three slices
-    G = parse_group(name)
-    scan = _MaxAtomScan(G, default_config())
-    vectors, lengths = scan.atoms.mult_vectors, scan.atoms.lengths
-    for j in range(G.order()):
-        assert scan.columns[j] == sum(1 << i for i, v in enumerate(vectors) if v[j]), j
-    assert scan.runs == [
-        (length, sum(1 << i for i, n in enumerate(lengths) if n == length))
-        for length in sorted(set(lengths)) if length >= 3
-    ]
-    elems = G.elements()
-    assert scan.class_masks == sorted({
-        sum(1 << G.index_of(g) | 1 << G.index_of(G.neg(g)) for g, m in zip(elems, v) if m)
-        for v, n in zip(vectors, lengths) if n == scan.atoms.davenport
-    })
+def _as_sets(group, masks):
+    elems = group.elements()
+    return [frozenset(elems[j] for j in _set_bits(m)) for m in masks]
+
+
+@pytest.mark.parametrize("name", ["C3xC6", "C2xC2xC2xC2", "C2xC2xC6", "C5xC5", "C3xC3xC3",
+                                  "C2xC4xC4"])
+def test_orbit_source_classes_equal_full_enumeration_classes(name):
+    # the maximal-length atoms of the orbit-minimum subtrees, their classes
+    # closed under the automorphism permutations, against the classes of
+    # every atom of the whole group
+    group = parse_group(name)
+    source = _OrbitSource(group, default_config())
+    assert source.class_masks == sorted(set(source.class_masks))
+    assert set(_as_sets(group, source.class_masks)) == full_enumeration_classes(group)
+
+
+@pytest.mark.parametrize("name, count, orbits", [("C4xC4", 96, 2), ("C3xC6", 48, 4),
+                                                 ("C2xC2xC6", 336, 7), ("C2xC4xC4", 1536, 14)])
+def test_generator_orbits_on_classes_equal_brute_force_aut_orbits(name, count, orbits):
+    # the classes sharing a canonical form are the orbits of all of Aut(G)
+    group = parse_group(name)
+    source = _OrbitSource(group, default_config())
+    by_rep = {}
+    for mask in source.class_masks:
+        by_rep.setdefault(source.canonical(mask), []).append(mask)
+    ours = {frozenset(_as_sets(group, masks)) for masks in by_rep.values()}
+    automorphisms = brute_force_automorphisms(group)
+    assert len(automorphisms) == count
+    assert ours == orbits_of_sets(_as_sets(group, source.class_masks), automorphisms)
+    assert len(ours) == orbits
+    assert all(source.canonical(rep) == rep for rep in by_rep)
+
+
+def test_budgets_stop_the_noncyclic_walk(monkeypatch):
+    # every cap still stops the orbit source's enumeration or the walk, in
+    # process and through the CLI
+    group = parse_group("C2xC4xC4")
+    caps = {"max_atoms": "atom count", "max_nodes": "enumeration nodes",
+            "max_supports": "distinct support unions"}
+    for field, what in caps.items():
+        with pytest.raises(BudgetExceededError) as exc:
+            delta_rho_star(group, config=ResourceConfig(**{field: 10}))
+        assert exc.value.what == what
+    monkeypatch.delenv("ZSLEN_BUDGET", raising=False)
+    assert main(["--budget-atoms", "1000", "delta-rho", "--group", "C2xC4xC4"]) == 3
 
 
 def test_star_values():
@@ -253,8 +289,26 @@ def test_star_walk_expands_past_one_and_past_repeated_values(monkeypatch):
     # it has already seen, ends at {1, 6}; the module comes from
     # import_module because the package exports the function delta_rho
     module = importlib.import_module("zslen.delta_rho")
-    monkeypatch.setattr(module, "_MaxAtomScan", _TableSource)
+    monkeypatch.setattr(module, "_OrbitSource", _TableSource)
     assert delta_rho_star(make_group([2, 2])) == frozenset({1, 2, 6})
+
+
+def test_star_walk_stops_expanding_a_union_once_its_divisors_are_known(monkeypatch):
+    # the 168 classes of C2^4 form one orbit of value 3, and the first union
+    # of two classes has value 1: with {1, 3} known, neither that union nor
+    # the class needs expanding further (the walk used to value all 168
+    # classes and then the 167 unions with the first one)
+    module = importlib.import_module("zslen.delta_rho")
+    value_of = module._OrbitSource.min_delta_of_mask
+    visits = []
+
+    def counted(self, mask):
+        visits.append(mask)
+        return value_of(self, mask)
+
+    monkeypatch.setattr(module._OrbitSource, "min_delta_of_mask", counted)
+    assert delta_rho_star(make_group([2, 2, 2, 2])) == frozenset({1, 3})
+    assert len(visits) == 2
 
 
 def test_singleton_distance_groups_collapse():
@@ -337,7 +391,7 @@ def test_qualifying_supports_generate_the_group():
     for name in ("C10", "C12", "C2xC2", "C2xC4"):
         G = parse_group(name)
         for support, _ in qualifying_supports(G):
-            assert G.generates(support.elements)
+            assert len(subgroup_generated(G, support.elements)) == G.order()
 
 
 STRETCH = bool(os.environ.get("ZSLEN_STRETCH"))
@@ -351,11 +405,12 @@ def test_cyclic_route_agrees_with_full_enumeration_walk(n):
 
 
 @pytest.mark.parametrize("name", ["C2xC2", "C2xC4", "C3xC3", "C2xC2xC2", "C2xC6", "C2xC2xC4",
-                                  "C4xC4", "C2xC8", "C3xC6"])
+                                  "C4xC4", "C2xC8", "C3xC6", "C2xC2xC2xC2", "C2xC2xC6"])
 def test_noncyclic_walk_agrees_with_full_enumeration_walk(name):
-    # the walk over _MaxAtomScan (bitmask classes, gcd shortcut, divisor
-    # pruning) against the oracle's own frozenset classes and unions, valued
-    # by the kernel alone
+    # the walk over _OrbitSource (orbit-minimum subtrees, class orbits,
+    # per-union atoms, gcd shortcut, divisor pruning and early exit) against
+    # the oracle's own frozenset classes and unions of every atom of the
+    # whole group, valued by the kernel alone
     group = parse_group(name)
     assert delta_rho_star(group) == full_enumeration_star(group)
 

@@ -51,6 +51,8 @@ COMMANDS = (
         ["--format", "json", "fp", "--q", "1", "--gens", "0:2,0:4,0:3", "profile"],
         ["fp", "--q", "2", "--gens", "0:4,1:6,1:9", "profile"],
         ["--budget-atoms", "20", "verify", "cf-cross", "kernel-brute"],
+        ["delta-rho", "--group", "C2xC2xC2xC4"],
+        ["--format", "json", "delta-rho", "--group", "C2xC2xC2xC4"],
     ]
 )
 

@@ -73,15 +73,18 @@ def test_arithmetic_examples():
         C5.add((1,), (1, 0))
 
 
-def test_generates():
-    C4 = cyclic(4)
-    assert not C4.generates([(2,)])
-    V = make_group([2, 2])
-    assert V.generates([(1, 0), (0, 1)])
-    C6 = cyclic(6)
-    assert C6.generates([(2,), (3,)])
-    # cross-check against a plain fixed-point closure
-    assert len(subgroup_generated(C6, [(2,), (3,)])) == 6
+@pytest.mark.parametrize("name", ["C9", "C2xC4", "C3xC6", "C4xC4", "C2xC2xC6", "C2xC4xC4"])
+def test_automorphism_permutations_are_additive_bijections(name):
+    G = parse_group(name)
+    elems = G.elements()
+    perms = G.automorphism_permutations()
+    assert perms
+    for perm in perms:
+        assert sorted(perm) == list(range(G.order()))
+        assert perm[0] == 0
+        for a, g in enumerate(elems):
+            for b, h in enumerate(elems):
+                assert elems[perm[G.index_of(G.add(g, h))]] == G.add(elems[perm[a]], elems[perm[b]])
 
 
 @pytest.mark.parametrize("factors", [[5], [2, 4], [2, 2, 2], [3, 9], [12]])

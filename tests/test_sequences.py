@@ -17,7 +17,6 @@ from zslen.sequences import (
     full_support,
     g_norm,
     is_atom,
-    max_length_atoms,
     parse_sequence,
     parse_support,
 )
@@ -218,26 +217,21 @@ def test_davenport_lower_bound_and_known_equality():
             assert D == G.dstar()
 
 
-def test_max_length_atoms_cyclic10():
-    atoms = max_length_atoms(cyclic(10))
-    assert len(atoms) == 4
-    for a in atoms:
-        assert a.length == 10
-        assert len(a.supp()) == 1
-        (g,) = a.supp()
-        assert cyclic(10).element_order(g) == 10
+@pytest.mark.parametrize("factors, first", [([10], 0b1010), ([2, 4], 0b10110), ([3, 3], 0b100000010),
+                                           ([2, 2, 2], 0b10)])
+def test_first_mask_keeps_the_subtrees_of_its_elements(factors, first):
+    # the atoms whose least element is in ``first``, and the zero atom: those
+    # of the full enumeration, in the same order
+    G = make_group(factors)
+    full = enumerate_atoms(full_support(G))
+    part = enumerate_atoms(full_support(G), first=first)
 
+    def least(vector):
+        return next(j for j, m in enumerate(vector) if m)
 
-def test_max_length_atoms_small():
-    V = make_group([2, 2])
-    atoms = max_length_atoms(V)
-    assert len(atoms) == 1
-    assert atoms[0].supp() == ((0, 1), (1, 0), (1, 1))
-    assert atoms[0].length == 3
-    C3 = cyclic(3)
-    atoms = max_length_atoms(C3)
-    assert {a.supp()[0] for a in atoms} == {(1,), (2,)}
-    assert all(a.length == 3 for a in atoms)
+    want = [v for v in full.mult_vectors if least(v) == 0 or first >> least(v) & 1]
+    assert list(part.mult_vectors) == want
+    assert part.davenport == max(map(sum, want))
 
 
 def test_negation_permutes_atoms_of_symmetric_support():
