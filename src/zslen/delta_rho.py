@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd
-from operator import getitem
 
 from .config import ResourceConfig, default_config
 from .errors import BudgetExceededError, InputError
@@ -107,23 +106,31 @@ class _UnionValues:
         return min_delta_of_atoms(atoms)
 
 
-def _byte_images(perm: tuple[int, ...]) -> list[list[int]]:
-    """``rows[b][v]``: the image under ``perm`` of the mask whose byte ``b``
-    is ``v`` and whose other bytes are zero; a mask's image is the OR of one
-    lookup per byte, and the lookups have disjoint bits."""
-    rows = []
-    for base in range(0, len(perm), 8):
-        row = [0]
-        for image in perm[base:base + 8]:  # the values with this bit follow those without
-            row += [r | 1 << image for r in row]
-        rows.append(row)
-    return rows
+def _orbit_minima(perms, n: int) -> int:
+    """The index mask of the least element of each orbit of ``perms`` (and
+    their products) on the indices ``0..n-1``."""
+    seen = bytearray(n)
+    minima = 0
+    for least in range(n):
+        if seen[least]:
+            continue
+        minima |= 1 << least
+        seen[least] = 1
+        orbit = [least]
+        for i in orbit:  # grows while it is read
+            for perm in perms:
+                image = perm[i]
+                if not seen[image]:
+                    seen[image] = 1
+                    orbit.append(image)
+    return minima
 
 
-def _orbits(masks, tables, width: int) -> dict[int, int]:
-    """Every image of ``masks`` under the permutations of ``tables`` (byte
-    images, ``width`` bytes a mask) and their products, mapped to the least
-    of ``masks`` in its orbit."""
+def _orbits(masks, perms, cap: int) -> dict[int, int]:
+    """Every image of ``masks`` under ``perms`` and their products, mapped to
+    the least of ``masks`` in its orbit; more than ``cap`` images raise
+    :class:`BudgetExceededError`, as distinct supports."""
+    bit_images = [[1 << image for image in perm] for perm in perms]
     rep: dict[int, int] = {}
     for least in sorted(masks):
         if least in rep:
@@ -131,12 +138,14 @@ def _orbits(masks, tables, width: int) -> dict[int, int]:
         rep[least] = least
         orbit = [least]
         for mask in orbit:  # grows while it is read
-            as_bytes = mask.to_bytes(width, "little")
-            for rows in tables:
-                image = sum(map(getitem, rows, as_bytes))  # disjoint bits: sum is OR
+            members = _set_bits(mask)
+            for bits in bit_images:
+                image = sum(map(bits.__getitem__, members))  # distinct bits: sum is OR
                 if image not in rep:
                     rep[image] = least
                     orbit.append(image)
+                    if len(rep) > cap:
+                        raise BudgetExceededError("distinct support unions", cap)
     return rep
 
 
@@ -151,22 +160,27 @@ class _OrbitSource(_UnionValues):
     Davenport constant, and its maximal-length atoms give classes whose
     closure under the permutations is every class.  ``canonical`` maps each
     class to one representative of its orbit and leaves every other union
-    as it is."""
+    as it is.  The permutations' entries count against ``max_nodes`` and the
+    classes against ``max_supports``, so the budgets bound the set-up too."""
 
     def __init__(self, group: AbelianGroup, config: ResourceConfig):
         super().__init__(group, config)
         n = group.order()
-        tables = [_byte_images(perm) for perm in group.automorphism_permutations()]
-        width = (n + 7) // 8
-        bits = [1 << j for j in range(n)]
-        first = sum(set(_orbits(bits, tables, width).values()))
+        perms = []
+        for perm in group.automorphism_permutations():
+            perms.append(perm)
+            if len(perms) * n > config.max_nodes:
+                raise BudgetExceededError("automorphism permutation entries", config.max_nodes)
+        first = _orbit_minima(perms, n)
         atoms = enumerate_atoms(full_support(group), config=config, first=first)
+        longest = atoms.lengths[-1]  # D(G), as the subtrees meet every orbit of atoms
+        bits = [1 << j for j in range(n)]
         neg_bits = [1 << group.index_of(group.neg(e)) for e in group.elements()]
         found = {
             sum(compress(bits, v)) | sum(compress(neg_bits, v))
-            for v, length in zip(atoms.mult_vectors, atoms.lengths) if length == atoms.davenport
+            for v, length in zip(atoms.mult_vectors, atoms.lengths) if length == longest
         }
-        self.rep = _orbits(found, tables, width)
+        self.rep = _orbits(found, perms, config.max_supports)
         self.class_masks = sorted(self.rep)
 
     def canonical(self, mask: int) -> int:

@@ -16,6 +16,7 @@ unrestricted.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
@@ -23,6 +24,23 @@ from operator import mul
 from .errors import InputError
 
 Element = tuple[int, ...]
+
+
+def _unit_generators(n: int) -> list[int]:
+    """A generating set of the units mod ``n``: each unit, in increasing
+    order, outside the subgroup that the smaller ones generate (none for
+    ``n <= 2``)."""
+    generated = {1}
+    gens = []
+    for u in range(2, n):
+        if gcd(u, n) == 1 and u not in generated:
+            gens.append(u)
+            # the cosets u^k H are disjoint from H until they return to it
+            coset = {h * u % n for h in generated}
+            while coset.isdisjoint(generated):
+                generated |= coset
+                coset = {h * u % n for h in coset}
+    return gens
 
 
 def _factorint(n: int) -> dict[int, int]:
@@ -182,41 +200,39 @@ class AbelianGroup:
         """Least k >= 1 with k*g = 0."""
         return lcm(*(n // gcd(a, n) for a, n in zip(g, self.invariant_factors))) if g else 1
 
-    def automorphism_permutations(self) -> list[tuple[int, ...]]:
-        """Index permutations of elementary automorphisms: ``perm[i]`` is the
-        index of the image of the element of index ``i``.
+    def automorphism_permutations(self) -> Iterator[tuple[int, ...]]:
+        """Index permutations of elementary automorphisms, built one at a
+        time as they are taken: ``perm[i]`` is the index of the image of the
+        element of index ``i``.
 
         An automorphism is given by the images of the basis vectors ``e_i``:
-        a unit ``u != 1`` times one of them, a shear
+        a unit ``u != 1`` times one of them, for ``u`` in a generating set of
+        the units mod ``n_i`` (:func:`_unit_generators`), or a shear
         ``e_i -> e_i + (n_j / gcd(n_i, n_j)) e_j`` (well defined, since
         ``n_i`` times the added term vanishes, and inverted by the opposite
-        shear), or a swap of two equal factors.  They generate a subgroup of
-        Aut(G) that contains negation.
+        shear).  They generate a subgroup of Aut(G) that contains negation
+        and the swap of two equal factors: with ``n_i = n_j`` the shears
+        ``e_i -> e_i + e_j``, ``e_j -> e_j - e_i``, ``e_i -> e_i + e_j`` in
+        turn send ``e_i`` to ``e_j`` and ``e_j`` to ``-e_i``, and the unit
+        ``-1`` on ``e_i`` finishes the swap.
         """
         factors = self.invariant_factors
         basis = [tuple(int(i == k) for k in range(len(factors))) for i in range(len(factors))]
         generators = []  # the images of the basis under each automorphism
         for i, n in enumerate(factors):
-            for u in range(2, n):
-                if gcd(u, n) == 1:
-                    generators.append(basis[:i] + [self.scalar_mul(u, basis[i])] + basis[i + 1:])
+            for u in _unit_generators(n):
+                generators.append(basis[:i] + [self.scalar_mul(u, basis[i])] + basis[i + 1:])
         for i, ni in enumerate(factors):
             for j, nj in enumerate(factors):
                 if i != j:
                     shear = self.add(basis[i], self.scalar_mul(nj // gcd(ni, nj), basis[j]))
                     generators.append(basis[:i] + [shear] + basis[i + 1:])
-                if i < j and ni == nj:
-                    swap = basis[:]
-                    swap[i], swap[j] = basis[j], basis[i]
-                    generators.append(swap)
         # coordinate k of the image of x is sum_i x_i * images[i][k] mod n_k
-        return [
-            tuple(
+        for images in generators:
+            yield tuple(
                 self.index_of([sum(map(mul, x, column)) % n for column, n in zip(zip(*images), factors)])
                 for x in self.elements()
             )
-            for images in generators
-        ]
 
     # -- protocol ----------------------------------------------------------
 

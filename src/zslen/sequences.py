@@ -122,9 +122,7 @@ class GSequence:
 
 
 class AtomSet:
-    """A complete list of atoms over a support, with its Davenport constant
-    (or, from :func:`enumerate_atoms` with ``first``, the atoms of the
-    subtrees it names and the longest length among them).
+    """A complete list of atoms over a support, with its Davenport constant.
 
     Stored once, as the flat views ``mult_vectors`` and ``lengths`` sorted by
     (length, vector); the ``GSequence`` objects of ``atoms`` and iteration
@@ -199,8 +197,10 @@ def enumerate_atoms(
     ``first``, an index bitmask, limits the root's children to its elements:
     the walk then visits only their subtrees and returns the atoms whose
     least element lies in ``first`` (the zero atom as well, when zero is in
-    the support), with ``davenport`` the longest of those.  Nothing is kept
-    outside those subtrees, so the caps count only their nodes and atoms.
+    the support).  That set is partial: its ``davenport`` is only the longest
+    of those atoms, and a caller must not read it as D(support) unless it
+    knows the subtrees hold a longest atom.  Nothing is kept outside those
+    subtrees, so the caps count only their nodes and atoms.
     """
     cfg = config or default_config()
     G = support.group

@@ -160,15 +160,32 @@ def test_generator_orbits_on_classes_equal_brute_force_aut_orbits(name, count, o
 def test_budgets_stop_the_noncyclic_walk(monkeypatch):
     # every cap still stops the orbit source's enumeration or the walk, in
     # process and through the CLI
+    # (C2xC4xC4 has 8 permutations of 32 entries, so 300 nodes pass the
+    # set-up and stop the enumeration)
     group = parse_group("C2xC4xC4")
-    caps = {"max_atoms": "atom count", "max_nodes": "enumeration nodes",
-            "max_supports": "distinct support unions"}
-    for field, what in caps.items():
+    caps = [("max_atoms", 10, "atom count"), ("max_nodes", 300, "enumeration nodes"),
+            ("max_nodes", 100, "automorphism permutation entries"),
+            ("max_supports", 10, "distinct support unions")]
+    for field, cap, what in caps:
         with pytest.raises(BudgetExceededError) as exc:
-            delta_rho_star(group, config=ResourceConfig(**{field: 10}))
+            delta_rho_star(group, config=ResourceConfig(**{field: cap}))
         assert exc.value.what == what
     monkeypatch.delenv("ZSLEN_BUDGET", raising=False)
     assert main(["--budget-atoms", "1000", "delta-rho", "--group", "C2xC4xC4"]) == 3
+
+
+def test_budgets_stop_the_setup_of_a_large_noncyclic_group(monkeypatch, capsys):
+    # C2xC4xC1000 (order 8,000): the set-up builds 10 permutations of 8,000
+    # entries, far below the default node cap, and no table quadratic in the
+    # order, so the atom cap is reached as it is without the orbit source;
+    # a node cap below the permutations' entries stops the set-up itself
+    group = parse_group("C2xC4xC1000")
+    with pytest.raises(BudgetExceededError) as exc:
+        delta_rho_star(group, config=ResourceConfig(max_nodes=50_000))
+    assert exc.value.what == "automorphism permutation entries"
+    monkeypatch.delenv("ZSLEN_BUDGET", raising=False)
+    assert main(["--budget-atoms", "1000", "delta-rho", "--group", "C2xC4xC1000"]) == 3
+    assert "atom count" in capsys.readouterr().err
 
 
 def test_star_values():

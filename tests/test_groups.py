@@ -1,10 +1,12 @@
 import random
+from math import gcd
 
 import pytest
 
 from zslen.errors import InputError
 from zslen.groups import (
     AbelianGroup,
+    _unit_generators,
     cyclic,
     direct_sum_with_embeddings,
     make_group,
@@ -77,7 +79,7 @@ def test_arithmetic_examples():
 def test_automorphism_permutations_are_additive_bijections(name):
     G = parse_group(name)
     elems = G.elements()
-    perms = G.automorphism_permutations()
+    perms = list(G.automorphism_permutations())
     assert perms
     for perm in perms:
         assert sorted(perm) == list(range(G.order()))
@@ -85,6 +87,23 @@ def test_automorphism_permutations_are_additive_bijections(name):
         for a, g in enumerate(elems):
             for b, h in enumerate(elems):
                 assert elems[perm[G.index_of(G.add(g, h))]] == G.add(elems[perm[a]], elems[perm[b]])
+
+
+@pytest.mark.parametrize("n, want", [(2, []), (4, [3]), (5, [2]), (8, [3, 5]), (9, [2]),
+                                     (12, [5, 7]), (1000, [3, 7, 11])])
+def test_unit_generators_generate_the_units(n, want):
+    # the automorphism permutations scale a coordinate only by these units;
+    # their products must still reach every unit
+    gens = _unit_generators(n)
+    assert gens == want
+    reached = {1}
+    frontier = [1]
+    for h in frontier:
+        for u in gens:
+            if h * u % n not in reached:
+                reached.add(h * u % n)
+                frontier.append(h * u % n)
+    assert reached == {u for u in range(1, n) if gcd(u, n) == 1}
 
 
 @pytest.mark.parametrize("factors", [[5], [2, 4], [2, 2, 2], [3, 9], [12]])
