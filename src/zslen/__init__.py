@@ -17,15 +17,12 @@ from .sequences import (
     SupportSet,
     enumerate_atoms,
     full_support,
-    g_norm,
     is_atom,
     parse_sequence,
     parse_support,
 )
 from .lengths import (
-    AAPWitness,
     LengthSet,
-    is_aap,
     length_set,
     max_elasticity_witness,
     min_delta,

@@ -59,15 +59,6 @@ class CFExpansion:
             num, den = q * num + den, num
         return Fraction(num, den)
 
-    @property
-    def is_regular(self) -> bool:
-        qs = self.quotients
-        return len(qs) == 1 or qs[-1] >= 2
-
-    @property
-    def has_odd_length(self) -> bool:
-        return len(self.quotients) % 2 == 1
-
 
 def cf_regular(n: int, a: int) -> CFExpansion:
     """Euclidean expansion of n/a with final quotient >= 2 (single-term for a=1)."""

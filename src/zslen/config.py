@@ -1,8 +1,8 @@
 """Resource budgets.
 
 All potentially expensive computations take a :class:`ResourceConfig`.
-Defaults are sized so the whole default verification run finishes in
-minutes on a laptop; larger jobs opt in explicitly.  The environment
+Defaults are sized so the whole default verification run finishes in about
+a second; larger jobs opt in explicitly.  The environment
 variable ``ZSLEN_BUDGET`` overrides individual fields, e.g.
 ``ZSLEN_BUDGET="max_atoms=200000,max_nodes=5000000"``.  Every field is at
 least 1; a smaller value is an :class:`InputError`, wherever it comes from.

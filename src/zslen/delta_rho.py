@@ -14,12 +14,13 @@ distinct unions of those support classes.  Three facts keep it small:
 * a group automorphism keeps the minimum distance, so the walk may visit one
   canonical union per orbit.
 
-A source gives the walk its classes, a union's value and its canonical form.
-Both sources value a union from the atoms over it alone.  For ``C_n``
-nothing is enumerated up front: the atoms of length ``n`` are exactly
-``g^n`` with ``ord g = n`` (Geroldinger and Halter-Koch 2006), so the classes
-are the unit pairs ``{u, n - u}``, and a union's canonical form is its least
-unit multiple, so the walk starts from ``{1, n - 1}``.  For other groups the
+A source gives the walk its classes, the canonical classes it starts from
+(``roots``), a union's value and its canonical form.  Both sources value a
+union from the atoms over it alone.  For ``C_n`` nothing is enumerated up
+front: the atoms of length ``n`` are exactly ``g^n`` with ``ord g = n``
+(Geroldinger and Halter-Koch 2006), so the classes are the unit pairs
+``{u, n - u}``, and a union's canonical form is its least unit multiple, so
+the walk starts from ``{1, n - 1}``.  For other groups the
 elementary automorphisms (``AbelianGroup.automorphism_permutations``) split
 the elements into orbits; the atom DFS visits only the subtrees of orbit
 minima, which meet every orbit of atoms, and the classes of the maximal-length
@@ -182,6 +183,7 @@ class _OrbitSource(_UnionValues):
         }
         self.rep = _orbits(found, perms, config.max_supports)
         self.class_masks = sorted(self.rep)
+        self.roots = sorted(set(self.rep.values()))
 
     def canonical(self, mask: int) -> int:
         return self.rep.get(mask, mask)
@@ -190,14 +192,20 @@ class _OrbitSource(_UnionValues):
 class _UnitClassScan(_UnionValues):
     """The walk's source for a cyclic group of order n >= 3: the unit pairs
     ``{u, n - u}`` are the classes, and nothing is enumerated up front; bit j
-    of a mask stands for the residue j, whose index is j."""
+    of a mask stands for the residue j, whose index is j.  Only the units
+    are stored: each read of ``class_masks`` builds the n-bit masks one at a
+    time, so the set-up holds no mask per class before any budget applies."""
 
     def __init__(self, group: AbelianGroup, config: ResourceConfig):
         super().__init__(group, config)
         n = self.n = group.order()
-        self.class_masks = [
-            (1 << u) | (1 << (n - u)) for u in range(1, (n + 1) // 2) if gcd(u, n) == 1
-        ]
+        self.units = [u for u in range(1, (n + 1) // 2) if gcd(u, n) == 1]
+        self.roots = [(1 << 1) | (1 << (n - 1))]  # every class is a unit multiple of {1, n - 1}
+
+    @property
+    def class_masks(self):
+        n = self.n
+        return ((1 << u) | (1 << (n - u)) for u in self.units)
 
     def canonical(self, mask: int) -> int:
         """The lexicographically least unit multiple of the union.  Every
@@ -233,7 +241,7 @@ def delta_rho_star(group: AbelianGroup, *, config: ResourceConfig | None = None)
         values.add(value)
         frontier.append((mask, value))
 
-    for mask in sorted({source.canonical(s) for s in source.class_masks}):
+    for mask in source.roots:
         visit(mask)
     while frontier:
         current, frontier = frontier, []

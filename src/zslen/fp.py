@@ -5,8 +5,8 @@ Every element is a product of generators, so the atoms are exactly the
 generators with no factorization into two or more generators.  One pass of
 the length engine :func:`zslen.lengths._product_bits` over the generators, up
 to the largest generator value, finds them: an atom's length set is {1}.
-Membership and length sets run on the same engine, which yields elements in
-order of value with final length sets, so both stop at their element.
+Length sets run on the same engine, which yields elements in order of value
+with final length sets, so it stops at its element.
 
 The minimum distance accounts for the unit-class torsion: the relation
 lattice is cut out by the value equation together with the class congruence,
@@ -110,17 +110,6 @@ def fp_atoms(monoid: FPMonoid, *, config: ResourceConfig | None = None) -> list[
     return sorted(atoms, key=lambda t: (t[1], t[0]))
 
 
-def fp_membership(monoid: FPMonoid, x: tuple[int, int], *, config: ResourceConfig | None = None) -> bool:
-    """Whether the element ``x = (cls, val)`` is a product of generators."""
-    cfg = config or default_config()
-    q = monoid.unit_modulus
-    cls, val = x
-    if val < 0:
-        return False
-    key = _key(q, (cls % q, val))
-    return any(p == key for p, _ in _products(monoid, monoid.generators, val, cfg.max_states))
-
-
 def fp_length_set(
     monoid: FPMonoid,
     x: tuple[int, int],
@@ -129,11 +118,11 @@ def fp_length_set(
 ) -> LengthSet:
     """Exact set of factorization lengths of the element ``x``."""
     cfg = config or default_config()
-    atoms = fp_atoms(monoid, config=cfg)
     q = monoid.unit_modulus
     cls, val = x[0] % q, x[1]
     if val < 0:
         raise InputError("values are nonnegative")
+    atoms = fp_atoms(monoid, config=cfg)
     key = _key(q, (cls, val))
     bits = next((b for p, b in _products(monoid, atoms, val, cfg.max_states) if p == key), 0)
     if not bits:

@@ -115,11 +115,6 @@ class AbelianGroup:
     def rank(self) -> int:
         return len(self.invariant_factors)
 
-    def dstar(self) -> int:
-        """1 + sum of (n_i - 1); the classical lower bound for the Davenport
-        constant, equal to it for rank <= 2 and for p-groups."""
-        return 1 + sum(n - 1 for n in self.invariant_factors)
-
     @property
     def is_trivial(self) -> bool:
         return not self.invariant_factors

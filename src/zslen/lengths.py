@@ -21,8 +21,8 @@ int and stores its length set as an int with bit k set when some
 factorization has k atoms, so that ``L(p * a)`` collects ``L(p) << 1`` over
 all atoms ``a``.  It yields each product with its final length set in order
 of grade, and a caller stops iterating once it has what it needs: rank-one
-atoms, membership and length sets in :mod:`zslen.fp`, and the exhaustive
-oracles in :mod:`zslen.verify`, whose ``min Δ`` stops once its gcd is 1.
+atoms and length sets in :mod:`zslen.fp`, and the exhaustive oracles in
+:mod:`zslen.verify`, whose ``min Δ`` stops once its gcd is 1.
 There ``max_states`` bounds the stored products.
 
 Rational quantities use :class:`fractions.Fraction` throughout; no floating
@@ -94,62 +94,6 @@ def sumset(a: LengthSet, b: LengthSet) -> LengthSet:
     return LengthSet.of(x + y for x in a.values for y in b.values)
 
 
-@dataclass(frozen=True)
-class AAPWitness:
-    """Decomposition of a set as an almost arithmetical progression.
-
-    Reconstructs ``y + (head ∪ {0, d, ..., ell*d} ∪ tail)`` with
-    ``head ⊆ [-M, -1]`` and ``tail ⊆ ell*d + [1, M]``, all offsets relative
-    to the shift ``y``.
-    """
-
-    y: int
-    d: int
-    ell: int
-    M: int
-    head: tuple[int, ...]
-    tail: tuple[int, ...]
-
-    def reconstruct(self) -> tuple[int, ...]:
-        core = tuple(i * self.d for i in range(self.ell + 1))
-        return tuple(sorted(self.y + t for t in self.head + core + self.tail))
-
-
-def is_aap(lengths: LengthSet, d: int) -> AAPWitness | None:
-    """Best AAP decomposition with difference ``d``, or None.
-
-    None exactly when the set is not contained in a single residue class
-    mod ``d``.  Among decompositions the central run length is maximized,
-    then the bound minimized, then the shift minimized.
-    """
-    if d < 1:
-        raise InputError("difference must be >= 1")
-    vals = lengths.values
-    if len({v % d for v in vals}) > 1:
-        return None
-    # maximal runs with step exactly d
-    runs: list[tuple[int, int]] = []  # (start index, steps)
-    i = 0
-    while i < len(vals):
-        j = i
-        while j + 1 < len(vals) and vals[j + 1] - vals[j] == d:
-            j += 1
-        runs.append((i, j - i))
-        i = j + 1
-    best: tuple[int, int, int] | None = None
-    best_witness: AAPWitness | None = None
-    for start, ell in runs:
-        y = vals[start]
-        head = tuple(v - y for v in vals[:start])
-        tail = tuple(v - y for v in vals[start + ell + 1:])
-        M = max([0] + [-t for t in head] + [t - ell * d for t in tail])
-        key = (-ell, M, y)
-        if best is None or key < best:
-            best = key
-            best_witness = AAPWitness(y, d, ell, M, head, tail)
-    return best_witness
-
-
 # -- integer kernel of the atom matrix --------------------------------------
 
 def _extgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -218,16 +162,15 @@ def kernel_basis_of(mult_vectors: list[tuple[int, ...]]) -> list[tuple[int, ...]
     return [tuple(v[r:]) for v in _vanishing_part(rows, r)]
 
 
-def min_delta_of_atoms(atoms: AtomSet, atom_indices: list[int] | None = None) -> int | None:
+def min_delta_of_atoms(atoms: AtomSet) -> int | None:
     """Minimum distance of the monoid generated by the given atoms.
 
     gcd of the coordinate-sum functional over the kernel lattice; None when
     the functional vanishes there (the half-factorial case, empty distance
     set).
     """
-    idx = range(len(atoms)) if atom_indices is None else atom_indices
     nrows = len(atoms.support.elements)
-    columns = [atoms.mult_vectors[i] + (1,) for i in idx]
+    columns = [v + (1,) for v in atoms.mult_vectors]
     g = _functional_gcd(columns, nrows)
     return g if g else None
 

@@ -50,12 +50,6 @@ class SupportSet:
             raise InputError("support set must be nonempty")
         return SupportSet(group, tuple(canon))
 
-    @property
-    def is_symmetric(self) -> bool:
-        """True iff the support is closed under negation."""
-        have = set(self.elements)
-        return all(self.group.neg(g) in have for g in self.elements)
-
     def __str__(self) -> str:
         return "{" + ",".join(format_element(g) for g in self.elements) + "}"
 
@@ -99,18 +93,10 @@ class GSequence:
     def is_zero_sum(self) -> bool:
         return self.sigma() == self.support.group.zero()
 
-    def supp(self) -> tuple[Element, ...]:
-        return tuple(g for g, m in zip(self.support.elements, self.multiplicities) if m)
-
     def mul(self, other: "GSequence") -> "GSequence":
         if other.support != self.support:
             raise InputError("sequences must share a support set")
         return GSequence(self.support, tuple(a + b for a, b in zip(self.multiplicities, other.multiplicities)))
-
-    def pow(self, k: int) -> "GSequence":
-        if k < 0:
-            raise InputError("nonnegative powers only")
-        return GSequence(self.support, tuple(k * m for m in self.multiplicities))
 
     def __str__(self) -> str:
         parts = [
@@ -231,7 +217,9 @@ def enumerate_atoms(
     # the current path, one frame per node with a zero-sum-free child (a leaf
     # pushes none): (position of its last element, its mask -Σ₀, its nsig,
     # mask of the children not yet taken); a child's mask is built only when
-    # the walk takes that child, so memory stays linear in depth
+    # the walk takes that child, and a frame keeps its own -Σ₀ (|G| bits)
+    # only while it has a child left, so a path of single children, as the
+    # powers of one element, holds no |G|-bit mask per node
     frames: list[tuple] = []
     last_pos, negs, nsig = -1, 1, 0  # the root, the empty sequence; zero has index 0
     while True:
@@ -248,7 +236,8 @@ def enumerate_atoms(
         free = (from_pos[last_pos] | negs) ^ negs  # the children with no zero-sum subsequence
         if free:  # descend to the lowest one
             low = free & -free
-            frames.append((last_pos, negs, nsig, free ^ low))
+            rest = free ^ low
+            frames.append((last_pos, rest and negs, nsig, rest))
             parent_negs, parent_nsig = negs, nsig
         else:  # a leaf: back up to the deepest frame with a child left
             if last_pos >= 0:
@@ -257,7 +246,8 @@ def enumerate_atoms(
                 last_pos, parent_negs, parent_nsig, free = frames[-1]
                 if free:
                     low = free & -free
-                    frames[-1] = (last_pos, parent_negs, parent_nsig, free ^ low)
+                    rest = free ^ low
+                    frames[-1] = (last_pos, rest and parent_negs, parent_nsig, rest)
                     break
                 frames.pop()
                 if last_pos >= 0:
@@ -279,33 +269,6 @@ def enumerate_atoms(
 
 def full_support(group: AbelianGroup) -> SupportSet:
     return SupportSet.of(group, group.elements())
-
-
-def g_norm(seq: GSequence, g: Element) -> int:
-    """Sum of discrete logs base ``g`` divided by ord(g), for zero-sum input.
-
-    Each element ``h`` of the sequence must lie in the cyclic subgroup
-    generated by ``g``; its log is taken in ``[1, ord(g)]`` (the zero element
-    counts as a full period).
-    """
-    G = seq.support.group
-    g = G.element(g)
-    order = G.element_order(g)
-    logs: dict[Element, int] = {}
-    cur = g
-    for e in range(1, order + 1):
-        logs.setdefault(cur, e)
-        cur = G.add(cur, g)
-    total = 0
-    for h, m in zip(seq.support.elements, seq.multiplicities):
-        if not m:
-            continue
-        if h not in logs:
-            raise InputError(f"element {h} outside the subgroup generated by {g}")
-        total += m * logs[h]
-    if total % order:
-        raise InputError("norm is only defined for zero-sum sequences")
-    return total // order
 
 
 # -- literals ---------------------------------------------------------------

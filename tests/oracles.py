@@ -13,9 +13,10 @@ from itertools import product
 from math import gcd
 
 from zslen.cf import cf_regular
+from zslen.errors import InputError
 from zslen.groups import AbelianGroup
 from zslen.lengths import min_delta_of_atoms
-from zslen.sequences import GSequence, SupportSet, enumerate_atoms, full_support
+from zslen.sequences import AtomSet, GSequence, SupportSet, enumerate_atoms, full_support
 
 
 def all_submultisets(counts: tuple[int, ...]):
@@ -98,6 +99,38 @@ def brute_distance_gcd(support: SupportSet, atom_vectors: list[tuple[int, ...]],
         for a, b in zip(vals, vals[1:]):
             g = gcd(g, b - a)
     return g or None
+
+
+def support_elements(seq: GSequence) -> frozenset:
+    """The elements that occur in ``seq``."""
+    return frozenset(g for g, m in zip(seq.support.elements, seq.multiplicities) if m)
+
+
+def g_norm(seq: GSequence, g) -> int:
+    """Sum of discrete logs base ``g`` divided by ord(g), for zero-sum input.
+
+    Each element ``h`` of the sequence must lie in the cyclic subgroup
+    generated by ``g``; its log is taken in ``[1, ord(g)]`` (the zero element
+    counts as a full period).
+    """
+    G = seq.support.group
+    g = G.element(g)
+    order = G.element_order(g)
+    logs = {}
+    cur = g
+    for e in range(1, order + 1):
+        logs.setdefault(cur, e)
+        cur = G.add(cur, g)
+    total = 0
+    for h, m in zip(seq.support.elements, seq.multiplicities):
+        if not m:
+            continue
+        if h not in logs:
+            raise InputError(f"element {h} outside the subgroup generated by {g}")
+        total += m * logs[h]
+    if total % order:
+        raise InputError("norm is only defined for zero-sum sequences")
+    return total // order
 
 
 def brute_fp_length_set(atoms: list[tuple[int, int]], q: int, x: tuple[int, int]) -> set[int]:
@@ -195,7 +228,8 @@ def full_enumeration_star(G: AbelianGroup) -> frozenset[int]:
     classes = _maximal_atom_classes(G, atoms)
 
     def value(union):
-        return min_delta_of_atoms(atoms, [i for i, s in enumerate(supports) if s <= union])
+        inside = [v for v, s in zip(atoms.mult_vectors, supports) if s <= union]
+        return min_delta_of_atoms(AtomSet(atoms.support, inside))
 
     values = set()
     level = classes
@@ -254,44 +288,14 @@ def qualifying_supports(G: AbelianGroup) -> list[tuple[SupportSet, tuple[GSequen
         GSequence(atoms.support, v)
         for v, length in zip(atoms.mult_vectors, atoms.lengths) if length == atoms.davenport
     ]
-    classes = {frozenset(a.supp()) | {G.neg(g) for g in a.supp()} for a in longest}
+    classes = {support_elements(a) | {G.neg(g) for g in support_elements(a)} for a in longest}
     unions: set[frozenset] = set()
     for c in classes:
         unions |= {u | c for u in unions} | {c}
     return [
-        (SupportSet.of(G, u), tuple(a for a in longest if set(a.supp()) <= u))
+        (SupportSet.of(G, u), tuple(a for a in longest if support_elements(a) <= u))
         for u in sorted(unions, key=sorted)
     ]
-
-
-def brute_aap(values: tuple[int, ...], d: int):
-    """Best AAP decomposition by exhaustive split search.
-
-    Tries every way to cut the sorted set into head | core | tail with the
-    core an exact d-progression; returns (ell, M, y) for the best witness
-    under (max ell, min M, min y), or None if no decomposition exists.
-    """
-    vals = sorted(values)
-    best = None
-    n = len(vals)
-    for start in range(n):
-        for end in range(start, n):
-            core = vals[start : end + 1]
-            if any(b - a != d for a, b in zip(core, core[1:])):
-                continue
-            y = core[0]
-            if any((v - y) % d for v in vals):
-                continue
-            ell = len(core) - 1
-            head = [v - y for v in vals[:start]]
-            tail = [v - y for v in vals[end + 1 :]]
-            M = max([0] + [-t for t in head] + [t - ell * d for t in tail])
-            key = (-ell, M, y)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        return None
-    return (-best[0], best[1], best[2])
 
 
 def subgroup_generated(G: AbelianGroup, gens) -> set:

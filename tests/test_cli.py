@@ -79,6 +79,23 @@ def test_lengths_json(capsys):
     assert json.loads(out) == {"L": [2, 10], "delta": [8], "rho": "5"}
 
 
+def test_lengths_of_a_sequence_without_multiplicities(capsys):
+    # a token without ``^`` counts once: 1·9 in C10 is an atom
+    code, out, _ = run(capsys, "lengths", "--group", "C10", "--sequence", "1,9")
+    assert (code, out) == (0, '{"L": [1], "delta": "empty", "rho": "1"}\n')
+
+
+@pytest.mark.parametrize("sequence, message", [
+    ("(1", "unbalanced parentheses"),
+    ("1)", "unbalanced parentheses"),
+    ("1^x", "bad multiplicity"),
+    ("1^-1", "negative multiplicity"),
+])
+def test_malformed_sequence_literals_exit_2(capsys, sequence, message):
+    code, out, err = run(capsys, "lengths", "--group", "C10", "--sequence", sequence)
+    assert (code, out) == (2, "") and message in err
+
+
 def test_min_delta_text_and_empty(capsys):
     code, out, _ = run(capsys, "min-delta", "--group", "C10", "--support", "1,3,7,9")
     assert (code, out.strip()) == (0, "2")

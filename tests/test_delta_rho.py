@@ -1,5 +1,6 @@
 import importlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,6 +11,7 @@ from oracles import (
     orbits_of_sets,
     qualifying_supports,
     subgroup_generated,
+    support_elements,
 )
 from zslen.cf import exceptional_witness
 from zslen.cli import main
@@ -59,17 +61,17 @@ def test_qualifying_supports_c10():
         ((1,), (3,), (7,), (9,)),
     }
     for support, generating_atoms in sups:
-        assert support.is_symmetric
+        G = support.group
+        assert {G.neg(g) for g in support.elements} == set(support.elements)
         for atom in generating_atoms:
             assert atom.length == 10
-            assert set(atom.supp()) <= set(support.elements)
+            assert support_elements(atom) <= set(support.elements)
         # every support element divides a maximal-length atom inside the
         # support (possibly the negation of a listed one)
-        G = support.group
         covered = set()
         for atom in generating_atoms:
-            covered.update(atom.supp())
-            covered.update(G.neg(g) for g in atom.supp())
+            covered.update(support_elements(atom))
+            covered.update(G.neg(g) for g in support_elements(atom))
         assert covered == set(support.elements)
 
 
@@ -105,9 +107,9 @@ def test_min_delta_of_mask_matches_min_delta_of_its_support(name, monkeypatch):
     elems = G.elements()
     passed = []
 
-    def kernel(atoms, indices=None):
-        passed.append((atoms.support.elements, indices))
-        return min_delta_of_atoms(atoms, indices)
+    def kernel(atoms):
+        passed.append(atoms.support.elements)
+        return min_delta_of_atoms(atoms)
 
     monkeypatch.setattr(importlib.import_module("zslen.delta_rho"), "min_delta_of_atoms", kernel)
     pairs = sorted({a | b for a in source.class_masks for b in source.class_masks})
@@ -117,7 +119,7 @@ def test_min_delta_of_mask_matches_min_delta_of_its_support(name, monkeypatch):
         union = tuple(elems[j] for j in _set_bits(m))
         passed.clear()
         assert source.min_delta_of_mask(m) == min_delta(SupportSet.of(G, union)), m
-        assert all(passed_union == union and indices is None for passed_union, indices in passed)
+        assert all(passed_union == union for passed_union in passed)
     if name == "C2xC2xC2xC2":
         passed.clear()
         assert source.min_delta_of_mask(source.class_masks[0]) == 3 and len(passed) == 1
@@ -258,6 +260,20 @@ def test_star_budget_error_propagates():
         delta_rho_star(cyclic(12), config=ResourceConfig(max_nodes=50))
 
 
+def test_node_budget_stops_a_large_cyclic_walk_in_little_memory():
+    # C100000 has 20,000 unit classes of 100,000-bit masks, and the first
+    # union {1, -1} has a DFS path of powers of 1 as deep as the node cap; a
+    # mask per class, or per node of that path, would take over 100 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            delta_rho_star(cyclic(100_000), config=ResourceConfig(max_nodes=10_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50_000_000
+
+
 def test_support_union_budget_admits_exactly_the_walk(monkeypatch):
     # k unions visited, one value each: a budget of k completes the walk,
     # one less stops it at the last visit
@@ -287,7 +303,7 @@ class _TableSource:
     of them, after the value 1 is known, and their value 6 was already seen
     at class 2."""
 
-    class_masks = [1, 2, 4, 8]
+    class_masks = roots = [1, 2, 4, 8]
     values = {1: 1, 2: 6, 4: 6, 8: 6, 4 | 8: 2}  # every other union: 1
 
     def __init__(self, group, config):

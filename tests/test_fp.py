@@ -12,12 +12,11 @@ from zslen.fp import (
     delta_rho_star_product,
     fp_atoms,
     fp_length_set,
-    fp_membership,
     local_profile,
     transfer_obstruction,
 )
 
-from oracles import brute_fp_atoms, brute_fp_length_set, brute_fp_tail_window
+from oracles import _fp_reachable, brute_fp_atoms, brute_fp_length_set, brute_fp_tail_window
 
 TEST_MONOIDS = [
     FPMonoid.of(1, [(0, 3), (0, 5)]),
@@ -114,23 +113,6 @@ def test_fp_length_set_budget():
         fp_length_set(numeric, (0, 300), config=tight)
 
 
-def test_fp_membership():
-    twisted = FPMonoid.of(2, [(1, 3), (0, 5)])
-    assert fp_membership(twisted, (1, 3))
-    assert fp_membership(twisted, (1, 8))  # 3 + 5 carries unit class 1
-    assert not fp_membership(twisted, (0, 8))
-    assert not fp_membership(twisted, (1, 5))
-    assert not fp_membership(twisted, (0, 4))
-
-
-def test_fp_membership_budget():
-    numeric = FPMonoid.of(1, [(0, 3), (0, 5)])
-    tight = ResourceConfig(max_states=50)
-    assert fp_membership(numeric, (0, 15), config=tight)
-    with pytest.raises(BudgetExceededError):
-        fp_membership(numeric, (0, 300), config=tight)
-
-
 def test_local_profiles():
     p = local_profile(FPMonoid.of(1, [(0, 3), (0, 5)]))
     assert (p.rho, p.d, p.min_delta, p.accepted) == (Fraction(5, 3), 2, 2, True)
@@ -175,11 +157,12 @@ def test_elasticity_is_bound_and_attained():
         profile = local_profile(mono)
         lengths = fp_length_set(mono, witness)
         assert lengths.rho() == profile.rho
+        reach = _fp_reachable(mono.unit_modulus, mono.generators, 40)
         rng = random.Random(5)
         for _ in range(20):
             v = rng.randint(1, 40)
             c = rng.randrange(mono.unit_modulus)
-            if fp_membership(mono, (c, v)):
+            if reach[c][v]:
                 assert fp_length_set(mono, (c, v)).rho() <= profile.rho
 
 
@@ -222,12 +205,14 @@ def test_product_elasticity_is_max_of_factors():
     rho1 = local_profile(h1).rho
     rho2 = local_profile(h2).rho
     want = max(rho1, rho2)
+    reach1 = _fp_reachable(1, h1.generators, 30)[0]
+    reach2 = _fp_reachable(1, h2.generators, 12)[0]
     best = Fraction(0)
     for v1 in range(0, 31):
-        if v1 and not fp_membership(h1, (0, v1)):
+        if not reach1[v1]:
             continue
         for v2 in range(0, 13):
-            if v2 and not fp_membership(h2, (0, v2)):
+            if not reach2[v2]:
                 continue
             if v1 == v2 == 0:
                 continue
@@ -261,4 +246,5 @@ def test_certification_criterion_matches_fp_atoms():
         else:
             accepted += 1
             assert window is not None, (q, gens)
-            assert atoms and all(fp_membership(m, a) for a in atoms)
+            reach = _fp_reachable(q, m.generators, m.max_value)
+            assert atoms and all(reach[c][v] for c, v in atoms)

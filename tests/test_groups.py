@@ -42,7 +42,6 @@ def test_structure_constants():
     assert G.order() == 24
     assert G.exponent() == 6
     assert G.rank() == 3
-    assert G.dstar() == 8  # 1 + 1 + 1 + 5
     assert cyclic(4).exponent() == 4 and cyclic(4).rank() == 1
 
 
@@ -119,7 +118,6 @@ def test_random_element_properties(factors):
         assert G.neg(G.neg(g)) == g
         assert G.add(g, h) == G.add(h, g)
         assert G.add(G.add(g, h), k) == G.add(g, G.add(h, k))
-    assert G.dstar() <= G.order()
 
 
 def test_element_enumeration_is_lexicographic():
