@@ -40,7 +40,7 @@ from .config import ResourceConfig, default_config
 from .errors import BudgetExceededError, InputError
 from .groups import AbelianGroup, _factorint, cyclic, direct_sum_with_embeddings, make_group
 from .lengths import _set_bits, min_delta_of_atoms
-from .sequences import SupportSet, enumerate_atoms, full_support
+from .sequences import SupportSet, _atom_vectors, enumerate_atoms, full_support
 
 
 def gcd_closure(values) -> frozenset[int]:
@@ -59,13 +59,10 @@ def gcd_closure(values) -> frozenset[int]:
 
 def divisor_closure(values) -> frozenset[int]:
     """Every positive integer dividing some member."""
-    vals = set(values)
-    out = set()
-    for v in vals:
-        for d in range(1, int(v) + 1):
-            if v % d == 0:
-                out.add(d)
-    return frozenset(out)
+    vals = {int(v) for v in values}
+    if any(v < 1 for v in vals):
+        raise InputError("divisor closure needs positive integers")
+    return frozenset(d for v in vals for d in range(1, v + 1) if v % d == 0)
 
 
 @dataclass(frozen=True)
@@ -98,9 +95,8 @@ class _UnionValues:
         self.config = config
 
     def min_delta_of_mask(self, mask: int) -> int:
-        elements = self.group.elements()
         # bits in increasing order are elements in index order, which is sorted
-        support = SupportSet(self.group, tuple(elements[j] for j in _set_bits(mask)))
+        support = SupportSet(self.group, tuple(map(self.group.element_at, _set_bits(mask))))
         atoms = enumerate_atoms(support, config=self.config)
         if _settles_to_one(atoms.lengths):
             return 1
@@ -172,15 +168,16 @@ class _OrbitSource(_UnionValues):
             perms.append(perm)
             if len(perms) * n > config.max_nodes:
                 raise BudgetExceededError("automorphism permutation entries", config.max_nodes)
-        first = _orbit_minima(perms, n)
-        atoms = enumerate_atoms(full_support(group), config=config, first=first)
-        longest = atoms.lengths[-1]  # D(G), as the subtrees meet every orbit of atoms
         bits = [1 << j for j in range(n)]
         neg_bits = [1 << group.index_of(group.neg(e)) for e in group.elements()]
-        found = {
-            sum(compress(bits, v)) | sum(compress(neg_bits, v))
-            for v, length in zip(atoms.mult_vectors, atoms.lengths) if length == longest
-        }
+        # the classes of the longest atoms so far; those of length D(G) at the end
+        longest, found = 0, set()
+        for v in _atom_vectors(full_support(group), config, _orbit_minima(perms, n)):
+            length = sum(v)
+            if length > longest:
+                longest, found = length, set()
+            if length == longest:
+                found.add(sum(compress(bits, v)) | sum(compress(neg_bits, v)))
         self.rep = _orbits(found, perms, config.max_supports)
         self.class_masks = sorted(self.rep)
         self.roots = sorted(set(self.rep.values()))

@@ -149,6 +149,10 @@ class AbelianGroup:
         """Position of the reduced element ``g`` in :meth:`elements`."""
         return sum(map(mul, g, self.strides))
 
+    def element_at(self, index: int) -> Element:
+        """The element of index ``index``, the inverse of :meth:`index_of`."""
+        return tuple(index // width % n for n, width in zip(self.invariant_factors, self.strides))
+
     def translation(self, g: Element) -> list[int]:
         """The index of ``s + g`` for every index ``s``, one coordinate at a time."""
         out = [0]

@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .config import ResourceConfig, default_config
 from .errors import BudgetExceededError, InputError
@@ -113,7 +113,7 @@ class AtomSet:
     Stored once, as the flat views ``mult_vectors`` and ``lengths`` sorted by
     (length, vector); the ``GSequence`` objects of ``atoms`` and iteration
     are built on first use and cached.  ``vectors`` must hold the atoms of
-    each length in descending order, as :func:`enumerate_atoms` emits them
+    each length in descending order, as :func:`_atom_vectors` yields them
     (it visits prefixes in lexicographic order of their positions), so a
     stable sort of the reversed list by length alone gives that order."""
 
@@ -161,13 +161,15 @@ def is_atom(seq: GSequence) -> bool:
     return G.zero() not in _achievable_sums(G, items)
 
 
-def enumerate_atoms(
-    support: SupportSet,
-    *,
-    config: ResourceConfig | None = None,
-    first: int | None = None,
-) -> AtomSet:
-    """Enumerate every atom supported in ``support``.
+def enumerate_atoms(support: SupportSet, *, config: ResourceConfig | None = None) -> AtomSet:
+    """Every atom supported in ``support``: a complete set, whose ``davenport``
+    is D(support); the atom and node caps raise, never truncate it."""
+    return AtomSet(support, list(_atom_vectors(support, config or default_config())))
+
+
+def _atom_vectors(support: SupportSet, cfg: ResourceConfig, first: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Yield the multiplicity vector of each atom over ``support`` as the DFS
+    finds it, in the order that :class:`AtomSet` expects.
 
     Depth-first, on an explicit stack of one frame per node of the current
     path, over sorted zero-sum-free sequences.  A node carries ``nsig``, the
@@ -176,19 +178,17 @@ def enumerate_atoms(
     ``-Σ₀``, its negated subsequence sums with the empty sum, so its
     zero-sum-free children are the bits of the support elements at or after
     its last position outside that mask.  The walk takes them lowest bit
-    first and keeps the rest in the node's frame.  The atom and node caps
-    raise :class:`BudgetExceededError`, never a truncated set.  Translation
-    rows are built on first use, so a cap stops a large group early.
+    first and keeps the rest in the node's frame.  The caps on atoms yielded
+    and on nodes raise :class:`BudgetExceededError`.  Translation rows are
+    built on first use, so a cap stops a large group early.
 
     ``first``, an index bitmask, limits the root's children to its elements:
-    the walk then visits only their subtrees and returns the atoms whose
+    the walk then visits only their subtrees and yields the atoms whose
     least element lies in ``first`` (the zero atom as well, when zero is in
-    the support).  That set is partial: its ``davenport`` is only the longest
-    of those atoms, and a caller must not read it as D(support) unless it
+    the support).  The longest of those is D(support) only when the caller
     knows the subtrees hold a longest atom.  Nothing is kept outside those
     subtrees, so the caps count only their nodes and atoms.
     """
-    cfg = config or default_config()
     G = support.group
     n = G.order()
     sup_idx = [G.index_of(g) for g in support.elements]
@@ -211,9 +211,8 @@ def enumerate_atoms(
         from_pos[p] = from_pos[p + 1] | 1 << sup_idx[p]
     from_pos[k] = from_pos[0] if first is None else from_pos[0] & first
 
-    atoms: list[tuple[int, ...]] = []
     counts = [0] * k
-    nodes = 0
+    nodes = atoms = 0
     # the current path, one frame per node with a zero-sum-free child (a leaf
     # pushes none): (position of its last element, its mask -Σ₀, its nsig,
     # mask of the children not yet taken); a child's mask is built only when
@@ -228,11 +227,12 @@ def enumerate_atoms(
             raise BudgetExceededError("enumeration nodes", cfg.max_nodes)
         p = pos_of[nsig]
         if p >= 0 and p >= last_pos:
-            counts[p] += 1
-            atoms.append(tuple(counts))
-            counts[p] -= 1
-            if len(atoms) > cfg.max_atoms:
+            atoms += 1
+            if atoms > cfg.max_atoms:
                 raise BudgetExceededError("atom count", cfg.max_atoms)
+            counts[p] += 1
+            yield tuple(counts)
+            counts[p] -= 1
         free = (from_pos[last_pos] | negs) ^ negs  # the children with no zero-sum subsequence
         if free:  # descend to the lowest one
             low = free & -free
@@ -264,7 +264,6 @@ def enumerate_atoms(
         if row is None:
             row = sub_rows[p] = G.translation(negated[p])
         last_pos, nsig = p, row[parent_nsig]
-    return AtomSet(support, atoms)
 
 
 def full_support(group: AbelianGroup) -> SupportSet:
@@ -306,16 +305,13 @@ _TUPLE = re.compile(r"^\(([-\d,\s]*)\)$")
 def parse_element(group: AbelianGroup, text: str) -> Element:
     text = text.strip()
     m = _TUPLE.match(text)
-    if m:
-        coords = [int(t) for t in m.group(1).split(",") if t.strip()]
-        return group.element(coords)
     try:
-        value = int(text)
-    except ValueError:
+        coords = [int(t) for t in m.group(1).split(",") if t.strip()] if m else [int(text)]
+    except ValueError:  # a malformed coordinate or bare integer
         raise InputError(f"bad element literal {text!r}") from None
-    if group.rank() != 1:
+    if not m and group.rank() != 1:
         raise InputError(f"element {text!r} needs {group.rank()} coordinates, e.g. (a,b)")
-    return group.element((value,))
+    return group.element(coords)
 
 
 def parse_support(group: AbelianGroup, text: str) -> SupportSet:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from zslen.cf import CFExpansion, exceptional_witness, min_delta_pair, min_delta_sym_quad, scan_exceptional
+from zslen.delta_rho import divisor_closure
 from zslen.errors import InputError
 from zslen.fp import FPMonoid, delta_rho_star_product, fp_length_set, transfer_obstruction
 from zslen.groups import AbelianGroup, cyclic
@@ -101,6 +102,9 @@ _OTHER = SupportSet.of(C4, [(1,), (2,), (3,)])
     (lambda: C4.neg((1, 2)), "rank mismatch"),
     (lambda: C4.scalar_mul(2, (1, 2)), "rank mismatch"),
     (lambda: LengthSet.of([-1, 2]), "nonnegative"),
+    # every positive integer divides 0, so no finite closure exists
+    (lambda: divisor_closure([0]), "positive integers"),
+    (lambda: divisor_closure([-6]), "positive integers"),
     (lambda: length_set(GSequence(_SUPPORT, (1, 1)), enumerate_atoms(_OTHER)), "share a support"),
 ])
 def test_argument_checks_raise_input_errors(call, message):

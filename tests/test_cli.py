@@ -96,6 +96,18 @@ def test_malformed_sequence_literals_exit_2(capsys, sequence, message):
     assert (code, out) == (2, "") and message in err
 
 
+@pytest.mark.parametrize("group, support", [
+    ("C3xC3", "(1-2,0),(0,1)"),
+    ("C3xC3", "(--1,0),(0,1)"),
+    ("C3xC3", "(1 2,0),(0,1)"),
+    ("C3xC3", "(1,-),(0,1)"),
+    ("C10", "(1-2)"),
+])
+def test_malformed_tuple_coordinates_exit_2(capsys, group, support):
+    code, out, err = run(capsys, "atoms", "--group", group, "--support", support)
+    assert (code, out) == (2, "") and "bad element literal" in err and "Traceback" not in err
+
+
 def test_min_delta_text_and_empty(capsys):
     code, out, _ = run(capsys, "min-delta", "--group", "C10", "--support", "1,3,7,9")
     assert (code, out.strip()) == (0, "2")

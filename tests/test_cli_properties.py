@@ -1,8 +1,9 @@
 """Property tests of the CLI contract: every input, valid or not, ends in
 exit 0 (an answer), 2 (usage error) or 3 (budget), never in a traceback.
 
-Inputs are drawn literals: groups of order at most 16, supports and
-sequences over them (multiplicities at most 12), rank-one ``--gens`` lists,
+Inputs are drawn literals: groups of order at most 16 and C2xC2xC2xC4,
+supports and sequences over them (multiplicities at most 12, coordinates
+sometimes malformed), rank-one ``--gens`` lists,
 scan ranges, ``--checkpoint`` files and ``ZSLEN_BUDGET`` strings, including
 non-positive values, malformed tokens, torn or foreign checkpoint lines,
 records with a valid checksum but fields of the wrong type, and unknown
@@ -74,13 +75,21 @@ def groups(draw):
     return text, make_group(factors).invariant_factors
 
 
+# coordinates that the tuple pattern admits but that are no integers
+BAD_COORDINATES = ["1-2", "--1", "1 2", "-", "3-"]
+
+
 def residues(rank: int, valid: bool):
-    """Residue tuples of the group's rank, or of any length up to rank + 1."""
-    return st.lists(st.integers(-3, 17), min_size=rank if valid else 0, max_size=rank + (not valid))
+    """Residue tuples of the group's rank, or of any length up to rank + 1
+    whose coordinates are integers or malformed tokens."""
+    if valid:
+        return st.lists(st.integers(-3, 17), min_size=rank, max_size=rank)
+    return st.lists(st.integers(-3, 17) | st.sampled_from(BAD_COORDINATES), max_size=rank + 1)
 
 
-def element_text(rs: list[int]) -> str:
-    return str(rs[0]) if len(rs) == 1 else "(" + ",".join(map(str, rs)) + ")"
+def element_text(rs: list[int | str]) -> str:
+    """A lone integer bare, anything else as a tuple literal, ``(1-2)`` too."""
+    return str(rs[0]) if len(rs) == 1 and isinstance(rs[0], int) else "(" + ",".join(map(str, rs)) + ")"
 
 
 @st.composite
@@ -128,6 +137,28 @@ def test_lengths_never_traces(gs, budget_atoms, budget):
 @given(groups(), budget_flags, budgets)
 def test_delta_rho_never_traces(group, budget_atoms, budget):
     run(with_flag(["delta-rho", "--group", group[0]], budget_atoms), budget)
+
+
+def malformed_budget(budget_atoms: int | None, budget: str | None) -> bool:
+    """Whether the flag or a ``ZSLEN_BUDGET`` entry is a usage error: below 1,
+    or not ``field=integer`` with a known field."""
+    if budget_atoms is not None and budget_atoms < 1:
+        return True
+    for entry in filter(str.strip, (budget or "").split(",")):
+        key, eq, value = entry.partition("=")
+        if not eq or key.strip() not in BUDGET_FIELDS or not value.strip().isdigit() or int(value) < 1:
+            return True
+    return False
+
+
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(budget_flags, budgets)
+def test_delta_rho_through_the_orbit_source_never_traces(budget_atoms, budget):
+    # the groups above, of order <= 16, are cyclic or settled by a theorem;
+    # C2xC2xC2xC4, of order 32, is the smallest that only the orbit source
+    # answers, so this runs its enumeration and its budget stops
+    code = run(with_flag(["delta-rho", "--group", "C2xC2xC2xC4"], budget_atoms), budget)
+    assert code == 2 if malformed_budget(budget_atoms, budget) else code in (0, 3)
 
 
 good_gens = st.builds("{}:{}".format, st.integers(0, 8), st.integers(1, 12)) | st.integers(1, 12).map(str)

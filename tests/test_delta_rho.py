@@ -13,6 +13,7 @@ from oracles import (
     subgroup_generated,
     support_elements,
 )
+from zslen import sequences
 from zslen.cf import exceptional_witness
 from zslen.cli import main
 from zslen.config import ResourceConfig, default_config
@@ -274,6 +275,34 @@ def test_node_budget_stops_a_large_cyclic_walk_in_little_memory():
     assert peak < 50_000_000
 
 
+def test_node_budget_stops_a_huge_cyclic_walk_without_the_element_table():
+    # a union names its elements from their indices; a table of the group's
+    # 200,000 element tuples would take the peak past 25 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            delta_rho_star(cyclic(200_000), config=ResourceConfig(max_nodes=1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25_000_000
+
+
+def test_orbit_source_keeps_the_classes_of_the_longest_atoms_not_an_atom_set(monkeypatch):
+    # the orbit-minimum subtrees of C3^3 hold 5,325 atoms; the source reads
+    # them as a stream and builds no AtomSet of them
+    received = []
+    init = sequences.AtomSet.__init__
+
+    def counted(self, support, vectors):
+        received.append(len(vectors))
+        init(self, support, vectors)
+
+    monkeypatch.setattr(sequences.AtomSet, "__init__", counted)
+    _OrbitSource(make_group([3, 3, 3]), default_config())
+    assert sum(received) == 0
+
+
 def test_support_union_budget_admits_exactly_the_walk(monkeypatch):
     # k unions visited, one value each: a budget of k completes the walk,
     # one less stops it at the last visit
@@ -355,6 +384,15 @@ def test_singleton_distance_groups_collapse():
 
 
 import os
+
+
+@pytest.mark.skipif(not os.environ.get("ZSLEN_STRETCH"),
+                    reason="C3xC3xC6 streams about 21.6M nodes in about 40 s; set ZSLEN_STRETCH=1")
+def test_star_set_of_c3_c3_c6_under_raised_budgets():
+    # past the default budgets (1M atoms, 10M nodes), the orbit source holds
+    # only the classes of the longest atoms
+    config = ResourceConfig(max_atoms=10_000_000, max_nodes=50_000_000)
+    assert delta_rho_star(make_group([3, 3, 6]), config=config) == frozenset({1})
 
 
 @pytest.mark.skipif(not os.environ.get("ZSLEN_STRETCH"),

@@ -138,6 +138,7 @@ def test_index_of_is_the_position_in_elements(G):
     elems = G.elements()
     assert len(elems) == G.order() and list(elems) == sorted(elems)
     assert [G.index_of(e) for e in elems] == list(range(G.order()))
+    assert [G.element_at(i) for i in range(G.order())] == list(elems)
 
 
 @pytest.mark.parametrize("G", LAYOUT_GROUPS, ids=str)

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zslen.config import ResourceConfig
+from zslen.config import ResourceConfig, default_config
 from zslen.errors import BudgetExceededError, InputError
 from zslen.groups import cyclic, make_group
 from zslen.sequences import (
+    AtomSet,
     GSequence,
     SupportSet,
+    _atom_vectors,
     enumerate_atoms,
     full_support,
     is_atom,
@@ -224,7 +226,7 @@ def test_first_mask_keeps_the_subtrees_of_its_elements(factors, first):
     # of the full enumeration, in the same order
     G = make_group(factors)
     full = enumerate_atoms(full_support(G))
-    part = enumerate_atoms(full_support(G), first=first)
+    part = AtomSet(full_support(G), list(_atom_vectors(full_support(G), default_config(), first)))
 
     def least(vector):
         return next(j for j, m in enumerate(vector) if m)
