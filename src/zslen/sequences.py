@@ -1,7 +1,7 @@
 """Zero-sum sequences over a support set and the enumeration of atoms.
 
 A sequence is a finite multiset over a fixed, sorted support; atoms are the
-minimal zero-sum sequences.  ``enumerate_atoms`` walks the tree of zero-sum-
+minimal zero-sum sequences.  ``_atom_vectors`` walks the tree of zero-sum-
 free sequences in canonical element order, maintaining the negated
 subsequence sums as a bitmask over group elements.  A sorted sequence ``S``
 is an atom exactly when its sum vanishes and the prefix obtained by dropping

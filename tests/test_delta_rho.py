@@ -1,5 +1,7 @@
 import importlib
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -389,10 +391,19 @@ import os
 @pytest.mark.skipif(not os.environ.get("ZSLEN_STRETCH"),
                     reason="C3xC3xC6 streams about 21.6M nodes in about 40 s; set ZSLEN_STRETCH=1")
 def test_star_set_of_c3_c3_c6_under_raised_budgets():
-    # past the default budgets (1M atoms, 10M nodes), the orbit source holds
-    # only the classes of the longest atoms
-    config = ResourceConfig(max_atoms=10_000_000, max_nodes=50_000_000)
-    assert delta_rho_star(make_group([3, 3, 6]), config=config) == frozenset({1})
+    # past the default budgets (1M atoms, 10M nodes); the orbit source holds
+    # only the classes of the longest atoms, where storing the 3.7M atoms of
+    # its subtrees took 1.8 GB; the child's own max RSS comes from wait4
+    code = ("from zslen.config import ResourceConfig; from zslen.delta_rho import delta_rho_star; "
+            "from zslen.groups import make_group; config = ResourceConfig(max_atoms=10_000_000, "
+            "max_nodes=50_000_000); print(sorted(delta_rho_star(make_group([3, 3, 6]), config=config)))")
+    src = os.path.dirname(os.path.dirname(sequences.__file__))
+    with subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": src}) as proc:
+        out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+    assert (os.waitstatus_to_exitcode(status), out) == (0, b"[1]\n")
+    assert usage.ru_maxrss < 100_000  # KiB
 
 
 @pytest.mark.skipif(not os.environ.get("ZSLEN_STRETCH"),
