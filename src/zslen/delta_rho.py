@@ -21,10 +21,11 @@ front: the atoms of length ``n`` are exactly ``g^n`` with ``ord g = n``
 (Geroldinger and Halter-Koch 2006), so the classes are the unit pairs
 ``{u, n - u}``, and a union's canonical form is its least unit multiple, so
 the walk starts from ``{1, n - 1}``.  For other groups the
-elementary automorphisms (``AbelianGroup.automorphism_permutations``) split
-the elements into orbits; the atom DFS visits only the subtrees of orbit
-minima, which meet every orbit of atoms, and the classes of the maximal-length
-atoms it finds, closed under the automorphisms, are all the classes.  A class
+elementary automorphisms (``AbelianGroup.automorphism_permutations``) prune
+the atom DFS at every depth: it drops a node that one of them, or an
+inverse, maps to a lexicographically smaller sorted sequence, which keeps
+the least atom of every orbit, and the classes of the maximal-length atoms
+it finds, closed under the automorphisms, are all the classes.  A class
 is canonical as one representative of its orbit; any other union is its own
 canonical form.  Values produced by the gcd shortcut coincide with the
 kernel-lattice value; the property suite checks this on every build.
@@ -103,26 +104,6 @@ class _UnionValues:
         return min_delta_of_atoms(atoms)
 
 
-def _orbit_minima(perms, n: int) -> int:
-    """The index mask of the least element of each orbit of ``perms`` (and
-    their products) on the indices ``0..n-1``."""
-    seen = bytearray(n)
-    minima = 0
-    for least in range(n):
-        if seen[least]:
-            continue
-        minima |= 1 << least
-        seen[least] = 1
-        orbit = [least]
-        for i in orbit:  # grows while it is read
-            for perm in perms:
-                image = perm[i]
-                if not seen[image]:
-                    seen[image] = 1
-                    orbit.append(image)
-    return minima
-
-
 def _orbits(masks, perms, cap: int) -> dict[int, int]:
     """Every image of ``masks`` under ``perms`` and their products, mapped to
     the least of ``masks`` in its orbit; more than ``cap`` images raise
@@ -150,15 +131,16 @@ class _OrbitSource(_UnionValues):
     """The walk's source for a non-cyclic group, from the orbits of the
     elementary automorphisms (``AbelianGroup.automorphism_permutations``).
 
-    An automorphism maps atoms to atoms.  Of the images of an atom, take one
-    whose least element is smallest: no automorphism moves that element
-    lower, so it is the least of its orbit.  The atom DFS restricted to the
-    subtrees of orbit minima therefore meets every orbit of atoms, finds the
-    Davenport constant, and its maximal-length atoms give classes whose
-    closure under the permutations is every class.  ``canonical`` maps each
-    class to one representative of its orbit and leaves every other union
-    as it is.  The permutations' entries count against ``max_nodes`` and the
-    classes against ``max_supports``, so the budgets bound the set-up too."""
+    An automorphism maps atoms to atoms, so the atom DFS, pruned by the
+    permutations and their inverses (``_atom_vectors``), still yields the
+    least atom of every orbit: it finds the Davenport constant, and its
+    maximal-length atoms give classes whose closure under the permutations
+    is every class.  The closure takes the generators alone, as their
+    inverses add nothing to an orbit.  ``canonical`` maps each class to one
+    representative of its orbit and leaves every other union as it is.  The
+    permutations' entries, inverses included, count against ``max_nodes``
+    and the classes against ``max_supports``, so the budgets bound the
+    set-up too."""
 
     def __init__(self, group: AbelianGroup, config: ResourceConfig):
         super().__init__(group, config)
@@ -166,13 +148,14 @@ class _OrbitSource(_UnionValues):
         perms = []
         for perm in group.automorphism_permutations():
             perms.append(perm)
-            if len(perms) * n > config.max_nodes:
+            if 2 * len(perms) * n > config.max_nodes:  # with their inverses
                 raise BudgetExceededError("automorphism permutation entries", config.max_nodes)
+        inverses = [tuple(sorted(range(n), key=perm.__getitem__)) for perm in perms]
         bits = [1 << j for j in range(n)]
         neg_bits = [1 << group.index_of(group.neg(e)) for e in group.elements()]
         # the classes of the longest atoms so far; those of length D(G) at the end
         longest, found = 0, set()
-        for v in _atom_vectors(full_support(group), config, _orbit_minima(perms, n)):
+        for v in _atom_vectors(full_support(group), config, perms + inverses):
             length = sum(v)
             if length > longest:
                 longest, found = length, set()

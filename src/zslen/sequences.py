@@ -167,7 +167,7 @@ def enumerate_atoms(support: SupportSet, *, config: ResourceConfig | None = None
     return AtomSet(support, list(_atom_vectors(support, config or default_config())))
 
 
-def _atom_vectors(support: SupportSet, cfg: ResourceConfig, first: int | None = None) -> Iterator[tuple[int, ...]]:
+def _atom_vectors(support: SupportSet, cfg: ResourceConfig, perms=()) -> Iterator[tuple[int, ...]]:
     """Yield the multiplicity vector of each atom over ``support`` as the DFS
     finds it, in the order that :class:`AtomSet` expects.
 
@@ -182,12 +182,14 @@ def _atom_vectors(support: SupportSet, cfg: ResourceConfig, first: int | None = 
     and on nodes raise :class:`BudgetExceededError`.  Translation rows are
     built on first use, so a cap stops a large group early.
 
-    ``first``, an index bitmask, limits the root's children to its elements:
-    the walk then visits only their subtrees and yields the atoms whose
-    least element lies in ``first`` (the zero atom as well, when zero is in
-    the support).  The longest of those is D(support) only when the caller
-    knows the subtrees hold a longest atom.  Nothing is kept outside those
-    subtrees, so the caps count only their nodes and atoms.
+    ``perms``, permutations of the support positions that map atoms to
+    atoms, prune the walk (orderly generation): a node and its subtree are
+    dropped when some ``φ`` in ``perms`` maps the node's sorted positions
+    ``P`` to a lexicographically smaller sorted tuple.  If ``φ(P) < P``, then
+    ``φ(P·x) < P·x`` for every child ``x ≥ max P``, as the j-th least of
+    ``φ(P·x)`` is at most the j-th of ``φ(P)``; so the least atom of every
+    orbit is yielded, and D(support) with it.  As the parent ``P`` was kept,
+    ``φ(x) ≥ x`` keeps ``P·x``.  A dropped node counts against the node cap.
     """
     G = support.group
     n = G.order()
@@ -203,15 +205,14 @@ def _atom_vectors(support: SupportSet, cfg: ResourceConfig, first: int | None = 
     pos_of = [-1] * n
     for p, gi in enumerate(sup_idx):
         pos_of[gi] = p
-    # from_pos[p]: the support bits at or after position p, the lowest bit
-    # first; from_pos[-1] (the root's last position) is the whole support,
-    # or its part in ``first``
+    # from_pos[p]: the support bits at or after position p, the lowest bit first
     from_pos = [0] * (k + 1)
     for p in range(k - 1, -1, -1):
         from_pos[p] = from_pos[p + 1] | 1 << sup_idx[p]
-    from_pos[k] = from_pos[0] if first is None else from_pos[0] & first
 
     counts = [0] * k
+    # lowering[x]: the maps in ``perms`` that send x lower, the only ones that drop a node ending at x
+    lowering = [[perm for perm in perms if perm[x] < x] for x in range(k)] if perms else []
     nodes = atoms = 0
     # the current path, one frame per node with a zero-sum-free child (a leaf
     # pushes none): (position of its last element, its mask -Σ₀, its nsig,
@@ -220,28 +221,33 @@ def _atom_vectors(support: SupportSet, cfg: ResourceConfig, first: int | None = 
     # only while it has a child left, so a path of single children, as the
     # powers of one element, holds no |G|-bit mask per node
     frames: list[tuple] = []
-    last_pos, negs, nsig = -1, 1, 0  # the root, the empty sequence; zero has index 0
+    # the root, the empty sequence, takes its children from position 0 on, as
+    # a node ending there does; zero has index 0.  Its count is never read:
+    # the walk ends when it backs up past the root
+    last_pos, negs, nsig = 0, 1, 0
     while True:
         nodes += 1
         if nodes > cfg.max_nodes:
             raise BudgetExceededError("enumeration nodes", cfg.max_nodes)
-        p = pos_of[nsig]
-        if p >= 0 and p >= last_pos:
-            atoms += 1
-            if atoms > cfg.max_atoms:
-                raise BudgetExceededError("atom count", cfg.max_atoms)
-            counts[p] += 1
-            yield tuple(counts)
-            counts[p] -= 1
-        free = (from_pos[last_pos] | negs) ^ negs  # the children with no zero-sum subsequence
+        if lowering and lowering[last_pos] and _moved_lower(frames, last_pos, lowering[last_pos]):
+            free = 0
+        else:
+            p = pos_of[nsig]
+            if p >= last_pos:  # p is -1 outside the support
+                atoms += 1
+                if atoms > cfg.max_atoms:
+                    raise BudgetExceededError("atom count", cfg.max_atoms)
+                counts[p] += 1
+                yield tuple(counts)
+                counts[p] -= 1
+            free = (from_pos[last_pos] | negs) ^ negs  # the children with no zero-sum subsequence
         if free:  # descend to the lowest one
             low = free & -free
             rest = free ^ low
             frames.append((last_pos, rest and negs, nsig, rest))
             parent_negs, parent_nsig = negs, nsig
         else:  # a leaf: back up to the deepest frame with a child left
-            if last_pos >= 0:
-                counts[last_pos] -= 1
+            counts[last_pos] -= 1
             while frames:
                 last_pos, parent_negs, parent_nsig, free = frames[-1]
                 if free:
@@ -250,8 +256,7 @@ def _atom_vectors(support: SupportSet, cfg: ResourceConfig, first: int | None = 
                     frames[-1] = (last_pos, rest and parent_negs, parent_nsig, rest)
                     break
                 frames.pop()
-                if last_pos >= 0:
-                    counts[last_pos] -= 1
+                counts[last_pos] -= 1
             else:
                 break  # every frame is exhausted
         p = pos_of[low.bit_length() - 1]
@@ -264,6 +269,16 @@ def _atom_vectors(support: SupportSet, cfg: ResourceConfig, first: int | None = 
         if row is None:
             row = sub_rows[p] = G.translation(negated[p])
         last_pos, nsig = p, row[parent_nsig]
+
+
+def _moved_lower(frames: list[tuple], last_pos: int, perms) -> bool:
+    """Whether a map in ``perms`` sends the sorted positions of a node below
+    the root (its frames' last positions but the root's, then its own) lower."""
+    path = [frame[0] for frame in frames[1:]] + [last_pos]
+    for perm in perms:
+        if sorted(map(perm.__getitem__, path)) < path:
+            return True
+    return False
 
 
 def full_support(group: AbelianGroup) -> SupportSet:

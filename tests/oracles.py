@@ -243,24 +243,41 @@ def full_enumeration_star(G: AbelianGroup) -> frozenset[int]:
 def brute_force_automorphisms(G: AbelianGroup) -> list[dict]:
     """Every automorphism of G as a dict from element to image.  A
     homomorphism is fixed by any images ``h_i`` of the basis vectors with
-    ``n_i h_i = 0``; all such choices are tried, and the bijective ones kept
-    (a repeated image rejects a choice at once)."""
-    zero = G.zero()
+    ``n_i h_i = 0``, and it is bijective exactly when it is injective.  The
+    images are chosen one basis vector at a time, and a choice is dropped as
+    soon as the map on the span of the basis vectors so far repeats an
+    image."""
     elements = G.elements()
-    choices = [[h for h in elements if G.scalar_mul(n, h) == zero] for n in G.invariant_factors]
+    where = {g: j for j, g in enumerate(elements)}
+    plus = [[where[G.add(g, h)] for h in elements] for g in elements]
+    factors = G.invariant_factors
+    basis = [where[tuple(int(i == k) for k in range(len(factors)))] for i in range(len(factors))]
+    choices = [[where[h] for h in elements if G.scalar_mul(n, h) == G.zero()] for n in factors]
     automorphisms = []
-    for images in product(*choices):
-        mapping, hit = {}, set()
-        for x in elements:
-            y = zero
-            for coefficient, h in zip(x, images):
-                y = G.add(y, G.scalar_mul(coefficient, h))
-            if y in hit:
+
+    def extend(i: int, pairs: list[tuple[int, int]]):
+        # pairs: (x, image of x) for every x in the span of the first i basis vectors
+        if i == len(factors):
+            automorphisms.append({elements[x]: elements[y] for x, y in pairs})
+            return
+        for h in choices[i]:
+            grown, hit = list(pairs), {y for _, y in pairs}
+            step_x, step_y = basis[i], h  # a e_i and a h for a = 1, ..., n_i - 1
+            for _ in range(factors[i] - 1):
+                for x, y in pairs:
+                    image = plus[y][step_y]
+                    if image in hit:
+                        break
+                    hit.add(image)
+                    grown.append((plus[x][step_x], image))
+                else:
+                    step_x, step_y = plus[step_x][basis[i]], plus[step_y][h]
+                    continue
                 break
-            mapping[x] = y
-            hit.add(y)
-        else:
-            automorphisms.append(mapping)
+            else:
+                extend(i + 1, grown)
+
+    extend(0, [(where[G.zero()], where[G.zero()])])
     return automorphisms
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -8,6 +9,7 @@ import pytest
 from oracles import sealed_checkpoint_line
 
 import zslen
+from zslen import verify
 from zslen.cf import scan_exceptional
 from zslen.cli import main
 from zslen.config import ResourceConfig
@@ -372,10 +374,12 @@ def test_verify_budget_skips_exit_3(capsys, monkeypatch):
 def test_verify_all_under_a_budget_reports_every_check(capsys, monkeypatch):
     # a budget stop inside any check is a SKIP of that check alone: every
     # check still prints, and the 272 row of the published table still fails
+    # (the three C2xC4 star-set checks pass within 20 atoms: the DFS pruned
+    # by automorphisms yields 13)
     monkeypatch.delenv("ZSLEN_BUDGET", raising=False)
     code, out, _ = run(capsys, "--budget-atoms", "20", "verify", "--all")
     *lines, summary = out.splitlines()
-    assert (len(lines), summary) == (65, "50/65 passed, 1 failed, 14 skipped")
+    assert (len(lines), summary) == (65, "53/65 passed, 1 failed, 11 skipped")
     fails = [line for line in lines if line.startswith("[FAIL]")]
     assert len(fails) == 1
     assert fails[0].startswith("[FAIL] cf-scan :: exceptional n in [8,3000] match the published table")
@@ -409,6 +413,30 @@ def test_verify_checks_on_one_sample_loop_share_its_outcome(capsys, monkeypatch,
     statuses = [line.split()[0] for line in out.splitlines()[:2]]
     assert statuses in (["[PASS]", "[PASS]"], ["[SKIP]", "[SKIP]"])
     assert code == 3
+
+
+@pytest.mark.parametrize("budget", ["5", "1000000"])
+def test_verify_one_dichotomy_computes_each_star_set_once(capsys, monkeypatch, budget):
+    # two checks read each group's star set, which is computed once; a
+    # budget stop in it skips both checks, and the others of that group pass
+    monkeypatch.delenv("ZSLEN_BUDGET", raising=False)
+    star_set = verify.delta_rho_star
+    calls = []
+
+    def counted(group, **kwargs):
+        calls.append(str(group))
+        return star_set(group, **kwargs)
+
+    monkeypatch.setattr(verify, "delta_rho_star", counted)
+    code, out, _ = run(capsys, "--budget-atoms", budget, "verify", "one-dichotomy")
+    assert sorted(calls) == sorted(verify.ONE_IN_STAR + verify.ONE_NOT_MIN)
+    statuses = {}
+    for line in out.splitlines()[:-1]:
+        name = re.search(r"(?:of|for) (C\S+)", line).group(1)
+        statuses.setdefault(name, set()).add(line.split()[0])
+    assert len(statuses) == len(calls)
+    assert all(s in ({"[PASS]"}, {"[SKIP]"}) for s in statuses.values())
+    assert code == (3 if budget == "5" else 0)
 
 
 def test_verify_kernel_brute_under_a_budget_is_a_skip(capsys, monkeypatch):

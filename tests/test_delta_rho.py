@@ -136,7 +136,7 @@ def _as_sets(group, masks):
 @pytest.mark.parametrize("name", ["C3xC6", "C2xC2xC2xC2", "C2xC2xC6", "C5xC5", "C3xC3xC3",
                                   "C2xC4xC4"])
 def test_orbit_source_classes_equal_full_enumeration_classes(name):
-    # the maximal-length atoms of the orbit-minimum subtrees, their classes
+    # the maximal-length atoms of the pruned DFS, their classes
     # closed under the automorphism permutations, against the classes of
     # every atom of the whole group
     group = parse_group(name)
@@ -165,10 +165,11 @@ def test_generator_orbits_on_classes_equal_brute_force_aut_orbits(name, count, o
 def test_budgets_stop_the_noncyclic_walk(monkeypatch):
     # every cap still stops the orbit source's enumeration or the walk, in
     # process and through the CLI
-    # (C2xC4xC4 has 8 permutations of 32 entries, so 300 nodes pass the
-    # set-up and stop the enumeration)
+    # (C2xC4xC4 has 8 permutations of 32 entries, 512 with their inverses,
+    # so 1,000 nodes pass the set-up and stop the pruned enumeration, which
+    # visits 5,969 nodes)
     group = parse_group("C2xC4xC4")
-    caps = [("max_atoms", 10, "atom count"), ("max_nodes", 300, "enumeration nodes"),
+    caps = [("max_atoms", 10, "atom count"), ("max_nodes", 1000, "enumeration nodes"),
             ("max_nodes", 100, "automorphism permutation entries"),
             ("max_supports", 10, "distinct support unions")]
     for field, cap, what in caps:
@@ -176,7 +177,7 @@ def test_budgets_stop_the_noncyclic_walk(monkeypatch):
             delta_rho_star(group, config=ResourceConfig(**{field: cap}))
         assert exc.value.what == what
     monkeypatch.delenv("ZSLEN_BUDGET", raising=False)
-    assert main(["--budget-atoms", "1000", "delta-rho", "--group", "C2xC4xC4"]) == 3
+    assert main(["--budget-atoms", "100", "delta-rho", "--group", "C2xC4xC4"]) == 3  # 631 atoms
 
 
 def test_budgets_stop_the_setup_of_a_large_noncyclic_group(monkeypatch, capsys):
@@ -291,8 +292,8 @@ def test_node_budget_stops_a_huge_cyclic_walk_without_the_element_table():
 
 
 def test_orbit_source_keeps_the_classes_of_the_longest_atoms_not_an_atom_set(monkeypatch):
-    # the orbit-minimum subtrees of C3^3 hold 5,325 atoms; the source reads
-    # them as a stream and builds no AtomSet of them
+    # the pruned DFS of C3^3 yields 70 atoms; the source reads them as a
+    # stream and builds no AtomSet of them
     received = []
     init = sequences.AtomSet.__init__
 
@@ -389,14 +390,14 @@ import os
 
 
 @pytest.mark.skipif(not os.environ.get("ZSLEN_STRETCH"),
-                    reason="C3xC3xC6 streams about 21.6M nodes in about 40 s; set ZSLEN_STRETCH=1")
-def test_star_set_of_c3_c3_c6_under_raised_budgets():
-    # past the default budgets (1M atoms, 10M nodes); the orbit source holds
-    # only the classes of the longest atoms, where storing the 3.7M atoms of
-    # its subtrees took 1.8 GB; the child's own max RSS comes from wait4
+                    reason="C3xC3xC6 takes about 6 s; set ZSLEN_STRETCH=1")
+def test_star_set_of_c3_c3_c6_on_default_budgets():
+    # on the default budgets (1M atoms, 10M nodes): the pruned DFS visits
+    # 140,169 nodes, and the orbit source holds only the classes of the
+    # longest atoms; the child's own max RSS comes from wait4
     code = ("from zslen.config import ResourceConfig; from zslen.delta_rho import delta_rho_star; "
-            "from zslen.groups import make_group; config = ResourceConfig(max_atoms=10_000_000, "
-            "max_nodes=50_000_000); print(sorted(delta_rho_star(make_group([3, 3, 6]), config=config)))")
+            "from zslen.groups import make_group; "
+            "print(sorted(delta_rho_star(make_group([3, 3, 6]), config=ResourceConfig())))")
     src = os.path.dirname(os.path.dirname(sequences.__file__))
     with subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
                           env={**os.environ, "PYTHONPATH": src}) as proc:
@@ -489,7 +490,7 @@ def test_cyclic_route_agrees_with_full_enumeration_walk(n):
 @pytest.mark.parametrize("name", ["C2xC2", "C2xC4", "C3xC3", "C2xC2xC2", "C2xC6", "C2xC2xC4",
                                   "C4xC4", "C2xC8", "C3xC6", "C2xC2xC2xC2", "C2xC2xC6"])
 def test_noncyclic_walk_agrees_with_full_enumeration_walk(name):
-    # the walk over _OrbitSource (orbit-minimum subtrees, class orbits,
+    # the walk over _OrbitSource (the DFS pruned by automorphisms, class orbits,
     # per-union atoms, gcd shortcut, divisor pruning and early exit) against
     # the oracle's own frozenset classes and unions of every atom of the
     # whole group, valued by the kernel alone

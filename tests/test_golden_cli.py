@@ -53,6 +53,8 @@ COMMANDS = (
         ["--budget-atoms", "20", "verify", "cf-cross", "kernel-brute"],
         ["delta-rho", "--group", "C2xC2xC2xC4"],
         ["--format", "json", "delta-rho", "--group", "C2xC2xC2xC4"],
+        ["delta-rho", "--group", "C2xC4xC4"],
+        ["--format", "json", "delta-rho", "--group", "C2xC4xC4"],
     ]
 )
 

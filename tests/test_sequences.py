@@ -1,3 +1,4 @@
+import os
 import random
 import time
 import tracemalloc
@@ -9,9 +10,8 @@ from hypothesis import strategies as st
 
 from zslen.config import ResourceConfig, default_config
 from zslen.errors import BudgetExceededError, InputError
-from zslen.groups import cyclic, make_group
+from zslen.groups import cyclic, make_group, parse_group
 from zslen.sequences import (
-    AtomSet,
     GSequence,
     SupportSet,
     _atom_vectors,
@@ -22,7 +22,7 @@ from zslen.sequences import (
     parse_support,
 )
 
-from oracles import brute_atoms, brute_is_atom
+from oracles import brute_atoms, brute_force_automorphisms, brute_is_atom
 
 
 def seq(group, pairs):
@@ -219,21 +219,53 @@ def test_davenport_lower_bound_and_known_equality():
             assert D == dstar
 
 
-@pytest.mark.parametrize("factors, first", [([10], 0b1010), ([2, 4], 0b10110), ([3, 3], 0b100000010),
-                                           ([2, 2, 2], 0b10)])
-def test_first_mask_keeps_the_subtrees_of_its_elements(factors, first):
-    # the atoms whose least element is in ``first``, and the zero atom: those
-    # of the full enumeration, in the same order
-    G = make_group(factors)
-    full = enumerate_atoms(full_support(G))
-    part = AtomSet(full_support(G), list(_atom_vectors(full_support(G), default_config(), first)))
+def _pruning_perms(G):
+    """The elementary automorphism permutations and their inverses, as the
+    orbit source passes them to the walk."""
+    perms = list(G.automorphism_permutations())
+    return perms + [tuple(sorted(range(G.order()), key=perm.__getitem__)) for perm in perms]
 
-    def least(vector):
-        return next(j for j, m in enumerate(vector) if m)
 
-    want = [v for v in full.mult_vectors if least(v) == 0 or first >> least(v) & 1]
-    assert list(part.mult_vectors) == want
-    assert part.davenport == max(map(sum, want))
+def _index_tuple(vector):
+    return tuple(j for j, m in enumerate(vector) for _ in range(m))
+
+
+@pytest.mark.parametrize("name", ["C4xC4", "C3xC6", "C2xC2xC6", "C2xC2xC2xC2", "C2xC8", "C2xC2xC2xC4",
+                                  "C2xC4xC4"])
+def test_pruned_walk_yields_the_least_atom_of_every_orbit(name):
+    # orbits under all of Aut(G), from the brute-force oracle, which shares
+    # no code with the walk; the atoms taken in increasing order, the first
+    # one of each orbit is its least sorted index tuple, and the walk pruned
+    # by the elementary automorphisms must yield it; all it yields are atoms
+    G = parse_group(name)
+    support = full_support(G)
+    pruned = {_index_tuple(v) for v in _atom_vectors(support, default_config(), _pruning_perms(G))}
+    every = {_index_tuple(v) for v in enumerate_atoms(support).mult_vectors}
+    assert pruned <= every and len(pruned) < len(every)
+    where = {g: j for j, g in enumerate(support.elements)}
+    automorphisms = [[where[phi[g]] for g in support.elements] for phi in brute_force_automorphisms(G)]
+    seen = set()
+    for atom in sorted(every):
+        if atom not in seen:
+            assert atom in pruned, atom
+            seen.update(tuple(sorted(map(phi.__getitem__, atom))) for phi in automorphisms)
+
+
+def _longest_pruned_atom(G):
+    return max(map(sum, _atom_vectors(full_support(G), default_config(), _pruning_perms(G))))
+
+
+@pytest.mark.parametrize("factors", [[4, 4], [3, 3, 3], [2, 4, 4], [2, 2, 4, 4]])
+def test_pruned_walk_finds_the_davenport_constant(factors):
+    # D(G) = D*(G) = 1 + sum(n_i - 1) for p-groups and rank at most 2
+    # (Olson 1969), and the least atom of a longest orbit survives the prune
+    assert _longest_pruned_atom(make_group(factors)) == 1 + sum(n - 1 for n in factors)
+
+
+@pytest.mark.skipif(not os.environ.get("ZSLEN_STRETCH"),
+                    reason="the pruned walk over C2xC4xC8 takes about 15 s; set ZSLEN_STRETCH=1")
+def test_pruned_walk_finds_the_davenport_constant_of_c2_c4_c8():
+    assert _longest_pruned_atom(make_group([2, 4, 8])) == 12
 
 
 def test_negation_permutes_atoms_of_symmetric_support():
