@@ -153,18 +153,13 @@ class AbelianGroup:
         """The element of index ``index``, the inverse of :meth:`index_of`."""
         return tuple(index // width % n for n, width in zip(self.invariant_factors, self.strides))
 
-    def translation(self, g: Element) -> list[int]:
-        """The index of ``s + g`` for every index ``s``, one coordinate at a time."""
-        out = [0]
-        for r, n, width in zip(g, self.invariant_factors, self.strides):
-            offsets = [(c + r) % n * width for c in range(n)]
-            out = [base + off for base in out for off in offsets]
-        return out
-
     def mask_translation(self, g: Element) -> tuple[tuple[int, int, int, int], ...]:
-        """Steps ``(keep, up, wrap, down)`` realizing ``s -> s + g`` on index
-        bitmasks, one per nonzero coordinate (each rotates on its own), applied
-        as ``mask = ((mask & keep) << up) | ((mask & wrap) >> down)``."""
+        """Steps ``(keep, up, wrap, down)`` realizing ``s -> s + g`` on indices,
+        one per nonzero coordinate (each rotates on its own).  On an index
+        bitmask a step is ``mask = ((mask & keep) << up) | ((mask & wrap) >> down)``;
+        on one index ``s`` it is ``s + up`` when ``s % (up + down) < down`` and
+        ``s - down`` otherwise (``up + down`` is the coordinate's period, and
+        ``down`` is where its digit wraps)."""
         n = self.order()
         full = (1 << n) - 1
         steps = []

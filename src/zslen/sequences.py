@@ -21,7 +21,9 @@ operation for all of them.  Bits are element indices (``groups`` owns that
 layout, in which a sorted support is in index order), so the walk takes them
 lowest bit first, in canonical order, and visits the same nodes as one that
 tests every child; only the child that is taken pays for the shifts to
-``-Σ₀(S·g) = -Σ₀(S) ∪ (-Σ₀(S) - g)``.
+``-Σ₀(S·g) = -Σ₀(S) ∪ (-Σ₀(S) - g)``.  The same steps of ``s -> s - g``
+move the index of the negated sum, ``-Σ(S·g) = -Σ(S) - g``, one coordinate
+at a time, so the walk builds no table of translated indices.
 """
 
 from __future__ import annotations
@@ -178,9 +180,12 @@ def _atom_vectors(support: SupportSet, cfg: ResourceConfig, perms=()) -> Iterato
     ``-Σ₀``, its negated subsequence sums with the empty sum, so its
     zero-sum-free children are the bits of the support elements at or after
     its last position outside that mask.  The walk takes them lowest bit
-    first and keeps the rest in the node's frame.  The caps on atoms yielded
-    and on nodes raise :class:`BudgetExceededError`.  Translation rows are
-    built on first use, so a cap stops a large group early.
+    first and keeps the rest in the node's frame.  Taking the child ``g``
+    moves ``-Σ₀`` and ``nsig`` by the same steps of ``s -> s - g``
+    (:meth:`AbelianGroup.mask_translation`), so besides the path the walk
+    holds two |G|-bit masks per step of each support element and one
+    |G|-entry list of support positions.  The caps on atoms yielded and on nodes raise
+    :class:`BudgetExceededError`.
 
     ``perms``, permutations of the support positions that map atoms to
     atoms, prune the walk (orderly generation): a node and its subtree are
@@ -196,10 +201,8 @@ def _atom_vectors(support: SupportSet, cfg: ResourceConfig, perms=()) -> Iterato
     sup_idx = [G.index_of(g) for g in support.elements]
     k = len(sup_idx)
 
-    negated = [G.neg(g) for g in support.elements]
-    neg_shifts = [G.mask_translation(g) for g in negated]
-    # sub_rows[p][s] = index of element s - support[p]; rows built on first use
-    sub_rows: list[list[int] | None] = [None] * k
+    # the steps of s -> s - support[p], on the mask -Σ₀ and on the index nsig
+    neg_shifts = [G.mask_translation(G.neg(g)) for g in support.elements]
 
     # position of each group element inside the support, -1 if absent
     pos_of = [-1] * n
@@ -245,15 +248,15 @@ def _atom_vectors(support: SupportSet, cfg: ResourceConfig, perms=()) -> Iterato
             low = free & -free
             rest = free ^ low
             frames.append((last_pos, rest and negs, nsig, rest))
-            parent_negs, parent_nsig = negs, nsig
+            parent_negs = negs
         else:  # a leaf: back up to the deepest frame with a child left
             counts[last_pos] -= 1
             while frames:
-                last_pos, parent_negs, parent_nsig, free = frames[-1]
+                last_pos, parent_negs, nsig, free = frames[-1]
                 if free:
                     low = free & -free
                     rest = free ^ low
-                    frames[-1] = (last_pos, rest and parent_negs, parent_nsig, rest)
+                    frames[-1] = (last_pos, rest and parent_negs, nsig, rest)
                     break
                 frames.pop()
                 counts[last_pos] -= 1
@@ -261,14 +264,12 @@ def _atom_vectors(support: SupportSet, cfg: ResourceConfig, perms=()) -> Iterato
                 break  # every frame is exhausted
         p = pos_of[low.bit_length() - 1]
         shifted = parent_negs
-        for keep, left, wrap, right in neg_shifts[p]:
-            shifted = ((shifted & keep) << left) | ((shifted & wrap) >> right)
+        for keep, up, wrap, down in neg_shifts[p]:
+            shifted = ((shifted & keep) << up) | ((shifted & wrap) >> down)
+            nsig = nsig + up if nsig % (up + down) < down else nsig - down
         negs = parent_negs | shifted
         counts[p] += 1
-        row = sub_rows[p]
-        if row is None:
-            row = sub_rows[p] = G.translation(negated[p])
-        last_pos, nsig = p, row[parent_nsig]
+        last_pos = p
 
 
 def _moved_lower(frames: list[tuple], last_pos: int, perms) -> bool:
@@ -325,7 +326,7 @@ def parse_element(group: AbelianGroup, text: str) -> Element:
     except ValueError:  # a malformed coordinate or bare integer
         raise InputError(f"bad element literal {text!r}") from None
     if not m and group.rank() != 1:
-        raise InputError(f"element {text!r} needs {group.rank()} coordinates, e.g. (a,b)")
+        raise InputError(f"element {text!r} needs {group.rank()} coordinates, e.g. {format_element(group.zero())}")
     return group.element(coords)
 
 

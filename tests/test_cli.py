@@ -110,6 +110,15 @@ def test_malformed_tuple_coordinates_exit_2(capsys, group, support):
     assert (code, out) == (2, "") and "bad element literal" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("group, support, hint", [
+    ("C1", "0", "needs 0 coordinates, e.g. ()"),
+    ("C2xC2xC2", "1", "needs 3 coordinates, e.g. (0,0,0)"),
+])
+def test_a_bare_integer_outside_rank_one_exits_2_with_a_literal_of_the_rank(capsys, group, support, hint):
+    code, out, err = run(capsys, "atoms", "--group", group, "--support", support)
+    assert (code, out) == (2, "") and hint in err and "Traceback" not in err
+
+
 def test_min_delta_text_and_empty(capsys):
     code, out, _ = run(capsys, "min-delta", "--group", "C10", "--support", "1,3,7,9")
     assert (code, out.strip()) == (0, "2")

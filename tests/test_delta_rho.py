@@ -291,6 +291,20 @@ def test_node_budget_stops_a_huge_cyclic_walk_without_the_element_table():
     assert peak < 25_000_000
 
 
+def test_node_budget_stops_a_huge_cyclic_walk_without_translation_rows():
+    # the DFS moves the index of a node's negated sum by the mask steps; a
+    # |G|-entry row of indices per support element would take the peak of
+    # C500000 to about 49 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="enumeration nodes"):
+            delta_rho_star(cyclic(500_000), config=ResourceConfig(max_nodes=5_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15_000_000
+
+
 def test_orbit_source_keeps_the_classes_of_the_longest_atoms_not_an_atom_set(monkeypatch):
     # the pruned DFS of C3^3 yields 70 atoms; the source reads them as a
     # stream and builds no AtomSet of them

@@ -55,6 +55,11 @@ COMMANDS = (
         ["--format", "json", "delta-rho", "--group", "C2xC2xC2xC4"],
         ["delta-rho", "--group", "C2xC4xC4"],
         ["--format", "json", "delta-rho", "--group", "C2xC4xC4"],
+        ["atoms", "--group", "C2xC4xC4", "--support", "(0,0,1),(0,1,3),(1,2,1),(1,3,2),(0,3,3)"],
+        ["--format", "json", "atoms", "--group", "C2xC2xC2xC6", "--support", "(0,0,1,1),(0,1,0,5),(1,0,1,3),(1,1,1,4)"],
+        ["--format", "tsv", "atoms", "--group", "C298", "--support", "1,9,289,297"],
+        ["min-delta", "--group", "C3xC3xC6", "--support", "(0,1,1),(1,0,5),(2,2,3),(1,1,2),(0,2,4)"],
+        ["delta-rho", "--group", "C26"],
     ]
 )
 

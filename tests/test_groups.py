@@ -143,9 +143,13 @@ def test_index_of_is_the_position_in_elements(G):
 
 @pytest.mark.parametrize("G", LAYOUT_GROUPS, ids=str)
 def test_translation_row_holds_the_index_of_each_sum(G):
-    elems, pos = G.elements(), _positions(G)
-    for g in elems:
-        assert G.translation(g) == [pos[G.add(e, g)] for e in elems]
+    # the row of every index stepped by the mask steps of g, by the index
+    # rule that the atom DFS applies to the index of its negated sum
+    for g in G.elements():
+        row = list(range(G.order()))
+        for keep, up, wrap, down in G.mask_translation(g):
+            row = [s + up if s % (up + down) < down else s - down for s in row]
+        assert row == [G.index_of(G.add(G.element_at(s), g)) for s in range(G.order())]
 
 
 @pytest.mark.parametrize("G", LAYOUT_GROUPS, ids=str)
