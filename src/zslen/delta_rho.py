@@ -10,7 +10,8 @@ distinct unions of those support classes.  Three facts keep it small:
   expansion stops as soon as none is;
 * over a negation-closed support, the minimum distance divides ``|U| - 2``
   for every atom ``U`` (pair off each element with its negative), so a running
-  gcd of atom lengths settles most unions to 1 without touching the kernel;
+  gcd of atom lengths settles most unions to 1 without touching the kernel,
+  and stops their atom enumeration as soon as it reaches 1;
 * a group automorphism keeps the minimum distance, so the walk may visit one
   canonical union per orbit.
 
@@ -41,7 +42,7 @@ from .config import ResourceConfig, default_config
 from .errors import BudgetExceededError, InputError
 from .groups import AbelianGroup, _factorint, cyclic, direct_sum_with_embeddings, make_group
 from .lengths import _set_bits, min_delta_of_atoms
-from .sequences import SupportSet, _atom_vectors, enumerate_atoms, full_support
+from .sequences import AtomSet, SupportSet, _atom_vectors, full_support
 
 
 def gcd_closure(values) -> frozenset[int]:
@@ -75,21 +76,13 @@ class DeltaRhoResult:
     conjectured: frozenset[int] | None = None
 
 
-def _settles_to_one(lengths) -> bool:
-    """Whether the gcd of ``length - 2`` over atoms of length >= 3 reaches 1."""
-    g = 0
-    for length in lengths:
-        if length >= 3:
-            g = gcd(g, length - 2)
-            if g == 1:
-                return True
-    return False
-
-
 class _UnionValues:
     """What both walk sources share: a union's value from the atoms over it
-    alone, so the atom and node budgets bound each of these enumerations.
-    Bit j of a mask stands for the element of index j."""
+    alone, read from the DFS stream.  Every union is negation-closed, so its
+    value divides ``|U| - 2`` for each atom ``U``: the stream stops once the
+    gcd of those is 1, and otherwise the kernel gets every atom over the
+    union.  The atom and node budgets bound what is read.  Bit j of a mask
+    stands for the element of index j."""
 
     def __init__(self, group: AbelianGroup, config: ResourceConfig):
         self.group = group
@@ -98,10 +91,15 @@ class _UnionValues:
     def min_delta_of_mask(self, mask: int) -> int:
         # bits in increasing order are elements in index order, which is sorted
         support = SupportSet(self.group, tuple(map(self.group.element_at, _set_bits(mask))))
-        atoms = enumerate_atoms(support, config=self.config)
-        if _settles_to_one(atoms.lengths):
-            return 1
-        return min_delta_of_atoms(atoms)
+        g, vectors = 0, []
+        for v in _atom_vectors(support, self.config):
+            length = sum(v)
+            if length >= 3:
+                g = gcd(g, length - 2)
+                if g == 1:
+                    return 1
+            vectors.append(v)
+        return min_delta_of_atoms(AtomSet(support, vectors))
 
 
 def _orbits(masks, perms, cap: int) -> dict[int, int]:

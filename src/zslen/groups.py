@@ -266,7 +266,7 @@ _GROUP_TOKEN = re.compile(r"^c?(\d+)$", re.IGNORECASE)
 
 def parse_group(text: str) -> AbelianGroup:
     """Parse literals like ``C4`` or ``C2xC2xC6`` (case-insensitive)."""
-    parts = text.strip().split("x")
+    parts = text.strip().lower().split("x")
     factors = []
     for part in parts:
         m = _GROUP_TOKEN.match(part.strip())

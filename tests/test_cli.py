@@ -47,6 +47,13 @@ def test_delta_rho_sandwich_only_prints_the_conjectured_set(capsys):
     assert '"conjectured": [1]' in out
 
 
+def test_delta_rho_reads_an_uppercase_separator(capsys):
+    # group literals are case-insensitive, the separator x included
+    code, out, _ = run(capsys, "--format", "json", "delta-rho", "--group", "C2XC4")
+    assert code == 0
+    assert json.loads(out)["star"] == [1]
+
+
 def test_delta_rho_empty_sentinel(capsys):
     code, out, _ = run(capsys, "--format", "json", "delta-rho", "--group", "C2")
     assert code == 0
@@ -384,11 +391,18 @@ def test_verify_all_under_a_budget_reports_every_check(capsys, monkeypatch):
     # a budget stop inside any check is a SKIP of that check alone: every
     # check still prints, and the 272 row of the published table still fails
     # (the three C2xC4 star-set checks pass within 20 atoms: the DFS pruned
-    # by automorphisms yields 13)
+    # by automorphisms yields 13; so do the star sets of C2^4 and C3xC3,
+    # whose unions are valued from the atom stream, which stops at gcd 1)
     monkeypatch.delenv("ZSLEN_BUDGET", raising=False)
     code, out, _ = run(capsys, "--budget-atoms", "20", "verify", "--all")
     *lines, summary = out.splitlines()
-    assert (len(lines), summary) == (65, "53/65 passed, 1 failed, 11 skipped")
+    assert (len(lines), summary) == (65, "57/65 passed, 1 failed, 7 skipped")
+    assert {
+        "[PASS] elem2 :: star set of C2^4",
+        "[PASS] one-dichotomy :: 1 in star set of C3xC3 (by enumeration)",
+        "[PASS] one-dichotomy :: dichotomy predicate matches enumeration for C3xC3",
+        "[PASS] rank-two-often :: star set of C3xC3 is exactly {1}",
+    } <= set(lines)
     fails = [line for line in lines if line.startswith("[FAIL]")]
     assert len(fails) == 1
     assert fails[0].startswith("[FAIL] cf-scan :: exceptional n in [8,3000] match the published table")

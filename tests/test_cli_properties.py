@@ -71,7 +71,7 @@ def groups(draw):
         return draw(st.sampled_from(["C0", "D4", "", "C2x", "x", "c-3", "C2xC17"])), ()
     factors = draw(st.lists(st.integers(1, 16), min_size=1, max_size=4)
                    .filter(lambda fs: prod(fs) <= 16))
-    text = "x".join(f"{draw(st.sampled_from('Cc'))}{n}" for n in factors)
+    text = draw(st.sampled_from("xX")).join(f"{draw(st.sampled_from('Cc'))}{n}" for n in factors)
     return text, make_group(factors).invariant_factors
 
 
@@ -136,7 +136,10 @@ def test_lengths_never_traces(gs, budget_atoms, budget):
 @EXAMPLES
 @given(groups(), budget_flags, budgets)
 def test_delta_rho_never_traces(group, budget_atoms, budget):
-    run(with_flag(["delta-rho", "--group", group[0]], budget_atoms), budget)
+    # a well-formed literal, whatever the case of its letters, is no usage error
+    code = run(with_flag(["delta-rho", "--group", group[0]], budget_atoms), budget)
+    if group[1] and not malformed_budget(budget_atoms, budget):
+        assert code in (0, 3)
 
 
 def malformed_budget(budget_atoms: int | None, budget: str | None) -> bool:

@@ -1,8 +1,10 @@
 import importlib
+import json
 import random
 import subprocess
 import sys
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -21,6 +23,7 @@ from zslen.cli import main
 from zslen.config import ResourceConfig, default_config
 from zslen.delta_rho import (
     _OrbitSource,
+    _UnitClassScan,
     delta_rho,
     delta_rho_star,
     divisor_closure,
@@ -128,6 +131,41 @@ def test_min_delta_of_mask_matches_min_delta_of_its_support(name, monkeypatch):
         assert source.min_delta_of_mask(source.class_masks[0]) == 3 and len(passed) == 1
 
 
+@pytest.mark.parametrize("n, want, settled_by_gcd", [
+    (15, {1, 13}, 10), (16, {1, 2, 14}, 0), (21, {1, 19}, 35), (26, {1, 4, 24}, 0),
+])
+def test_cyclic_min_delta_of_mask_matches_min_delta_of_its_support(n, want, settled_by_gcd, monkeypatch):
+    # the cyclic source's valuation against the kernel alone, on every class
+    # and every union of two or three of its classes (4 for C15 and C16, 6
+    # for C21 and C26); a union is either settled to 1 mid-stream by the gcd
+    # of length - 2, or valued by the kernel on every atom over it.  For even
+    # n every unit is odd, so every atom over units has even length and the
+    # gcd never reaches 1: there the kernel finds every value, 1 included
+    G = cyclic(n)
+    source = _UnitClassScan(G, default_config())
+    classes = list(source.class_masks)
+    passed = []
+
+    def kernel(atoms):
+        passed.append(atoms.mult_vectors)
+        return min_delta_of_atoms(atoms)
+
+    monkeypatch.setattr(importlib.import_module("zslen.delta_rho"), "min_delta_of_atoms", kernel)
+    values, settled = set(), 0
+    for m in (sum(c) for k in (1, 2, 3) for c in combinations(classes, k)):
+        support = SupportSet.of(G, [(j,) for j in _set_bits(m)])
+        passed.clear()
+        value = source.min_delta_of_mask(m)
+        assert value == min_delta(support), m
+        if passed:
+            assert passed == [enumerate_atoms(support).mult_vectors], m
+        else:
+            assert value == 1, m
+            settled += 1
+        values.add(value)
+    assert (values, settled) == (want, settled_by_gcd)
+
+
 def _as_sets(group, masks):
     elems = group.elements()
     return [frozenset(elems[j] for j in _set_bits(m)) for m in masks]
@@ -178,6 +216,19 @@ def test_budgets_stop_the_noncyclic_walk(monkeypatch):
         assert exc.value.what == what
     monkeypatch.delenv("ZSLEN_BUDGET", raising=False)
     assert main(["--budget-atoms", "100", "delta-rho", "--group", "C2xC4xC4"]) == 3  # 631 atoms
+
+
+def test_a_union_of_value_one_answers_once_its_gcd_settles(monkeypatch, capsys):
+    # a union's atoms are read only until the gcd of their length - 2 is 1,
+    # so the atom cap counts what is read before the value settles: C3^3
+    # answers within 100 atoms (70 suffice; a full enumeration of each union
+    # needed 302), and C2xC4xC4 within 700 (the set-up DFS reads 631, the
+    # full enumerations needed 743)
+    assert delta_rho_star(parse_group("C3xC3xC3"), config=ResourceConfig(max_atoms=100)) == {1}
+    monkeypatch.delenv("ZSLEN_BUDGET", raising=False)
+    code = main(["--budget-atoms", "700", "--format", "json", "delta-rho", "--group", "C2xC4xC4"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["star"] == [1]
 
 
 def test_budgets_stop_the_setup_of_a_large_noncyclic_group(monkeypatch, capsys):

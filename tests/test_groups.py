@@ -48,6 +48,7 @@ def test_structure_constants():
 def test_parse_group():
     assert parse_group("C4") == cyclic(4)
     assert parse_group("c2xc2xc6").invariant_factors == (2, 2, 6)
+    assert parse_group("C2XC4") == parse_group("c2xc4") == make_group([2, 4])
     assert parse_group("2x3") == cyclic(6)
     with pytest.raises(InputError):
         parse_group("D4")
