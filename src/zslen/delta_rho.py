@@ -81,8 +81,11 @@ class _UnionValues:
     alone, read from the DFS stream.  Every union is negation-closed, so its
     value divides ``|U| - 2`` for each atom ``U``: the stream stops once the
     gcd of those is 1, and otherwise the kernel gets every atom over the
-    union.  The atom and node budgets bound what is read.  Bit j of a mask
-    stands for the element of index j."""
+    union.  A source whose gcd can never reach 1 sets ``fold`` to False and
+    hands the stream to the kernel as it is.  The atom and node budgets bound
+    what is read.  Bit j of a mask stands for the element of index j."""
+
+    fold = True
 
     def __init__(self, group: AbelianGroup, config: ResourceConfig):
         self.group = group
@@ -91,6 +94,8 @@ class _UnionValues:
     def min_delta_of_mask(self, mask: int) -> int:
         # bits in increasing order are elements in index order, which is sorted
         support = SupportSet(self.group, tuple(map(self.group.element_at, _set_bits(mask))))
+        if not self.fold:
+            return min_delta_of_atoms(AtomSet(support, list(_atom_vectors(support, self.config))))
         g, vectors = 0, []
         for v in _atom_vectors(support, self.config):
             length = sum(v)
@@ -172,11 +177,14 @@ class _UnitClassScan(_UnionValues):
     ``{u, n - u}`` are the classes, and nothing is enumerated up front; bit j
     of a mask stands for the residue j, whose index is j.  Only the units
     are stored: each read of ``class_masks`` builds the n-bit masks one at a
-    time, so the set-up holds no mask per class before any budget applies."""
+    time, so the set-up holds no mask per class before any budget applies.
+    For even n every unit is odd, so every atom over units has even length
+    and the gcd of ``|U| - 2`` never reaches 1: there it is not folded."""
 
     def __init__(self, group: AbelianGroup, config: ResourceConfig):
         super().__init__(group, config)
         n = self.n = group.order()
+        self.fold = n % 2 == 1
         self.units = [u for u in range(1, (n + 1) // 2) if gcd(u, n) == 1]
         self.roots = [(1 << 1) | (1 << (n - 1))]  # every class is a unit multiple of {1, n - 1}
 

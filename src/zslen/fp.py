@@ -1,12 +1,20 @@
 """Rank-one primary monoids presented by (unit class, value) generators.
 
-The monoid lives inside Z_q x N: multiplication adds values and unit classes.
-Every element is a product of generators, so the atoms are exactly the
-generators with no factorization into two or more generators.  One pass of
-the length engine :func:`zslen.lengths._product_bits` over the generators, up
-to the largest generator value, finds them: an atom's length set is {1}.
-Length sets run on the same engine, which yields elements in order of value
-with final length sets, so it stops at its element.
+The monoid H lives inside Z_q x N: multiplication adds values and unit
+classes.  Every element is a product of generators, so the atoms are exactly
+the generators with no factorization into two or more generators.  They come
+from a coset table, the Apery-set or shortest-path method for numerical
+semigroups (Nijenhuis 1979; Rosales and Garcia-Sanchez 2009): modulo a
+generator ``g0 = (c0, m)`` of least value, Z_q x Z has ``q * m`` cosets, and
+a shortest-path search along the generators gives the least value of H in
+each.  An element is in H exactly when its value is at least the least
+value of its coset, since adding ``g0`` never leaves H.  A generator ``g``
+is an atom unless ``g - h`` is in H for another generator ``h``.
+
+Length sets count atoms over the cells ``v * q + c`` of every element up to
+the target, one bit per cell of an int, as the zero-sum length sets of
+:mod:`zslen.lengths` count them over a box: bit k of the result is the
+target's cell after k steps.
 
 The minimum distance accounts for the unit-class torsion: the relation
 lattice is cut out by the value equation together with the class congruence,
@@ -15,15 +23,16 @@ realized by an auxiliary column of weight q.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations
 from math import gcd
 
 from .config import ResourceConfig, default_config
-from .errors import InputError
-from .lengths import LengthSet, _functional_gcd, _product_bits, _set_bits
+from .errors import BudgetExceededError, InputError
+from .lengths import LengthSet, _functional_gcd, _repeat, _set_bits
 from .delta_rho import gcd_closure
 
 
@@ -54,10 +63,6 @@ class FPMonoid:
             )
         return FPMonoid(unit_modulus, tuple(gens))
 
-    @property
-    def max_value(self) -> int:
-        return max(v for _, v in self.generators)
-
 
 @dataclass(frozen=True)
 class LocalProfile:
@@ -67,24 +72,46 @@ class LocalProfile:
     d: int  # gcd of consecutive atom-value differences (0 for one value)
 
 
-def _key(q: int, x: tuple[int, int]) -> int:
-    """The element ``x = (cls, val)`` as one int: the value above a class
-    field wide enough for the sum of two classes mod q."""
-    return x[1] << (2 * q).bit_length() | x[0]
+def _membership(monoid: FPMonoid, max_states: int) -> Callable[[int, int], bool]:
+    """The test ``(c, v) -> (c, v) in H`` from the coset table.
 
-
-def _products(monoid: FPMonoid, gens, bound: int, max_states: float) -> Iterator[tuple[int, int]]:
-    """Stream ``(key, bits)`` for the products of ``gens`` with value at most
-    ``bound`` in order of value, keyed by :func:`_key`, as
-    :func:`zslen.lengths._product_bits` yields them."""
+    With ``g0 = (c0, m)`` a generator of least value, the coset of ``(c, v)``
+    modulo ``g0`` is ``((c - (v // m) * c0) mod q, v mod m)``, numbered as
+    ``class * m + residue``; its representative is that pair itself.
+    Dijkstra from the coset of 0 along the other generators gives the least
+    value of H in each coset; a heap entry is the one int
+    ``value * cosets + coset``.  The ``q * m`` cosets count against
+    ``max_states``, checked before the table is built.
+    """
     q = monoid.unit_modulus
-    mask = (1 << (2 * q).bit_length()) - 1
+    g0 = min(monoid.generators, key=lambda g: g[1])
+    c0, m = g0
+    cosets = q * m
+    if cosets > max_states:
+        raise BudgetExceededError("rank-one coset table entries", max_states)
 
-    def mul(p, a):
-        r = p + a
-        return r - q if r & mask >= q else r
+    edges = [g for g in monoid.generators if g != g0]
+    least: list[int | None] = [None] * cosets  # None: no element of H found
+    least[0] = 0
+    heap = [0]
+    while heap:
+        d, x = divmod(heappop(heap), cosets)
+        if d > least[x]:
+            continue
+        r, s = divmod(x, m)
+        for c, v in edges:
+            t = s + v
+            y = (r + c - t // m * c0) % q * m + t % m
+            e, old = d + v, least[y]
+            if old is None or e < old:
+                least[y] = e
+                heappush(heap, e * cosets + y)
 
-    return _product_bits([(_key(q, g), g[1]) for g in gens], bound, mul, max_states)
+    def member(c: int, v: int) -> bool:
+        w = least[(c - v // m * c0) % q * m + v % m]
+        return w is not None and w <= v
+
+    return member
 
 
 def fp_atoms(monoid: FPMonoid, *, config: ResourceConfig | None = None) -> list[tuple[int, int]]:
@@ -104,9 +131,9 @@ def fp_atoms(monoid: FPMonoid, *, config: ResourceConfig | None = None) -> list[
             f"generators and ({q}, 0) span a sublattice of index {index} in Z^2: "
             f"some unit classes mod {q} are never reached"
         )
-    gens = {_key(q, g): g for g in monoid.generators}
-    products = _products(monoid, monoid.generators, monoid.max_value, cfg.max_states)
-    atoms = [gens[p] for p, bits in products if bits == 0b10 and p in gens]
+    member = _membership(monoid, cfg.max_states)
+    gens = monoid.generators
+    atoms = [g for g in gens if not any(h != g and member(g[0] - h[0], g[1] - h[1]) for h in gens)]
     return sorted(atoms, key=lambda t: (t[1], t[0]))
 
 
@@ -116,15 +143,51 @@ def fp_length_set(
     *,
     config: ResourceConfig | None = None,
 ) -> LengthSet:
-    """Exact set of factorization lengths of the element ``x``."""
+    """Exact set of factorization lengths of the element ``x``.
+
+    Cell ``v * q + c`` stands for the element ``(c, v)``, and ``reach`` has
+    the cell of every element that is a product of exactly k atoms.  An atom
+    ``(c, v)`` moves the cells of class ``r < q - c`` up by ``v * q + c`` and
+    the others, whose class wraps, up by ``v * q + c - q``; one mask per
+    distinct class ``c > 0`` picks the first.  The target's ``T + 1`` cells,
+    ``T`` its own, count against ``max_states``, checked before any mask is
+    built.  Values only grow, so the loop ends once ``reach``, cut to the
+    cells, is 0.
+    """
     cfg = config or default_config()
     q = monoid.unit_modulus
     cls, val = x[0] % q, x[1]
     if val < 0:
         raise InputError("values are nonnegative")
     atoms = fp_atoms(monoid, config=cfg)
-    key = _key(q, (cls, val))
-    bits = next((b for p, b in _products(monoid, atoms, val, cfg.max_states) if p == key), 0)
+    top = val * q + cls
+    if top + 1 > cfg.max_states:
+        raise BudgetExceededError("rank-one length-set cells", cfg.max_states)
+    cells = (1 << top + 1) - 1
+    offsets: dict[int, list[int]] = {}
+    for c, v in atoms:
+        offsets.setdefault(c, []).append(v * q + c)
+    copies = top // q + 1
+    every = (1 << q * copies) - 1
+    terms = []  # (mask or None, shifts)
+    for c, offs in offsets.items():
+        if c == 0:
+            terms.append((None, offs))
+            continue
+        low = _repeat((1 << q - c) - 1, q, copies)
+        terms.append((low, offs))
+        terms.append((every ^ low, [off - q for off in offs]))
+    bits, k, reach = 0, 0, 1
+    while reach:
+        if reach.bit_length() > top:  # no cell above T: T's own bit is set
+            bits |= 1 << k
+        step = 0
+        for mask, offs in terms:
+            r = reach if mask is None else reach & mask
+            for off in offs:
+                step |= r << off
+        reach = step & cells
+        k += 1
     if not bits:
         raise InputError(f"element {x} is not in the monoid")
     return LengthSet(_set_bits(bits))

@@ -15,15 +15,16 @@ extreme-elasticity witness, counts atoms over a dense box
 an int, numbered in mixed radix, and one step ORs the shifted, masked copies
 of the reachable set for every atom, so L(B) holds k when B's own bit is
 reached after k steps.  There ``max_states`` bounds the box's cells, checked
-before any mask is built.  The stream :func:`_product_bits` is a dynamic
-program over the products of a list of atoms that keys each product by one
-int and stores its length set as an int with bit k set when some
-factorization has k atoms, so that ``L(p * a)`` collects ``L(p) << 1`` over
-all atoms ``a``.  It yields each product with its final length set in order
-of grade, and a caller stops iterating once it has what it needs: rank-one
-atoms and length sets in :mod:`zslen.fp`, and the exhaustive oracles in
-:mod:`zslen.verify`, whose ``min Δ`` stops once its gcd is 1.
-There ``max_states`` bounds the stored products.
+before any mask is built; rank-one length sets in :mod:`zslen.fp` count
+atoms the same way over value x class cells.  The stream
+:func:`_product_bits` is a dynamic program over the products of a list of
+atoms that keys each product by one int and stores its length set as an int
+with bit k set when some factorization has k atoms, so that ``L(p * a)``
+collects ``L(p) << 1`` over all atoms ``a``.  It yields each product with
+its final length set in order of grade, and a caller stops iterating once it
+has what it needs: the exhaustive oracles in :mod:`zslen.verify`, whose
+``min Δ`` stops once its gcd is 1.  There ``max_states`` bounds the stored
+products.
 
 Rational quantities use :class:`fractions.Fraction` throughout; no floating
 point enters any invariant computation.

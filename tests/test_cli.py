@@ -539,3 +539,24 @@ def test_uncertifiable_fp_presentation_exits_2_at_once(capsys, q, gens):
     code, out, err = run(capsys, "fp", "--q", q, "--gens", gens, "profile")
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "") and err.startswith("error:")
+
+
+def test_fp_profile_with_more_cosets_than_max_states_exits_3(capsys, monkeypatch):
+    # the least generator value 101 gives 2 * 101 = 202 cosets, one over a
+    # budget of 201, so the coset table is never built; at 202 it answers
+    argv = ("fp", "--q", "2", "--gens", "0:101,1:102", "profile")
+    monkeypatch.setenv("ZSLEN_BUDGET", "max_states=201")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "") and "coset" in err
+    monkeypatch.setenv("ZSLEN_BUDGET", "max_states=202")
+    assert run(capsys, *argv)[0] == 0
+
+
+def test_fp_profile_of_a_billion_valued_generator_is_instant(capsys):
+    # the coset table of 1:V,0:1 has 2 cosets whatever V is
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "fp", "--q", "2", "--gens", "1:1000000000,0:1", "profile")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert json.loads(out) == {"rho": "1000000000", "d": 999999999, "minDelta": 1999999998,
+                               "accepted": True}

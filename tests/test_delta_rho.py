@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -164,6 +165,18 @@ def test_cyclic_min_delta_of_mask_matches_min_delta_of_its_support(n, want, sett
             settled += 1
         values.add(value)
     assert (values, settled) == (want, settled_by_gcd)
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 12, 14])
+def test_every_atom_over_the_units_of_an_even_cyclic_group_has_even_length(n):
+    # a sum of k odd residues is 0 mod n, hence even, only for even k; this
+    # is why the even-order cyclic source never folds atom lengths into a gcd
+    G = cyclic(n)
+    units = SupportSet.of(G, [(u,) for u in range(1, n) if gcd(u, n) == 1])
+    lengths = enumerate_atoms(units).lengths
+    assert lengths and all(length % 2 == 0 for length in lengths)
+    source = _UnitClassScan(G, default_config())
+    assert not source.fold and _UnitClassScan(cyclic(n + 1), default_config()).fold
 
 
 def _as_sets(group, masks):

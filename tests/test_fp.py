@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -103,14 +104,70 @@ def test_fp_length_set_matches_brute_force():
                         fp_length_set(mono, (cls, val))
 
 
+def test_fp_length_set_matches_brute_force_up_to_value_120():
+    # random accepted monoids with q <= 6 and least atom value at least 3,
+    # so that the unmemoized oracle stays small, on sampled elements of
+    # value up to 120, every unit class of each
+    rng = random.Random(2910)
+    checked = 0
+    while checked < 20:
+        q = rng.randint(1, 6)
+        gens = [(rng.randrange(q), rng.randint(3, 14)) for _ in range(rng.randint(2, 3))]
+        if gcd(*(v for _, v in gens)) != 1:
+            continue
+        mono = FPMonoid.of(q, gens)
+        try:
+            atoms = fp_atoms(mono)
+        except InputError:
+            continue
+        assert atoms == brute_fp_atoms(q, gens), (q, gens)
+        checked += 1
+        for val in rng.sample(range(31, 121), 12):
+            for cls in range(q):
+                want = brute_fp_length_set(atoms, q, (cls, val))
+                if want:
+                    assert set(fp_length_set(mono, (cls, val)).values) == want, (q, gens, cls, val)
+                else:
+                    with pytest.raises(InputError):
+                        fp_length_set(mono, (cls, val))
+
+
+def test_fp_atoms_matches_brute_force_up_to_value_1000():
+    # one small generator and the rest up to 10^3: the coset table has
+    # q * (least value) entries, the oracle's table 3 * (largest value)
+    rng = random.Random(2911)
+    checked = 0
+    while checked < 30:
+        q = rng.randint(1, 4)
+        gens = [(rng.randrange(q), rng.randint(2, 12))]
+        gens += [(rng.randrange(q), rng.randint(13, 1000)) for _ in range(rng.randint(1, 4))]
+        if gcd(*(v for _, v in gens)) != 1:
+            continue
+        try:
+            atoms = fp_atoms(FPMonoid.of(q, gens))
+        except InputError:
+            continue
+        assert atoms == brute_fp_atoms(q, gens), (q, gens)
+        checked += 1
+
+
 def test_fp_length_set_budget():
     numeric = FPMonoid.of(1, [(0, 3), (0, 5)])
-    # 50 states cover the atoms' pass over the generators (3 states) and the
-    # small element, so only the large element exceeds the budget
+    # 50 states cover the atoms' coset table (3 cosets) and the 16 cells of
+    # the small element, so only the large element's 301 cells exceed it
     tight = ResourceConfig(max_states=50)
     assert fp_length_set(numeric, (0, 15), config=tight).values == (3, 5)
     with pytest.raises(BudgetExceededError):
         fp_length_set(numeric, (0, 300), config=tight)
+
+
+def test_fp_length_set_of_a_huge_value_exceeds_the_budget_at_once():
+    # the 10**9 + 1 cells are counted before any mask is built
+    numeric = FPMonoid.of(1, [(0, 3), (0, 5)])
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        fp_length_set(numeric, (0, 10**9))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_local_profiles():
@@ -237,7 +294,8 @@ def test_certification_criterion_matches_fp_atoms():
         if gcd(*(v for _, v in gens)) != 1:
             continue
         m = FPMonoid.of(q, gens)
-        window = brute_fp_tail_window(q, gens, 64 * m.max_value * q)
+        top = max(v for _, v in gens)
+        window = brute_fp_tail_window(q, gens, 64 * top * q)
         try:
             atoms = fp_atoms(m)
         except InputError:
@@ -246,5 +304,5 @@ def test_certification_criterion_matches_fp_atoms():
         else:
             accepted += 1
             assert window is not None, (q, gens)
-            reach = _fp_reachable(q, m.generators, m.max_value)
+            reach = _fp_reachable(q, m.generators, top)
             assert atoms and all(reach[c][v] for c, v in atoms)

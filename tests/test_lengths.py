@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from zslen.config import ResourceConfig
 from zslen.errors import BudgetExceededError, InputError
 from zslen import verify
-from zslen.fp import FPMonoid, _products, fp_atoms
+from zslen.fp import FPMonoid, fp_atoms
 from zslen.groups import cyclic, make_group
 from zslen.lengths import (
     LengthSet,
@@ -373,6 +373,9 @@ def test_product_stream_yields_each_zero_sum_sequence_once_with_its_final_length
 
 
 def test_rank_one_product_stream_yields_each_element_once_with_its_final_length_set():
+    # the stream on (class, value) elements of a rank-one monoid: the key is
+    # the value above a class field wide enough for the sum of two classes
+    # mod q, and the product adds fields and takes q off a class that wraps
     rng = random.Random(2107)
     checked = 0
     while checked < 25:
@@ -389,10 +392,15 @@ def test_rank_one_product_stream_yields_each_element_once_with_its_final_length_
         field = (2 * q).bit_length()
         bound = 20
 
+        def mul(p, a):
+            r = p + a
+            return r - q if r & (1 << field) - 1 >= q else r
+
         def decode(key):
             return (key & (1 << field) - 1, key >> field), key >> field
 
-        streamed = _stream_keys_and_grades(_products(monoid, atoms, bound, inf), decode)
+        weighted = [(v << field | c, v) for c, v in atoms]
+        streamed = _stream_keys_and_grades(_product_bits(weighted, bound, mul, inf), decode)
         for x, bits in streamed:
             assert set(_set_bits(bits)) == brute_fp_length_set(atoms, q, x), (q, gens, x)
         members = {(c, v) for v in range(bound + 1) for c in range(q) if brute_fp_length_set(atoms, q, (c, v))}
