@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import signal
 from dataclasses import dataclass
 from fractions import Fraction
@@ -333,12 +334,12 @@ def _append_checkpoint(path: Path, lo: int, hi: int, witnesses: list[int]):
 def _scan_e1(lo: int, hi: int, shards: int, workers: int, ck_path: Path | None) -> tuple[int, ...]:
     """E1 over the shards of [lo, hi], reusing those the checkpoint holds.
     Fresh shards are appended to it in range order as their results are
-    taken.  The pool has at most one worker per fresh shard, as it may start
-    them all at once.  Worker shards all run, so each one that succeeds is
-    recorded, also after a failed one, before the first failure is raised.
-    Workers ignore SIGINT: a Ctrl-C of the process group interrupts this loop
-    alone, which then drops the shards not yet started and waits for the
-    running ones, so no worker is left behind."""
+    taken.  The pool has at most one worker per fresh shard and per CPU, as
+    it may start them all at once.  Worker shards all run, so each one that
+    succeeds is recorded, also after a failed one, before the first failure
+    is raised.  Workers ignore SIGINT: a Ctrl-C of the process group
+    interrupts this loop alone, which then drops the shards not yet started
+    and waits for the running ones, so no worker is left behind."""
     done = _load_checkpoint(ck_path) if ck_path else {}
     ranges = _shard_ranges(lo, hi, shards)
     fresh = [r for r in ranges if r not in done]
@@ -346,8 +347,8 @@ def _scan_e1(lo: int, hi: int, shards: int, workers: int, ck_path: Path | None) 
     if workers > 1 and len(fresh) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(fresh)), initializer=signal.signal,
-                                   initargs=(signal.SIGINT, signal.SIG_IGN))
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(fresh), os.cpu_count() or 1),
+                                   initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
     failure = None
     try:
         jobs = {r: pool.submit(_scan_direct_range, *r) for r in fresh} if pool else {}

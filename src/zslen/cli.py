@@ -21,7 +21,7 @@ from .delta_rho import delta_rho
 from .errors import BudgetExceededError, EngineMismatchError, InputError
 from .fp import FPMonoid, local_profile, transfer_obstruction
 from .groups import parse_group
-from .lengths import length_set, min_delta_of_atoms
+from .lengths import length_set, min_delta
 from .sequences import enumerate_atoms, parse_sequence, parse_support
 from .verify import SUITES, run_suites
 
@@ -96,8 +96,7 @@ def cmd_lengths(args) -> int:
 def cmd_min_delta(args) -> int:
     group = parse_group(args.group)
     support = parse_support(group, args.support)
-    atoms = enumerate_atoms(support, config=_config_from(args))
-    value = min_delta_of_atoms(atoms)
+    value = min_delta(support, config=_config_from(args))
     if args.format == "json":
         print(json.dumps({"minDelta": value if value is not None else "empty"}))
     else:

@@ -24,8 +24,7 @@ class ResourceConfig:
     max_nodes: int = 10_000_000     # search-tree nodes per enumeration
     max_states: int = 2_000_000     # zero-sum length set: sub-multisets of the
                                     # target; rank-one monoid: cosets of its
-                                    # table, and cells of a length set's
-                                    # target; product stream: stored products
+                                    # table, and cells of a length set's target
     max_supports: int = 500_000     # distinct support unions per scan
 
     def __post_init__(self):

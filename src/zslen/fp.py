@@ -11,10 +11,9 @@ each.  An element is in H exactly when its value is at least the least
 value of its coset, since adding ``g0`` never leaves H.  A generator ``g``
 is an atom unless ``g - h`` is in H for another generator ``h``.
 
-Length sets count atoms over the cells ``v * q + c`` of every element up to
-the target, one bit per cell of an int, as the zero-sum length sets of
-:mod:`zslen.lengths` count them over a box: bit k of the result is the
-target's cell after k steps.
+Length sets count atoms with the step loop of :mod:`zslen.lengths`, over the
+cells ``v * q + c`` of every element up to the target, one bit per cell of
+an int: bit k of the result is the target's cell after k steps.
 
 The minimum distance accounts for the unit-class torsion: the relation
 lattice is cut out by the value equation together with the class congruence,
@@ -32,7 +31,7 @@ from math import gcd
 
 from .config import ResourceConfig, default_config
 from .errors import BudgetExceededError, InputError
-from .lengths import LengthSet, _functional_gcd, _repeat, _set_bits
+from .lengths import LengthSet, _count_atoms, _functional_gcd, _repeat, _set_bits
 from .delta_rho import gcd_closure
 
 
@@ -145,14 +144,13 @@ def fp_length_set(
 ) -> LengthSet:
     """Exact set of factorization lengths of the element ``x``.
 
-    Cell ``v * q + c`` stands for the element ``(c, v)``, and ``reach`` has
-    the cell of every element that is a product of exactly k atoms.  An atom
-    ``(c, v)`` moves the cells of class ``r < q - c`` up by ``v * q + c`` and
-    the others, whose class wraps, up by ``v * q + c - q``; one mask per
-    distinct class ``c > 0`` picks the first.  The target's ``T + 1`` cells,
-    ``T`` its own, count against ``max_states``, checked before any mask is
-    built.  Values only grow, so the loop ends once ``reach``, cut to the
-    cells, is 0.
+    Counts atoms with :func:`zslen.lengths._count_atoms` over the cells ``v
+    * q + c`` of the elements ``(c, v)`` up to ``x``, whose cell ``T`` is
+    the top one.  An atom ``(c, v)`` moves the cells of class ``r < q - c``
+    up by ``v * q + c`` and the others, whose class wraps, up by ``v * q + c
+    - q``; one mask per distinct class ``c > 0`` picks the first, and a
+    class-0 atom needs none.  The ``T + 1`` cells count against
+    ``max_states``, checked before any mask is built.
     """
     cfg = config or default_config()
     q = monoid.unit_modulus
@@ -163,31 +161,20 @@ def fp_length_set(
     top = val * q + cls
     if top + 1 > cfg.max_states:
         raise BudgetExceededError("rank-one length-set cells", cfg.max_states)
-    cells = (1 << top + 1) - 1
     offsets: dict[int, list[int]] = {}
     for c, v in atoms:
         offsets.setdefault(c, []).append(v * q + c)
     copies = top // q + 1
     every = (1 << q * copies) - 1
-    terms = []  # (mask or None, shifts)
+    terms = []
     for c, offs in offsets.items():
         if c == 0:
-            terms.append((None, offs))
+            terms.append(((), offs))
             continue
         low = _repeat((1 << q - c) - 1, q, copies)
-        terms.append((low, offs))
-        terms.append((every ^ low, [off - q for off in offs]))
-    bits, k, reach = 0, 0, 1
-    while reach:
-        if reach.bit_length() > top:  # no cell above T: T's own bit is set
-            bits |= 1 << k
-        step = 0
-        for mask, offs in terms:
-            r = reach if mask is None else reach & mask
-            for off in offs:
-                step |= r << off
-        reach = step & cells
-        k += 1
+        terms.append(((low,), offs))
+        terms.append(((every ^ low,), [off - q for off in offs]))
+    bits = _count_atoms(terms, top)
     if not bits:
         raise InputError(f"element {x} is not in the monoid")
     return LengthSet(_set_bits(bits))

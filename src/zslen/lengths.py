@@ -8,23 +8,15 @@ equals the gcd of all distances, which is the minimum distance.  The gcd of a
 linear functional over a lattice is reached on any generating set, so no
 individual factorizations ever need to be expanded.
 
-Sets of lengths come from two engines, each with its own ``max_states``
-check.  A zero-sum length set, and each of the two searches of the
-extreme-elasticity witness, counts atoms over a dense box
-(:func:`_submultiset_bits`): every sub-multiset of the target is one bit of
-an int, numbered in mixed radix, and one step ORs the shifted, masked copies
-of the reachable set for every atom, so L(B) holds k when B's own bit is
-reached after k steps.  There ``max_states`` bounds the box's cells, checked
-before any mask is built; rank-one length sets in :mod:`zslen.fp` count
-atoms the same way over value x class cells.  The stream
-:func:`_product_bits` is a dynamic program over the products of a list of
-atoms that keys each product by one int and stores its length set as an int
-with bit k set when some factorization has k atoms, so that ``L(p * a)``
-collects ``L(p) << 1`` over all atoms ``a``.  It yields each product with
-its final length set in order of grade, and a caller stops iterating once it
-has what it needs: the exhaustive oracles in :mod:`zslen.verify`, whose
-``min Δ`` stops once its gcd is 1.  There ``max_states`` bounds the stored
-products.
+Sets of lengths count atoms in one step loop (:func:`_count_atoms`): every
+cell of a finite set is one bit of an int, one step ORs the shifted, masked
+copies of the reachable cells for every atom, and L(B) holds k when B's own
+cell is reached after k steps.  A zero-sum length set, and each of the two
+searches of the extreme-elasticity witness, runs it over the dense box of
+sub-multisets of the target (:func:`_submultiset_bits`), numbered in mixed
+radix; rank-one length sets in :mod:`zslen.fp` run it over value x class
+cells.  Each caller checks its cells against ``max_states`` before any mask
+is built.
 
 Rational quantities use :class:`fractions.Fraction` throughout; no floating
 point enters any invariant computation.
@@ -32,10 +24,8 @@ point enters any invariant computation.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
 from math import gcd
 
 from .config import ResourceConfig, default_config
@@ -183,51 +173,6 @@ def min_delta(support: SupportSet, *, config: ResourceConfig | None = None) -> i
 
 # -- length sets -------------------------------------------------------------
 
-def _product_bits(atoms, bound: int, mul, max_states: float) -> Iterator[tuple[int, int]]:
-    """Yield ``(p, bits)`` for every product ``p`` of atoms whose grade is at
-    most ``bound``, in order of grade, each product once.
-
-    Products are int keys, the empty product 0.  ``atoms`` holds ``(a, w)``
-    pairs with a positive weight ``w``; the grade of a product is the sum of
-    its atoms' weights.  ``mul(p, a)`` is the product of ``p`` and the atom
-    ``a``.  Bit k of ``bits`` is set when ``p`` has a factorization into k
-    atoms, so ``bits(p * a) |= bits(p) << 1`` over all atoms.  A product is
-    yielded when it is popped for expansion: weights are positive, so every
-    contribution to its bitset came from a product of lower grade and the
-    bitset is final.  A caller may stop iterating as soon as it has what it
-    needs.  Storing more than ``max_states`` products raises
-    :class:`BudgetExceededError`.
-    """
-    atoms = sorted(atoms, key=lambda aw: aw[1])
-    bits = {0: 1}
-    layers = {0: [0]}
-    grades = [0]
-    while grades:
-        grade = heappop(grades)
-        for p in layers.pop(grade):
-            b = bits[p]
-            yield p, b
-            shifted = b << 1
-            for a, w in atoms:
-                g = grade + w
-                if g > bound:
-                    break
-                q = mul(p, a)
-                old = bits.get(q)
-                if old is not None:
-                    bits[q] = old | shifted
-                    continue
-                bits[q] = shifted
-                if len(bits) > max_states:
-                    raise BudgetExceededError("length-set memo entries", max_states)
-                layer = layers.get(g)
-                if layer is None:
-                    layers[g] = [q]
-                    heappush(grades, g)
-                else:
-                    layer.append(q)
-
-
 def _set_bits(bits: int) -> tuple[int, ...]:
     """The indices of the set bits of ``bits``, in increasing order."""
     out = []
@@ -250,24 +195,48 @@ def _repeat(piece: int, width: int, count: int) -> int:
     return out
 
 
+def _count_atoms(terms, top: int) -> int:
+    """Length bitset of cell ``top``: bit k is set when ``top`` is reached
+    from cell 0 in k steps.
+
+    ``reach`` is an int with one bit per cell.  Each term ``(masks,
+    offsets)`` of one step ANDs ``reach`` with every mask and ORs the result
+    shifted by every offset into the next ``reach``, which is then cut to
+    the cells ``0..top``.  Offsets are positive, so ``reach`` moves up and
+    the loop ends when it is 0.
+    """
+    cells = (1 << top + 1) - 1
+    bits, k, reach = 0, 0, 1
+    while reach:
+        bits |= (reach >> top & 1) << k
+        step = 0
+        for masks, offsets in terms:
+            r = reach
+            for mask in masks:
+                r &= mask
+            for off in offsets:
+                step |= r << off
+        reach = step & cells
+        k += 1
+    return bits
+
+
 def _submultiset_bits(target: tuple[int, ...], vectors, cfg: ResourceConfig) -> int:
     """Length bitset of ``target`` as a sum of the given vectors.
 
-    Counts vectors over the box of every ``x <= target``: cell ``x`` is bit
-    ``sum_i x_i * stride_i`` of an int, numbered in mixed radix ``t_i + 1``.
-    ``reach`` has bit ``x`` set when ``x`` is a sum of exactly k vectors,
-    and ``reach & keep_a`` shifted by the cell number of ``a`` moves every
-    ``x`` with ``x + a <= target`` to ``x + a``; no digit carries, so the
-    shift is exact.  ``keep_a`` is the AND of one cached digit mask per
-    coordinate that ``a`` uses, the cells whose digit ``i`` is at most ``t_i
-    - a_i``.  Bit k of the result is set when the target's own cell is in
-    ``reach`` after k steps; vectors are nonzero, so ``reach`` moves up and
-    the loop ends when it is 0.
+    Counts vectors with :func:`_count_atoms` over the box of every ``x <=
+    target``: cell ``x`` is bit ``sum_i x_i * stride_i`` of an int, numbered
+    in mixed radix ``t_i + 1``, and the target's own cell is the top one.  A
+    vector ``a`` is one term: ``reach & keep_a`` shifted by the cell number
+    of ``a`` moves every ``x`` with ``x + a <= target`` to ``x + a``; no
+    digit carries, so the shift is exact and the cut to the box removes
+    nothing.  ``keep_a`` is one cached digit mask per coordinate that ``a``
+    uses, the cells whose digit ``i`` is at most ``t_i - a_i``.
 
     The box's cells count against ``max_states``, checked before any mask is
     built.  The big ints held are one digit mask per distinct (coordinate,
-    multiplicity) pair, ``reach`` and the next ``reach``, each of at most
-    ``max_states`` bits, and the temporaries of one term.
+    multiplicity) pair, the box's cells, ``reach`` and the next ``reach``,
+    each of at most ``max_states`` bits, and the temporaries of one term.
     """
     strides = [1]
     for t in target:
@@ -289,20 +258,8 @@ def _submultiset_bits(target: tuple[int, ...], vectors, cfg: ResourceConfig) -> 
                     mask = _repeat(piece, strides[i + 1], cells // strides[i + 1])
                     digit_masks[i, a] = mask
                 keeps.append(mask)
-        terms.append((sum(a * s for a, s in zip(v, strides)), keeps))
-    top = cells - 1
-    bits, k, reach = 0, 0, 1
-    while reach:
-        bits |= (reach >> top & 1) << k
-        step = 0
-        for off, keeps in terms:
-            r = reach
-            for mask in keeps:
-                r &= mask
-            step |= r << off
-        reach = step
-        k += 1
-    return bits
+        terms.append((keeps, (sum(a * s for a, s in zip(v, strides)),)))
+    return _count_atoms(terms, cells - 1)
 
 
 def _check_same_support(seq: GSequence, atoms: AtomSet):

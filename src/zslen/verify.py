@@ -16,8 +16,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, inf
-from operator import add
+from heapq import heappop, heappush
+from math import gcd
 from typing import Callable, Iterator
 
 from .cf import min_delta_pair, min_delta_sym_quad, scan_exceptional, sufficient_filters
@@ -26,7 +26,7 @@ from .delta_rho import delta_rho, delta_rho_star, divisor_closure, gcd_closure, 
 from .errors import BudgetExceededError, EngineMismatchError, InputError
 from .fp import FPMonoid, delta_rho_star_product, fp_length_set, local_profile
 from .groups import AbelianGroup, cyclic, make_group, parse_group
-from .lengths import _product_bits, _set_bits, length_set, min_delta, min_delta_of_atoms, sumset
+from .lengths import _set_bits, length_set, min_delta, min_delta_of_atoms, sumset
 from .sequences import GSequence, SupportSet, enumerate_atoms
 
 
@@ -276,6 +276,48 @@ def _pack(vec, width: int) -> int:
     return sum(c << i * width for i, c in enumerate(vec))
 
 
+def _product_bits(weighted, bound: int) -> Iterator[tuple[int, int]]:
+    """Yield ``(p, bits)`` for every product ``p`` of atoms whose grade is at
+    most ``bound``, in order of grade, each product once.
+
+    ``weighted`` holds one ``(a, w)`` pair per atom: its packed multiplicity
+    vector ``a`` and a positive weight ``w``.  A product is the sum of its
+    atoms' keys, the empty product 0, and its grade is the sum of their
+    weights.  Bit k of ``bits`` is set when ``p`` has a factorization into k
+    atoms, so ``bits(p + a) |= bits(p) << 1`` over all atoms.  A product is yielded when it is
+    popped for expansion: weights are positive, so every contribution to its
+    bitset came from a product of lower grade and the bitset is final.  A
+    caller may stop iterating as soon as it has what it needs.  This stream
+    shares no code with the length sets it checks.
+    """
+    atoms = sorted(weighted, key=lambda aw: aw[1])
+    bits = {0: 1}
+    layers = {0: [0]}
+    grades = [0]
+    while grades:
+        grade = heappop(grades)
+        for p in layers.pop(grade):
+            b = bits[p]
+            yield p, b
+            shifted = b << 1
+            for a, w in atoms:
+                g = grade + w
+                if g > bound:
+                    break
+                q = p + a
+                old = bits.get(q)
+                if old is not None:
+                    bits[q] = old | shifted
+                    continue
+                bits[q] = shifted
+                layer = layers.get(g)
+                if layer is None:
+                    layers[g] = [q]
+                    heappush(grades, g)
+                else:
+                    layer.append(q)
+
+
 def _packed_lengths(atoms, bound: int) -> tuple[int, Iterator[tuple[int, int]]]:
     """The stream of ``(key, bits)`` over every product of atoms with
     |B| <= bound, keyed by multiplicity vectors packed ``width`` bits per
@@ -284,7 +326,7 @@ def _packed_lengths(atoms, bound: int) -> tuple[int, Iterator[tuple[int, int]]]:
     final."""
     width = bound.bit_length() or 1
     weighted = [(_pack(v, width), n) for v, n in zip(atoms.mult_vectors, atoms.lengths)]
-    return width, _product_bits(weighted, bound, add, inf)
+    return width, _product_bits(weighted, bound)
 
 
 def _exhaustive_lengths(atoms, bound: int) -> dict[tuple[int, ...], frozenset[int]]:

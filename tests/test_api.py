@@ -1,5 +1,6 @@
-"""The public surface of zslen: every public name is computed with, and every
-argument check raises :class:`InputError`."""
+"""The public surface of zslen: every public name is computed with, every
+private helper is read in the package, and every argument check raises
+:class:`InputError`."""
 
 import ast
 from pathlib import Path
@@ -75,6 +76,22 @@ def test_every_public_name_is_computed_with():
     # a public name is read in the package outside its own definition and
     # __init__.py, or in perfbench; the allowlist holds exactly the rest
     assert _unreferenced() == set(UNREFERENCED_ON_PURPOSE)
+
+
+def test_every_private_helper_is_read_in_the_package():
+    # a private module-level function or class is read by some module of the
+    # package, __init__.py included, outside its own definition; a reader in
+    # tests or perfbench alone does not keep a helper in src/
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    reads = _reads(modules)
+    unread = set()
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                own = range(node.lineno, node.end_lineno + 1)
+                if all(where == module and line in own for where, line, _ in reads.get(node.name, ())):
+                    unread.add(f"{module}.{node.name}")
+    assert unread == set()
 
 
 C4 = cyclic(4)

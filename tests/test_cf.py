@@ -1,6 +1,7 @@
 import faulthandler
 import hashlib
 import json
+import os
 import random
 import signal
 import time
@@ -295,6 +296,7 @@ def test_worker_shards_finished_around_a_failed_one_are_recorded(tmp_path, monke
     ck = tmp_path / "scan.ck"
     fresh = scan_exceptional(8, 4000, engine="e1", shards=4)
     monkeypatch.setattr(cf_module, "_scan_direct_range", _fails_on_third_shard)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers, also on one CPU
     faulthandler.dump_traceback_later(120, exit=True)  # a hung pool ends the run
     try:
         with pytest.raises(RuntimeError, match="shard 3"):
@@ -308,15 +310,17 @@ def test_worker_shards_finished_around_a_failed_one_are_recorded(tmp_path, monke
     assert len(_load_checkpoint(ck)) == 4
 
 
-@pytest.mark.parametrize("shards, workers, kept, size", [
-    (2, 64, 0, 2),  # never more workers than shards
-    (4, 2, 0, 2),  # never more than asked for
-    (4, 64, 1, 3),  # only the shards the checkpoint lacks run
-])
-def test_worker_pool_is_sized_by_the_shards_it_runs(tmp_path, monkeypatch, shards, workers, kept, size):
+@pytest.mark.parametrize("shards, workers, kept, cpus, size", [
+    (2, 64, 0, 64, 2),  # never more workers than shards
+    (4, 2, 0, 64, 2),  # never more than asked for
+    (4, 64, 1, 64, 3),  # only the shards the checkpoint lacks run
+    (8, 64, 0, 2, 2),  # never more than there are CPUs
+], ids=["2-64-0-2", "4-2-0-2", "4-64-1-3", "8-64-0-2"])  # shards-workers-kept-size
+def test_worker_pool_is_sized_by_the_shards_it_runs(tmp_path, monkeypatch, shards, workers, kept, cpus, size):
     # ProcessPoolExecutor may fork all its max_workers at the first submit, so
-    # the pool asks for no more than there are fresh shards; this stand-in
-    # records that number and runs each shard here, starting no process
+    # the pool asks for no more than there are fresh shards and CPUs; this
+    # stand-in records that number and runs each shard here, starting no
+    # process
     import concurrent.futures
     from concurrent.futures import Future
 
@@ -338,6 +342,7 @@ def test_worker_pool_is_sized_by_the_shards_it_runs(tmp_path, monkeypatch, shard
     fresh = scan_exceptional(8, 3000, engine="e1", shards=shards, checkpoint=ck)
     ck.write_text("".join(ck.read_text().splitlines(keepends=True)[:kept]))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert scan_exceptional(8, 3000, engine="e1", shards=shards, workers=workers, checkpoint=ck) == fresh
     assert sizes == [size]
 
@@ -365,6 +370,7 @@ def test_an_interrupted_worker_scan_drops_the_shards_not_yet_started(tmp_path, m
     monkeypatch.setitem(globals(), "_MARKS", tmp_path)
     monkeypatch.setattr(cf_module, "_scan_direct_range", _slow_shard_that_ignores_sigint)
     monkeypatch.setattr(cf_module, "_append_checkpoint", interrupt)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers, also on one CPU
     faulthandler.dump_traceback_later(120, exit=True)  # a hung pool ends the run
     try:
         with pytest.raises(KeyboardInterrupt):

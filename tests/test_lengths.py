@@ -2,8 +2,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, inf, prod
-from operator import add
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +11,9 @@ from hypothesis import strategies as st
 from zslen.config import ResourceConfig
 from zslen.errors import BudgetExceededError, InputError
 from zslen import verify
-from zslen.fp import FPMonoid, fp_atoms
 from zslen.groups import cyclic, make_group
 from zslen.lengths import (
     LengthSet,
-    _product_bits,
     _set_bits,
     kernel_basis_of,
     length_set,
@@ -26,9 +23,9 @@ from zslen.lengths import (
     sumset,
 )
 from zslen.sequences import GSequence, SupportSet, enumerate_atoms
-from zslen.verify import _pack, observed_min_delta
+from zslen.verify import _pack, _product_bits, observed_min_delta
 
-from oracles import brute_distance_gcd, brute_fp_length_set, brute_length_set, g_norm
+from oracles import brute_distance_gcd, brute_length_set, g_norm
 
 
 def make(group, elements, counts):
@@ -364,47 +361,12 @@ def test_product_stream_yields_each_zero_sum_sequence_once_with_its_final_length
             return vec, sum(vec)
 
         weighted = [(_pack(v, width), sum(v)) for v in vectors]
-        streamed = _stream_keys_and_grades(_product_bits(weighted, bound, add, inf), decode)
+        streamed = _stream_keys_and_grades(_product_bits(weighted, bound), decode)
         for vec, bits in streamed:
             assert set(_set_bits(bits)) == brute_length_set(GSequence(sup, vec), vectors), (sup, vec)
         zero_sums = {vec for vec in product(range(bound + 1), repeat=len(sup.elements))
                      if sum(vec) <= bound and GSequence(sup, vec).is_zero_sum()}
         assert {vec for vec, _ in streamed} == zero_sums
-
-
-def test_rank_one_product_stream_yields_each_element_once_with_its_final_length_set():
-    # the stream on (class, value) elements of a rank-one monoid: the key is
-    # the value above a class field wide enough for the sum of two classes
-    # mod q, and the product adds fields and takes q off a class that wraps
-    rng = random.Random(2107)
-    checked = 0
-    while checked < 25:
-        q = rng.randint(1, 4)
-        gens = [(rng.randrange(q), rng.randint(1, 7)) for _ in range(rng.randint(1, 3))]
-        if gcd(*(v for _, v in gens)) != 1:
-            continue
-        monoid = FPMonoid.of(q, gens)
-        try:
-            atoms = fp_atoms(monoid)
-        except InputError:
-            continue
-        checked += 1
-        field = (2 * q).bit_length()
-        bound = 20
-
-        def mul(p, a):
-            r = p + a
-            return r - q if r & (1 << field) - 1 >= q else r
-
-        def decode(key):
-            return (key & (1 << field) - 1, key >> field), key >> field
-
-        weighted = [(v << field | c, v) for c, v in atoms]
-        streamed = _stream_keys_and_grades(_product_bits(weighted, bound, mul, inf), decode)
-        for x, bits in streamed:
-            assert set(_set_bits(bits)) == brute_fp_length_set(atoms, q, x), (q, gens, x)
-        members = {(c, v) for v in range(bound + 1) for c in range(q) if brute_fp_length_set(atoms, q, (c, v))}
-        assert {x for x, _ in streamed} == members
 
 
 def test_length_set_matches_the_exhaustive_stream_on_every_product():
