@@ -25,13 +25,15 @@ With both engines the two sequences must be equal before a report is made.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import signal
+import sys
+from array import array
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, count
+from itertools import compress, count
 from math import gcd, isqrt
 from operator import le
 from pathlib import Path
@@ -169,12 +171,15 @@ def exceptional_witness(n: int) -> int | None:
 
 @dataclass(frozen=True)
 class ScanReport:
-    """The smallest witness of each even n in [lo, hi], in order; 0 if n is exceptional."""
+    """The smallest witness of each even n in [lo, hi], in order; 0 if n is exceptional.
+
+    ``smallest`` is one machine-word array, ``array('I')`` while hi // 2 <
+    2**32 and ``array('Q')`` above; its views read it in place."""
 
     lo: int
     hi: int
     engine: str
-    smallest: tuple[int, ...]
+    smallest: array
 
     @cached_property
     def exceptional(self) -> tuple[int, ...]:
@@ -182,15 +187,55 @@ class ScanReport:
         return tuple(evens[i] for i in _zeros(self.smallest))
 
     @cached_property
-    def witnesses(self) -> dict[int, int]:
-        return {n: w for n, w in zip(_evens(self.lo, self.hi), self.smallest) if w}
+    def witnesses(self) -> Mapping[int, int]:
+        """The smallest witness of each witnessed n, a read-only mapping."""
+        return _Witnesses(_evens(self.lo, self.hi), self.smallest,
+                          len(self.smallest) - len(self.exceptional))
 
     def digest(self) -> str:
         return hashlib.sha256(",".join(map(str, self.exceptional)).encode()).hexdigest()
 
 
+class _Witnesses(Mapping):
+    """n -> smallest witness over the nonzero entries of ``smallest``, the
+    witnesses of ``evens``: a key is looked up by index arithmetic, and the
+    keys are iterated by ``compress``.  Keys match as in a dict of int keys,
+    so 10.0 finds 10."""
+
+    def __init__(self, evens: range, smallest, size: int):
+        self._evens, self._smallest, self._size = evens, smallest, size
+
+    def __getitem__(self, key):
+        try:
+            n = int(key)
+        except (TypeError, ValueError, OverflowError):
+            raise KeyError(key) from None
+        if n == key and n in self._evens and (w := self._smallest[(n - self._evens.start) >> 1]):
+            return w
+        raise KeyError(key)
+
+    def __iter__(self):
+        return compress(self._evens, self._smallest)
+
+    def __len__(self):
+        return self._size
+
+    def items(self):
+        return _WitnessItems(self)
+
+
+class _WitnessItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, filter(None, self._mapping._smallest))
+
+
 def _evens(lo: int, hi: int) -> range:
     return range(lo + lo % 2, hi + 1, 2)
+
+
+def _typecode(hi: int) -> str:
+    """The array type of a scan to hi: a witness never exceeds n // 2."""
+    return "I" if hi // 2 < 2**32 else "Q"
 
 
 def _zeros(seq) -> list[int]:
@@ -204,7 +249,7 @@ def _zeros(seq) -> list[int]:
         return out
 
 
-def _scan_direct_range(lo: int, hi: int) -> list[int]:
+def _scan_direct_range(lo: int, hi: int, typecode: str | None = None) -> array:
     """E1: the smallest witness of every even n in [lo, hi], 0 where there is none.
 
     With q = n // a and r = n mod a, the quad gcd of n/a is
@@ -218,12 +263,15 @@ def _scan_direct_range(lo: int, hi: int) -> list[int]:
     witness up to A and gets the trial from A + 1.  For m even n the cutoff
     is A = max(16, isqrt(m) // 2), so the sieve visits about m / 20 pairs
     (a, r); up to 10^6 it leaves 685 of the 499,997 even n to the trial.
+    The witnesses fill an array of ``typecode``, by default that of a scan
+    to hi.
     """
     evens = _evens(lo, hi)
     first, size = evens.start, len(evens)
-    best = [0] * size
+    best = array(typecode or _typecode(hi), [0]) * size
     cutoff = max(16, isqrt(size) // 2)
     for a in reversed(range(3, cutoff + 1, 2)):
+        fill = array(best.typecode, [a])
         for r in range(1, a):
             if gcd(a, r) != 1 or (t := _tail_gcd(a, r)) == 1:
                 continue
@@ -235,7 +283,7 @@ def _scan_direct_range(lo: int, hi: int) -> list[int]:
                     start, step = start + (start & 1) * step, 2 * step
                 start = max(start, first + (start - first) % step)
                 i, j = (start - first) // 2, step // 2
-                best[i::j] = [a] * len(range(i, size, j))
+                best[i::j] = fill * len(range(i, size, j))
     for i in _zeros(best):
         best[i] = _trial_witness(first + 2 * i, cutoff + 1)
     return best
@@ -269,11 +317,16 @@ def _scan_inverted(hi: int) -> list[int]:
                     n_step, a_step = 2 * n_step, 2 * a_step
                 elif n & 1:  # every n is odd
                     n = hi + 1
-                while n <= hi:
-                    w = a if a < p0 else p0
-                    if w < best[n >> 1]:
-                        best[n >> 1] = w
+                while n <= hi and a < p0:
+                    if a < best[n >> 1]:
+                        best[n >> 1] = a
                     n, a = n + n_step, a + a_step
+                # a only grows, so from here on every n marks p0; the guard
+                # keeps the all-odd sentinel hi + 1 out of the index range
+                if n <= hi:
+                    for i in range(n >> 1, hi // 2 + 1, n_step >> 1):
+                        if p0 < best[i]:
+                            best[i] = p0
                 # extend with an interior quotient = 0 mod t; a child that
                 # cannot close has no descendant that can, as continuants grow
                 c, e = t * p0 + p1, t * d0 + d1
@@ -289,85 +342,138 @@ def _shard_ranges(lo: int, hi: int, shards: int) -> list[tuple[int, int]]:
     return [(start, min(start + size - 1, hi)) for start in range(lo, hi + 1, size)]
 
 
-def _load_checkpoint(path: Path) -> dict[tuple[int, int], list[int]]:
-    """Completed shards of a checkpoint: one line per shard, the sha256 hex
-    of a payload, a space and the payload, the JSON ``[lo, hi, witnesses]``.
+def _load_checkpoint(path: Path) -> dict[tuple[int, int], array]:
+    """Completed shards of a checkpoint.  A record is the header line
+    ``scan <lo> <hi> <typecode> <length> <seal>``, then ``length`` bytes,
+    the witnesses of the even n in [lo, hi] as little-endian words of the
+    typecode, 'I' or 'Q', then a newline.  The seal is the sha256 hex of the
+    header up to the length, a newline and the words.
 
-    A line is reused when its seal matches, ``lo`` and ``hi`` are ints and
-    ``witnesses`` holds one int per even n in [lo, hi], each 0 or in
-    [2, n // 2], the range that :func:`exceptional_witness` searches; any
-    other line is skipped, so its shard is recomputed.  A witness in range is
-    trusted without re-checking its criterion.  Opening the file to append
-    first makes an unwritable path an :class:`InputError` before any shard
-    runs, and ends a torn last line so that the next record starts its own."""
-    done: dict[tuple[int, int], list[int]] = {}
+    A record is reused when its seal matches, its length is the one that its
+    range and typecode need, and each witness is 0 or in [2, n // 2], the
+    range that :func:`exceptional_witness` searches; a witness in range is
+    trusted without re-checking its criterion.  Any other line is skipped,
+    so its shard is recomputed; after a header whose seal fails, reading
+    goes on with the next line.  A line or record that the file ends inside
+    of, as an interrupted write leaves it, is cut off, so that the next
+    record starts on its own line.  Opening the file to append first makes
+    an unwritable path an :class:`InputError` before any shard runs."""
+    done: dict[tuple[int, int], array] = {}
     try:
         with path.open("a+b") as fh:
+            total = fh.seek(0, os.SEEK_END)
             fh.seek(0)
-            line = b""
-            for line in fh:
-                seal, _, payload = line.rstrip(b"\n").partition(b" ")
+            while (line := fh.readline()).endswith(b"\n"):
+                head, _, seal = line[:-1].rpartition(b" ")
                 try:
-                    lo, hi, ws = json.loads(payload)
-                    if (seal == hashlib.sha256(payload).hexdigest().encode()
-                            and type(lo) is type(hi) is int and type(ws) is list
-                            and len(ws) == len(_evens(lo, hi)) and set(map(type, ws)) <= {int}
-                            and 1 not in ws and min(ws, default=0) >= 0
-                            and all(map(le, ws, count((lo + 1) // 2)))):
-                        done[(lo, hi)] = ws
-                except (ValueError, TypeError, OverflowError):
-                    continue  # torn, foreign or corrupt: recompute this shard
-            if line[-1:] not in (b"", b"\n"):
-                fh.write(b"\n")
+                    tag, lo, hi, code, size = head.split(b" ")
+                    lo, hi, size, ws = int(lo), int(hi), int(size), array({b"I": "I", b"Q": "Q"}[code])
+                    if tag != b"scan" or size != len(_evens(lo, hi)) * ws.itemsize:
+                        continue
+                except (KeyError, ValueError, OverflowError):
+                    continue  # not a header
+                if fh.tell() + size >= total:
+                    break  # torn
+                start = fh.tell()
+                raw = fh.read(size)
+                if fh.read(1) != b"\n" or seal != _seal(head, raw):
+                    fh.seek(start)
+                    continue
+                ws.frombytes(raw)
+                if sys.byteorder == "big":
+                    ws.byteswap()
+                if _witnesses_in_range(raw, ws, lo + lo % 2):
+                    done[(lo, hi)] = ws
+            if line:
+                fh.truncate(fh.tell() - len(line))
     except OSError as exc:
         raise InputError(f"cannot write checkpoint {path}: {exc.strerror}") from None
     return done
 
 
-def _append_checkpoint(path: Path, lo: int, hi: int, witnesses: list[int]):
-    """Append one shard line: the seal, a space and the payload."""
-    payload = json.dumps([lo, hi, witnesses]).encode()
+def _witnesses_in_range(raw: bytes, ws: array, first: int) -> bool:
+    """Whether each witness of ``ws``, of the even n = first, first + 2,
+    ..., and ``raw`` in little-endian words, is 0 or in [2, n // 2].  A 1
+    is looked for where a low byte is 1.  When every word is 0 from byte
+    ``top`` up, each is below 256**top <= first // 2 + 1, so the bound
+    holds; otherwise each witness is held to its own n."""
+    size, low, at = ws.itemsize, raw[::ws.itemsize], -1
+    while (at := low.find(1, at + 1)) >= 0:
+        if ws[at] == 1:
+            return False
+    top = min(size, ((first // 2 + 1).bit_length() - 1) // 8)
+    return (all(raw[j::size].count(0) == len(ws) for j in range(top, size))
+            or all(map(le, ws, count(first // 2))))
+
+
+def _seal(head: bytes, raw: bytes) -> bytes:
+    digest = hashlib.sha256(head + b"\n")
+    digest.update(raw)
+    return digest.hexdigest().encode()
+
+
+def _append_checkpoint(path: Path, lo: int, hi: int, witnesses: array):
+    """Append one shard record: its header line, its words and a newline."""
+    if sys.byteorder == "big":
+        witnesses = array(witnesses.typecode, witnesses)
+        witnesses.byteswap()
+    raw = witnesses.tobytes()
+    head = b"scan %d %d %s %d" % (lo, hi, witnesses.typecode.encode(), len(raw))
     with path.open("ab") as fh:
-        fh.write(hashlib.sha256(payload).hexdigest().encode() + b" " + payload + b"\n")
+        fh.write(b"%s %s\n%s\n" % (head, _seal(head, raw), raw))
 
 
-def _scan_e1(lo: int, hi: int, shards: int, workers: int, ck_path: Path | None) -> tuple[int, ...]:
-    """E1 over the shards of [lo, hi], reusing those the checkpoint holds.
-    Fresh shards are appended to it in range order as their results are
-    taken.  The pool has at most one worker per fresh shard and per CPU, as
+def _scan_e1(lo: int, hi: int, shards: int, workers: int, ck_path: Path | None) -> array:
+    """E1 over the shards of [lo, hi] as one array of the run's typecode,
+    extended shard by shard in range order, reusing the shards that the
+    checkpoint holds in that typecode.  Fresh shards are appended to the
+    checkpoint in range order as their results are taken.  The pool has at most one worker per fresh shard and per CPU, as
     it may start them all at once.  Worker shards all run, so each one that
     succeeds is recorded, also after a failed one, before the first failure
     is raised.  Workers ignore SIGINT: a Ctrl-C of the process group
     interrupts this loop alone, which then drops the shards not yet started
     and waits for the running ones, so no worker is left behind."""
+    typecode = _typecode(hi)
     done = _load_checkpoint(ck_path) if ck_path else {}
     ranges = _shard_ranges(lo, hi, shards)
-    fresh = [r for r in ranges if r not in done]
+    fresh = [r for r in ranges if r not in done or done[r].typecode != typecode]
     pool = None
     if workers > 1 and len(fresh) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(max_workers=min(workers, len(fresh), os.cpu_count() or 1),
                                    initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
-    failure = None
+    smallest, failure = array(typecode), None
     try:
-        jobs = {r: pool.submit(_scan_direct_range, *r) for r in fresh} if pool else {}
-        for r in fresh:
-            try:
-                done[r] = jobs.pop(r).result() if pool else _scan_direct_range(*r)
-            except Exception as exc:
-                if not pool:
-                    raise  # no later shard has run
-                failure = failure or exc
-                continue
-            if ck_path:
-                _append_checkpoint(ck_path, *r, done[r])
+        jobs = {r: pool.submit(_scan_direct_range, *r, typecode) for r in fresh} if pool else {}
+        for r in ranges:
+            shard = done.pop(r, None)
+            if shard is None or shard.typecode != typecode:
+                try:
+                    shard = jobs.pop(r).result() if pool else _scan_direct_range(*r, typecode)
+                except Exception as exc:
+                    if not pool:
+                        raise  # no later shard has run
+                    failure = failure or exc
+                    continue
+                if ck_path:
+                    _append_checkpoint(ck_path, *r, shard)
+            if not failure:
+                smallest.extend(shard)  # no shard is held once copied
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
     if failure:
         raise failure
-    return tuple(chain.from_iterable(done.pop(r) for r in ranges))  # one reference per n
+    return smallest
+
+
+def _memory_bytes() -> int:
+    """The host's physical memory, or sys.maxsize where it does not say."""
+    try:
+        return max(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), 0) or sys.maxsize
+    except (AttributeError, ValueError, OSError):
+        return sys.maxsize
 
 
 def scan_exceptional(
@@ -386,7 +492,8 @@ def scan_exceptional(
     worker processes, and each shard is checkpointed as soon as it finishes.
     The report is independent of shard count and worker count.  E2 takes
     none of these options, so ``engine="e2"`` with any of them is an input
-    error.
+    error.  A range whose witness slots alone exceed the host's physical
+    memory raises :class:`MemoryError` before anything is allocated.
     """
     if not 8 <= lo <= hi:
         raise InputError(f"need 8 <= lo <= hi, got [{lo}, {hi}]")
@@ -396,10 +503,16 @@ def scan_exceptional(
         raise InputError(f"shards and workers must be >= 1, got {shards} and {workers}")
     if engine == "e2" and (checkpoint or shards > 1 or workers > 1):
         raise InputError("shards, workers and checkpoint apply to E1 only, not to engine 'e2'")
+    # E1's report holds a word per even n in [lo, hi], E2's walk a reference
+    # per n // 2 <= hi // 2
+    typecode = _typecode(hi)
+    need = (hi // 2 - (lo - 1) // 2) * array(typecode).itemsize + (engine != "e1") * 8 * (hi // 2 + 1)
+    if need > _memory_bytes():
+        raise MemoryError(f"a scan of [{lo}, {hi}] needs {need} bytes, more than this host has")
     if engine != "e2":
         smallest = _scan_e1(lo, hi, shards, workers, Path(checkpoint) if checkpoint else None)
     if engine != "e1":
-        inverted = tuple(_scan_inverted(hi)[(lo + 1) // 2:])
+        inverted = array(typecode, _scan_inverted(hi)[(lo + 1) // 2:])
         if engine == "both" and smallest != inverted:
             raise EngineMismatchError(
                 f"scan engines disagree on [{lo}, {hi}]: E1 found {smallest.count(0)} "

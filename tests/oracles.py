@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from itertools import product
 from math import gcd
 
@@ -330,9 +331,39 @@ def subgroup_generated(G: AbelianGroup, gens) -> set:
     return elems
 
 
+def words(code: str, witnesses) -> bytes:
+    """``witnesses`` packed by ``struct`` as little-endian words of ``code``."""
+    return struct.pack(f"<{len(witnesses)}{code}", *witnesses)
+
+
+def checkpoint_record(lo: int, hi: int, code: str, raw: bytes, length: int | None = None) -> bytes:
+    """One scan checkpoint record under a valid seal: the header line
+    ``scan lo hi code length seal``, the bytes ``raw`` and a newline.  The
+    length is len(raw) unless given; the seal is the sha256 hex of the
+    header up to the length, a newline and ``raw``."""
+    head = f"scan {lo} {hi} {code} {len(raw) if length is None else length}".encode()
+    return head + b" " + hashlib.sha256(head + b"\n" + raw).hexdigest().encode() + b"\n" + raw + b"\n"
+
+
+def read_checkpoint(data: bytes) -> list[tuple[int, int, str, bytes]]:
+    """(lo, hi, typecode, words) of each record of a checkpoint that holds
+    whole records alone, each checked against its seal and its newline."""
+    records = []
+    while data:
+        line, _, data = data.partition(b"\n")
+        head, _, seal = line.rpartition(b" ")
+        tag, lo, hi, code, length = head.decode().split(" ")
+        raw, end, data = data[:int(length)], data[int(length):int(length) + 1], data[int(length) + 1:]
+        assert (tag, end) == ("scan", b"\n")
+        assert seal == hashlib.sha256(head + b"\n" + raw).hexdigest().encode()
+        records.append((int(lo), int(hi), code, raw))
+    return records
+
+
 def sealed_checkpoint_line(payload) -> str:
-    """One scan checkpoint line holding ``payload`` under a valid seal: the
-    sha256 hex of the payload's JSON, a space, then that JSON."""
+    """One scan checkpoint line in the older JSON-line format, holding
+    ``payload`` under a valid seal: the sha256 hex of the payload's JSON, a
+    space, then that JSON."""
     text = json.dumps(payload)
     return f"{hashlib.sha256(text.encode()).hexdigest()} {text}\n"
 

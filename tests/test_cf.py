@@ -1,17 +1,25 @@
 import faulthandler
-import hashlib
 import json
 import os
 import random
 import signal
+import struct
 import time
+from array import array
 from fractions import Fraction
 from itertools import compress
 from math import gcd
 from operator import not_
 
 import pytest
-from oracles import object_checkpoint_line, smallest_witness
+from oracles import (
+    checkpoint_record,
+    object_checkpoint_line,
+    read_checkpoint,
+    sealed_checkpoint_line,
+    smallest_witness,
+    words,
+)
 
 from zslen.cf import (
     _load_checkpoint,
@@ -128,21 +136,55 @@ def test_scan_small_ranges():
         scan_exceptional(4, 9)
 
 
+def _random_smallest(rng, size):
+    """Witness tuples of one size: all 0, none 0, and eight mixed, half of
+    them with 0 at both ends."""
+    tuples = [(0,) * size, tuple(rng.randrange(1, 9) for _ in range(size))]
+    for _ in range(8):
+        t = [rng.choice((0, 0, 3, 5, 7)) for _ in range(size)]
+        if size and rng.random() < 0.5:
+            t[0] = t[-1] = 0
+        tuples.append(tuple(t))
+    return tuples
+
+
 def test_report_exceptional_matches_the_compress_form():
     rng = random.Random(1518)
     for size in (0, 1, 2, 3, 40, 1000):
-        tuples = [(0,) * size, tuple(rng.randrange(1, 9) for _ in range(size))]
-        for _ in range(8):
-            t = [rng.choice((0, 0, 3, 5, 7)) for _ in range(size)]
-            if size and rng.random() < 0.5:
-                t[0] = t[-1] = 0
-            tuples.append(tuple(t))
-        for smallest in tuples:
+        for smallest in _random_smallest(rng, size):
             lo = rng.choice((8, 9, 1000))
             hi = lo + lo % 2 + 2 * size - 1
-            report = ScanReport(lo, hi, "e1", smallest)
             want = tuple(compress(range(lo + lo % 2, hi + 1, 2), map(not_, smallest)))
-            assert report.exceptional == want
+            for form in (smallest, array("I", smallest), array("Q", smallest)):
+                assert ScanReport(lo, hi, "e1", form).exceptional == want
+
+
+def test_report_witnesses_answer_as_the_dict_they_replace():
+    rng = random.Random(1519)
+    for size in (0, 1, 2, 3, 40, 1000):
+        for smallest in _random_smallest(rng, size):
+            lo = rng.choice((8, 9, 1000))
+            hi = lo + lo % 2 + 2 * size - 1
+            evens = range(lo + lo % 2, hi + 1, 2)
+            old = {n: w for n, w in zip(evens, smallest) if w}
+            view = ScanReport(lo, hi, "e1", array("I", smallest)).witnesses
+            assert view == old and old == view and not view != old
+            assert len(view) == len(old) and list(view) == list(old)
+            assert list(view.items()) == list(old.items()) and view.items() == old.items()
+            assert list(view.values()) == list(old.values()) and view.keys() == old.keys()
+            exceptional = [n for n in evens if n not in old]
+            # keys the dict took: its own, also as floats; keys it refused:
+            # odd n, n outside [lo, hi], exceptional n, other types
+            keys = [*old, *map(float, old), lo - 2, lo - 1, hi + 1, hi + 2, 10.5, 3 * lo + 1,
+                    *exceptional[:3], float("nan"), float("inf"), "10", str(lo), None, (lo,)]
+            for key in keys:
+                assert (key in view) == (key in old), key
+                assert view.get(key, "absent") == old.get(key, "absent"), key
+                if key in old:
+                    assert view[key] == old[key]
+                else:
+                    with pytest.raises(KeyError):
+                        view[key]
 
 
 def test_scan_engines_agree_and_shard_invariance():
@@ -152,32 +194,63 @@ def test_scan_engines_agree_and_shard_invariance():
     assert base.exceptional == solo.exceptional == inverted.exceptional
     assert base.witnesses == solo.witnesses == inverted.witnesses
     assert base.digest() == solo.digest()
+    assert base.smallest == solo.smallest == inverted.smallest
+    assert base.smallest.typecode == "I"
+
+
+def test_reports_from_any_shard_count_are_equal():
+    one, three, seven = (scan_exceptional(9, 3001, engine="e1", shards=s) for s in (1, 3, 7))
+    assert one == three == seven
+    assert one.smallest.tolist() == _oracle_range(9, 3001)
+
+
+def test_a_scan_past_two_to_the_thirty_third_holds_eight_byte_words():
+    # hi // 2 >= 2**32 needs 'Q'; one typecode for the whole run, every shard
+    lo = 2**33 - 40
+    report = scan_exceptional(lo, lo + 80, engine="e1", shards=3)
+    assert report.smallest.typecode == "Q"
+    assert report.smallest.tolist() == _oracle_range(lo, lo + 80)
+    assert scan_exceptional(lo - 100, lo - 20, engine="e1").smallest.typecode == "I"
+
+
+def _records(ck):
+    return read_checkpoint(ck.read_bytes())
+
+
+def _raw_records(data: bytes) -> list[bytes]:
+    """The byte strings of the whole records of a checkpoint, in order."""
+    out = []
+    while data:
+        end = data.index(b"\n") + 1
+        end += int(data[:end].split(b" ")[4]) + 1
+        out.append(data[:end])
+        data = data[end:]
+    return out
 
 
 def test_scan_checkpoint_resume(tmp_path):
     ck = tmp_path / "scan.ck"
     first = scan_exceptional(8, 400, engine="e1", shards=4, checkpoint=ck)
-    # one line per shard: the sha256 hex of the payload, a space, the payload
-    payloads = []
-    for line in ck.read_bytes().splitlines():
-        seal, payload = line.split(b" ", 1)
-        assert seal == hashlib.sha256(payload).hexdigest().encode()
-        payloads.append(json.loads(payload))
-    assert [(lo, hi) for lo, hi, _ in payloads] == _shard_ranges(8, 400, 4)
-    assert [w for *_, witnesses in payloads for w in witnesses] == list(first.smallest)
+    # one record per shard: a sealed header line, the raw little-endian
+    # words of the run's typecode, a newline
+    records = _records(ck)
+    assert [(lo, hi, code) for lo, hi, code, _ in records] == [(*r, "I") for r in _shard_ranges(8, 400, 4)]
+    assert b"".join(raw for *_, raw in records) == words("I", first.smallest)
     assert [p.name for p in tmp_path.iterdir()] == ["scan.ck"]  # one file, no sidecar
     # resume: completed shards are reused, results identical
+    assert {r: ws.tolist() for r, ws in _load_checkpoint(ck).items()} == {
+        (lo, hi): list(struct.unpack(f"<{len(raw) // 4}I", raw)) for lo, hi, _, raw in records}
     second = scan_exceptional(8, 400, engine="e1", shards=4, checkpoint=ck)
-    assert first.exceptional == second.exceptional
-    assert first.witnesses == second.witnesses
+    assert second == first and second.witnesses == first.witnesses
     # a corrupt record forces recomputation, not wrong reuse: n = 8 is
-    # exceptional, and the edit gives it the witness 3
-    text = ck.read_text()
-    assert text[64:].startswith(" [8, 106, [0, ")
-    ck.write_text(text.replace(" [8, 106, [0, ", " [8, 106, [3, ", 1))
-    assert len(_load_checkpoint(ck)) == 3
+    # exceptional, and the edit gives it the witness 3 under the old seal
+    data = ck.read_bytes()
+    start = data.index(b"\n") + 1
+    assert data.startswith(b"scan 8 106 I 200 ") and data[start:start + 4] == words("I", [0])
+    ck.write_bytes(data[:start] + words("I", [3]) + data[start + 4:])
+    assert sorted(_load_checkpoint(ck)) == _shard_ranges(8, 400, 4)[1:]
     third = scan_exceptional(8, 400, engine="e1", shards=4, checkpoint=ck)
-    assert third.exceptional == first.exceptional
+    assert third == first
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -188,10 +261,11 @@ def test_a_rerun_with_every_shard_recorded_computes_none(tmp_path, monkeypatch, 
     fresh = scan_exceptional(8, 4000, engine="e1", shards=4)
     scan_exceptional(8, 4000, engine="e1", shards=4, checkpoint=ck)
     written = ck.read_bytes()
+    assert [r[:3] for r in read_checkpoint(written)] == [(*r, "I") for r in _shard_ranges(8, 4000, 4)]
     calls = []
     monkeypatch.setattr(cf_module, "_scan_direct_range", lambda *r: calls.append(r))
-    assert scan_exceptional(8, 4000, engine="e1", shards=4, workers=workers,
-                            checkpoint=ck) == fresh
+    resumed = scan_exceptional(8, 4000, engine="e1", shards=4, workers=workers, checkpoint=ck)
+    assert resumed == fresh and resumed.smallest.typecode == "I"
     assert calls == []
     assert ck.read_bytes() == written
 
@@ -200,12 +274,22 @@ def test_scan_resumes_after_torn_checkpoint_record(tmp_path):
     ck = tmp_path / "scan.ck"
     fresh = scan_exceptional(8, 3000, engine="e1", shards=4)
     scan_exceptional(8, 3000, engine="e1", shards=4, checkpoint=ck)
-    ck.write_bytes(ck.read_bytes()[:-40])  # an interrupted final write
-    resumed = scan_exceptional(8, 3000, engine="e1", shards=4, checkpoint=ck)
-    assert resumed == fresh
-    assert len(_load_checkpoint(ck)) == 4
-    third = scan_exceptional(8, 3000, engine="e1", shards=4, checkpoint=ck)
-    assert third == fresh
+    whole = _raw_records(ck.read_bytes())
+    assert whole[-1].startswith(b"scan 2255 3000 I 1492 ") and len(whole[-1]) == 87 + 1492 + 1
+    # an interrupted final write: the last record, an 86-byte header line
+    # and the 1492 bytes of the 373 even n in [2255, 3000], loses its
+    # newline, part of its words, all of them, or part of its header line
+    for cut in (1, 40, 1000, 1493, 1560):
+        ck.write_bytes(b"".join(whole)[:-cut])
+        # loading cuts the torn tail off, so the next record starts on its own line
+        assert sorted(_load_checkpoint(ck)) == _shard_ranges(8, 3000, 4)[:3]
+        assert ck.read_bytes() == b"".join(whole[:3])
+        resumed = scan_exceptional(8, 3000, engine="e1", shards=4, checkpoint=ck)
+        assert resumed == fresh
+        assert ck.read_bytes() == b"".join(whole)
+        assert len(_load_checkpoint(ck)) == 4
+        third = scan_exceptional(8, 3000, engine="e1", shards=4, checkpoint=ck)
+        assert third == fresh
 
 
 def test_interrupted_scan_keeps_its_finished_shards(tmp_path, monkeypatch):
@@ -215,11 +299,11 @@ def test_interrupted_scan_keeps_its_finished_shards(tmp_path, monkeypatch):
     fresh = scan_exceptional(8, 4000, engine="e1", shards=4)
     calls = []
 
-    def interrupted(lo, hi):
+    def interrupted(lo, hi, typecode):
         calls.append((lo, hi))
         if len(calls) == 3:
             raise RuntimeError("interrupted at shard 3 of 4")
-        return _scan_direct_range(lo, hi)
+        return _scan_direct_range(lo, hi, typecode)
 
     monkeypatch.setattr(cf_module, "_scan_direct_range", interrupted)
     with pytest.raises(RuntimeError, match="shard 3"):
@@ -227,7 +311,7 @@ def test_interrupted_scan_keeps_its_finished_shards(tmp_path, monkeypatch):
     monkeypatch.undo()
     # each shard is recorded when it finishes, not when the whole run ends
     assert sorted(_load_checkpoint(ck)) == calls[:2]
-    assert len(ck.read_text().splitlines()) == 2
+    assert [(lo, hi) for lo, hi, *_ in _records(ck)] == calls[:2]
     assert scan_exceptional(8, 4000, engine="e1", shards=4, checkpoint=ck) == fresh
     assert len(_load_checkpoint(ck)) == 4
 
@@ -237,12 +321,22 @@ def test_scan_recomputes_a_record_with_a_forged_witness(tmp_path):
     fresh = scan_exceptional(8, 400, engine="e1", shards=2)
     scan_exceptional(8, 400, engine="e1", shards=2, checkpoint=ck)
     assert fresh.witnesses[10] == 3
-    # the list starts at n = 8, 10; 9 is no witness for n = 10, and the
-    # record's checksum must catch the edit
-    ck.write_text(ck.read_text().replace(", [0, 3, ", ", [0, 9, ", 1))
-    assert ", [0, 9, " in ck.read_text()
-    assert len(_load_checkpoint(ck)) == 1
+    # the words start at n = 8, 10; 9 is no witness for n = 10, and the
+    # record's seal must catch the edit
+    data = ck.read_bytes()
+    start = data.index(b"\n") + 1
+    assert data[start:start + 8] == words("I", [0, 3])
+    ck.write_bytes(data[:start] + words("I", [0, 9]) + data[start + 8:])
+    assert sorted(_load_checkpoint(ck)) == _shard_ranges(8, 400, 2)[1:]
     assert scan_exceptional(8, 400, engine="e1", shards=2, checkpoint=ck) == fresh
+    # resealed, the edit passes the seal, and the range check refuses it:
+    # 9 exceeds 10 // 2
+    [(lo, hi, code, raw)] = read_checkpoint(_raw_records(ck.read_bytes())[-1])
+    assert (lo, hi, code) == (8, 204, "I")
+    ck.write_bytes(checkpoint_record(lo, hi, code, raw))
+    assert sorted(_load_checkpoint(ck)) == [(8, 204)]
+    ck.write_bytes(checkpoint_record(lo, hi, code, words("I", [0, 9]) + raw[8:]))
+    assert _load_checkpoint(ck) == {}
 
 
 def test_scan_recomputes_a_record_in_the_exceptional_and_witness_map_format(tmp_path):
@@ -251,12 +345,15 @@ def test_scan_recomputes_a_record_in_the_exceptional_and_witness_map_format(tmp_
     old = scan_exceptional(8, 204, engine="e1")
     # the record format before the witness list: exceptional orders plus a
     # map with string keys, its checksum valid for that format
-    ck.write_text(object_checkpoint_line({
+    line = object_checkpoint_line({
         "lo": 8, "hi": 204, "exceptional": list(old.exceptional),
-        "witnesses": {str(n): w for n, w in old.witnesses.items()}}))
+        "witnesses": {str(n): w for n, w in old.witnesses.items()}}).encode()
+    ck.write_bytes(line)
     assert _load_checkpoint(ck) == {}
     assert scan_exceptional(8, 400, engine="e1", shards=2, checkpoint=ck) == fresh
-    assert len(_load_checkpoint(ck)) == 2
+    # the old line stays, skipped, and the new records after it are read
+    assert ck.read_bytes().startswith(line)
+    assert sorted(_load_checkpoint(ck)) == _shard_ranges(8, 400, 2)
 
 
 def test_scan_recomputes_a_record_in_the_object_format(tmp_path, monkeypatch):
@@ -268,13 +365,13 @@ def test_scan_recomputes_a_record_in_the_object_format(tmp_path, monkeypatch):
     # the record format before the sealed line: an object whose sha256 key
     # covers the other three keys as canonical JSON, its checksum valid
     ck.write_text("".join(object_checkpoint_line(
-        {"lo": lo, "hi": hi, "witnesses": _scan_direct_range(lo, hi)}) for lo, hi in ranges))
+        {"lo": lo, "hi": hi, "witnesses": _scan_direct_range(lo, hi).tolist()}) for lo, hi in ranges))
     assert _load_checkpoint(ck) == {}
     calls = []
 
-    def counted(lo, hi):
+    def counted(lo, hi, typecode):
         calls.append((lo, hi))
-        return _scan_direct_range(lo, hi)
+        return _scan_direct_range(lo, hi, typecode)
 
     monkeypatch.setattr(cf_module, "_scan_direct_range", counted)
     assert scan_exceptional(8, 400, engine="e1", shards=2, checkpoint=ck) == fresh
@@ -282,12 +379,32 @@ def test_scan_recomputes_a_record_in_the_object_format(tmp_path, monkeypatch):
     assert len(_load_checkpoint(ck)) == 2
 
 
-def _fails_on_third_shard(lo, hi):
+def test_scan_recomputes_a_record_in_the_sealed_json_line_format(tmp_path, monkeypatch):
+    import zslen.cf as cf_module
+
+    ck = tmp_path / "scan.ck"
+    fresh = scan_exceptional(8, 400, engine="e1", shards=2)
+    ranges = _shard_ranges(8, 400, 2)
+    # the record format before the binary one: the sha256 hex of the JSON
+    # [lo, hi, witnesses], a space and that JSON, its seal valid
+    lines = "".join(sealed_checkpoint_line([lo, hi, _scan_direct_range(lo, hi).tolist()])
+                    for lo, hi in ranges).encode()
+    ck.write_bytes(lines)
+    assert _load_checkpoint(ck) == {}
+    calls = []
+    monkeypatch.setattr(cf_module, "_scan_direct_range", lambda *r: calls.append(r[:2]) or _scan_direct_range(*r))
+    assert scan_exceptional(8, 400, engine="e1", shards=2, checkpoint=ck) == fresh
+    assert calls == ranges
+    assert ck.read_bytes().startswith(lines)
+    assert sorted(_load_checkpoint(ck)) == ranges
+
+
+def _fails_on_third_shard(lo, hi, typecode):
     """E1 on one shard of [8, 4000] in four, failing on the third; at module
     level, so that worker processes can unpickle it."""
     if lo == _shard_ranges(8, 4000, 4)[2][0]:
         raise RuntimeError("shard 3 failed")
-    return _scan_direct_range(lo, hi)
+    return _scan_direct_range(lo, hi, typecode)
 
 
 def test_worker_shards_finished_around_a_failed_one_are_recorded(tmp_path, monkeypatch):
@@ -340,7 +457,7 @@ def test_worker_pool_is_sized_by_the_shards_it_runs(tmp_path, monkeypatch, shard
 
     ck = tmp_path / "scan.ck"
     fresh = scan_exceptional(8, 3000, engine="e1", shards=shards, checkpoint=ck)
-    ck.write_text("".join(ck.read_text().splitlines(keepends=True)[:kept]))
+    ck.write_bytes(b"".join(_raw_records(ck.read_bytes())[:kept]))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert scan_exceptional(8, 3000, engine="e1", shards=shards, workers=workers, checkpoint=ck) == fresh
@@ -350,7 +467,7 @@ def test_worker_pool_is_sized_by_the_shards_it_runs(tmp_path, monkeypatch, shard
 _MARKS = None  # a directory, set before the pool forks its workers
 
 
-def _slow_shard_that_ignores_sigint(lo, hi):
+def _slow_shard_that_ignores_sigint(lo, hi, typecode):
     """E1 on one shard after 0.2 s, leaving a mark; fails in a worker that
     would take SIGINT itself, where a Ctrl-C of the process group reaches
     workers and parent alike."""
@@ -358,7 +475,7 @@ def _slow_shard_that_ignores_sigint(lo, hi):
         raise RuntimeError("a worker handles SIGINT")
     (_MARKS / str(lo)).touch()
     time.sleep(0.2)
-    return _scan_direct_range(lo, hi)
+    return _scan_direct_range(lo, hi, typecode)
 
 
 def test_an_interrupted_worker_scan_drops_the_shards_not_yet_started(tmp_path, monkeypatch):
@@ -424,7 +541,7 @@ def test_inverted_engine_matches_direct_witnesses_to_30000():
     # every minimal witness, including those only a reversed list reaches;
     # E2 lists n // 2 from n = 0, so n = 8 is at index 4
     direct = _scan_direct_range(8, 30000)
-    assert _scan_inverted(30000)[4:] == direct
+    assert _scan_inverted(30000)[4:] == direct.tolist()
     assert direct.count(0) == 25  # the exceptional orders, all below 3000
 
 
@@ -433,7 +550,7 @@ def _oracle_range(lo, hi):
 
 
 def test_direct_engine_matches_the_quotient_list_oracle():
-    assert _scan_direct_range(8, 20000) == _oracle_range(8, 20000)
+    assert _scan_direct_range(8, 20000).tolist() == _oracle_range(8, 20000)
     # windows up to 300 wide sieve with a cutoff of 16: some lie below or
     # straddle 32, some above 10^6; lo takes both parities
     rng = random.Random(29)
@@ -441,7 +558,7 @@ def test_direct_engine_matches_the_quotient_list_oracle():
         base = rng.choice([rng.randint(8, 40), rng.randint(8, 10**6), rng.randint(10**6, 10**12)])
         lo = max(8, base - base % 2 + k % 2)
         hi = lo + rng.randint(0, 300)
-        assert _scan_direct_range(lo, hi) == _oracle_range(lo, hi), (lo, hi)
+        assert _scan_direct_range(lo, hi).tolist() == _oracle_range(lo, hi), (lo, hi)
 
 
 def test_engine_mismatch_is_detectable(monkeypatch):

@@ -1,12 +1,13 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import time
 
 import pytest
-from oracles import sealed_checkpoint_line
+from oracles import checkpoint_record, words
 
 import zslen
 from zslen import verify
@@ -242,31 +243,36 @@ def test_cf_scan_unwritable_checkpoint_exits_2(capsys, tmp_path, where):
 
 
 @pytest.mark.parametrize("record", [
-    [8, 100, {"exceptional": 5}],  # type: a map, not a list
-    [8, 100, 5],  # type
-    [8, 100, ["3"] * 47],  # type
-    [8, 100, [True] * 47],  # type
-    [8, 100, [0] * 3],  # length
-    [8.0, 100, [0] * 47],  # type
-    [8, 10**30, []],  # length
+    (8, 100, "I", words("I", [0] * 3)),  # length: 3 words, not 47
+    (8, 100, "I", words("I", [0] * 47), 12),  # length: the header misstates it
+    (8, 10**30, "I", b""),  # length
     # range: witnesses outside {0} and [2, n // 2], where a witness is searched
-    [8, 100, [-1] + [0] * 46],
-    [8, 100, [1] + [0] * 46],
-    [8, 100, [5] + [0] * 46],
-    [8, 100, [0] * 46 + [51]],
-    [8, 100, [0.0] * 47],  # type: floats that pass every other check
+    (8, 100, "I", words("i", [-1] + [0] * 46)),  # negative, read as 2**32 - 1
+    (8, 100, "I", words("I", [1] + [0] * 46)),
+    (8, 100, "I", words("I", [0] * 46 + [1])),
+    (8, 100, "I", words("I", [5] + [0] * 46)),
+    (8, 100, "I", words("I", [0] * 46 + [51])),
+    (8, 100, "I", struct.pack(">47I", 0, 3, *[0] * 45)),  # big-endian: 3 reads as 3 * 2**24
+    # typecode: unknown ones, and 'Q' where a scan to 100 holds 'I'
+    (8, 100, "H", words("H", [0] * 47)),
+    (8, 100, "d", words("d", [0.0] * 47)),
+    (8, 100, "Q", words("Q", [0] * 47)),
 ])
 def test_cf_scan_recomputes_a_sealed_record_of_the_wrong_shape(capsys, tmp_path, record):
-    # the line's seal is valid, so only the types, the length and the range
-    # of its [lo, hi, witnesses] payload can reject it; [8, 100] holds 47 even n
+    # the record's seal is valid, so only its length, its typecode and the
+    # range of its witnesses can reject it; [8, 100] holds 47 even n, all
+    # exceptional where a record of zeros were reused
     ck = tmp_path / "scan.ck"
-    ck.write_text(sealed_checkpoint_line(record))
+    ck.write_bytes(checkpoint_record(*record))
     args = ("cf-scan", "--lo", "8", "--hi", "100", "--engine", "e1")
     fresh = run(capsys, *args)
     assert fresh[0] == 0
     summary = json.loads(fresh[1].splitlines()[-1])
     assert (summary["exceptionalCount"], summary["witnessedCount"]) == (15, 32)
     assert run(capsys, *args, "--checkpoint", str(ck)) == fresh
+    # the shard was computed and recorded after the refused record
+    computed = checkpoint_record(8, 100, "I", words("I", scan_exceptional(8, 100, engine="e1").smallest))
+    assert ck.read_bytes().endswith(computed) and ck.read_bytes() != computed
 
 
 EXCEPTIONAL_SHA256 = "776cc5fa0de736c4e6df863e2a165705881bc498ae471fb4fc2d99807ff8d0d7"
@@ -294,12 +300,16 @@ def test_cf_scan_to_one_hundred_million_on_two_workers(capsys):
     assert summary["sha256"] == EXCEPTIONAL_SHA256
 
 
-@pytest.mark.parametrize("engine", ["e1", "e2"])
+@pytest.mark.parametrize("engine", ["e1", "e2", "both"])
 def test_cf_scan_out_of_memory_exits_3(capsys, engine):
-    # one witness slot per even n up to 10^15 takes 4 PB, far beyond any machine's memory
-    code, out, err = run(capsys, "cf-scan", "--lo", "8", "--hi", str(10**15), "--engine", engine)
-    assert (code, out) == (3, "")
-    assert err == "budget: out of memory\n"
+    # one witness slot per even n up to 10^15 takes 4 PB, far beyond any
+    # machine's memory; up to 10^30 their count exceeds any index
+    for hi in (10**15, 10**30):
+        for shards in ("1", "3") if engine != "e2" else ("1",):
+            code, out, err = run(capsys, "cf-scan", "--lo", "8", "--hi", str(hi), "--engine", engine,
+                                 "--shards", shards)
+            assert (code, out) == (3, ""), (hi, shards)
+            assert err == "budget: out of memory\n"
 
 
 def test_min_delta_of_a_deep_support(capsys):

@@ -6,8 +6,8 @@ supports and sequences over them (multiplicities at most 12, coordinates
 sometimes malformed), rank-one ``--gens`` lists,
 scan ranges, ``--checkpoint`` files and ``ZSLEN_BUDGET`` strings, including
 non-positive values, malformed tokens, torn or foreign checkpoint lines,
-records with a valid checksum but fields of the wrong type, and unknown
-fields.  Examples are derandomized, so every run replays the same
+torn records, records whose header misstates their length, records of
+older formats with a valid checksum, and unknown fields.  Examples are derandomized, so every run replays the same
 inputs.
 """
 
@@ -21,7 +21,7 @@ from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import object_checkpoint_line, sealed_checkpoint_line
+from oracles import checkpoint_record, object_checkpoint_line, sealed_checkpoint_line, words
 
 from zslen.cli import main
 from zslen.groups import make_group
@@ -183,10 +183,25 @@ def test_fp_profile_never_traces(q_gens, budget_atoms, budget):
 
 
 def torn_record(lo: int, width: int, cut: int) -> bytes:
-    """A sealed shard line (longer than 60 bytes) without its newline and
-    its last ``cut`` bytes: an interrupted write."""
+    """A sealed shard line in the older JSON-line format (longer than 60
+    bytes) without its newline and its last ``cut`` bytes."""
     line = sealed_checkpoint_line([lo, lo + width, [0] * (width // 2 + 1)]).encode()
     return line[:-1 - cut]
+
+
+def torn_binary_record(lo: int, width: int, cut: int) -> bytes:
+    """A sealed shard record without its last ``cut`` bytes, at most all
+    but one of its header line: an interrupted write."""
+    record = checkpoint_record(lo, lo + width, "I", words("I", [0] * len(range(lo + lo % 2, lo + width + 1, 2))))
+    return record[:-min(cut, len(record) - 1)]
+
+
+def misstated_record(lo: int, width: int, error: int) -> bytes:
+    """A sealed shard record whose header misstates the length of its words
+    by ``error`` bytes, followed by a whole record of [8, 30]."""
+    raw = words("I", [0] * len(range(lo + lo % 2, lo + width + 1, 2)))
+    return (checkpoint_record(lo, lo + width, "I", raw, len(raw) + error)
+            + checkpoint_record(8, 30, "I", words("I", [0] * 12)))
 
 
 # a checkpoint file's contents; None passes no --checkpoint, "fresh" a path
@@ -195,15 +210,18 @@ checkpoints = st.one_of(
     st.none(),
     st.just("fresh"),
     st.builds(torn_record, st.integers(8, 60), st.integers(0, 60), st.integers(1, 60)),
+    st.builds(torn_binary_record, st.integers(8, 60), st.integers(0, 60), st.integers(1, 400)),
+    st.builds(misstated_record, st.integers(8, 60), st.integers(0, 60), st.integers(-40, 200).filter(bool)),
     st.sampled_from([b"8 204 " + b"0" * 64 + b"\n", b"[1, 2]\n", b'{"lo": 8, "hi": 30}\n',
                      b"\xff\xfe\x00 not utf-8\n", b"sha256\n\n",
                      sealed_checkpoint_line([8, 30, 5]).encode(),
+                     sealed_checkpoint_line([8, 30, [0] * 12]).encode(),
                      object_checkpoint_line({"lo": 8, "hi": 30, "witnesses": [0] * 12}).encode()]),
 )
 
 
 @EXAMPLES
-@given(mostly(st.integers(8, 60), st.integers(-5, 7)), st.integers(-5, 300),
+@given(mostly(st.integers(8, 60), st.integers(-5, 7)), st.integers(-5, 300) | st.just(10**30),
        st.sampled_from(["e1", "e2", "both"]),
        mostly(st.integers(1, 5), st.integers(-1, 0)), mostly(st.just(1), st.integers(-1, 0)),
        budgets, checkpoints)
