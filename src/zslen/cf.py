@@ -239,14 +239,25 @@ def _typecode(hi: int) -> str:
 
 
 def _zeros(seq) -> list[int]:
-    """The indices of the zeros of ``seq``, found by ``seq.index`` alone."""
-    out, i = [], -1
-    try:
-        while True:
-            i = seq.index(0, i + 1)
-            out.append(i)
-    except ValueError:
-        return out
+    """The indices of the zero words of ``seq``, an array or else read as
+    ``'Q'`` words.  A zero word is all zero bytes in either byte order, so
+    ``bytes.find`` looks for them in the raw bytes, 2^16 words at a time,
+    and keeps the hits that start a word."""
+    if not isinstance(seq, array):
+        seq = array("Q", seq)
+    size, block = seq.itemsize, 1 << 16
+    zero, out = bytes(size), []
+    with memoryview(seq) as view:
+        for start in range(0, len(seq), block):
+            raw = view[start:start + block].tobytes()
+            i = raw.find(zero)
+            while i >= 0:
+                if i % size:  # zero bytes that straddle two words: go on from the next word
+                    i = raw.find(zero, i + size - i % size)
+                else:
+                    out.append(start + i // size)
+                    i = raw.find(zero, i + size)
+    return out
 
 
 def _scan_direct_range(lo: int, hi: int, typecode: str | None = None) -> array:

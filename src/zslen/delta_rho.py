@@ -24,11 +24,13 @@ front: the atoms of length ``n`` are exactly ``g^n`` with ``ord g = n``
 the walk starts from ``{1, n - 1}``.  For other groups the
 elementary automorphisms (``AbelianGroup.automorphism_permutations``) prune
 the atom DFS at every depth: it drops a node that one of them, or an
-inverse, maps to a lexicographically smaller sorted sequence, which keeps
-the least atom of every orbit, and the classes of the maximal-length atoms
-it finds, closed under the automorphisms, are all the classes.  A class
-is canonical as one representative of its orbit; any other union is its own
-canonical form.  Values produced by the gcd shortcut coincide with the
+inverse, maps to a lexicographically smaller sorted sequence.  The test
+compares additive position codes, one integer add per map at each node; it
+is exact on groups of order at most 128 and may drop fewer nodes on larger
+ones.  That keeps the least atom of every orbit, and the classes of the
+maximal-length atoms it finds, closed under the automorphisms, are all the
+classes.  A class is canonical as one representative of its orbit; any
+other union is its own canonical form.  Values produced by the gcd shortcut coincide with the
 kernel-lattice value; the property suite checks this on every build.
 """
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 from typing import Iterable, Iterator
 
 from .config import ResourceConfig, default_config
@@ -193,8 +194,24 @@ def _atom_vectors(support: SupportSet, cfg: ResourceConfig, perms=()) -> Iterato
     ``P`` to a lexicographically smaller sorted tuple.  If ``φ(P) < P``, then
     ``φ(P·x) < P·x`` for every child ``x ≥ max P``, as the j-th least of
     ``φ(P·x)`` is at most the j-th of ``φ(P)``; so the least atom of every
-    orbit is yielded, and D(support) with it.  As the parent ``P`` was kept,
-    ``φ(x) ≥ x`` keeps ``P·x``.  A dropped node counts against the node cap.
+    orbit is yielded, and D(support) with it.  A dropped node counts against
+    the node cap.
+
+    The test compares integer codes.  A multiset of positions is coded
+    as ``Σ w[x]``, with ``w[x] = 2^(width·(top - 1 - x))``: each position
+    owns a digit of ``width`` bits, the low positions the high digits, and
+    a zero-sum-free path has fewer than |G| terms, so no digit carries.
+    Then ``φ(P) < P`` exactly when ``code(φ(P)) > code(P)``: at the least
+    position where the two counts differ, ``φ(P)`` has more copies.  The
+    walk keeps the codes of each node on its path, its own code and then
+    that of its image under each map; a child at position p adds ``w[p]``
+    and each ``w[φ(p)]`` to its parent's, one integer add per map.  The
+    digits cover the positions below ``top = min(k, 128)`` and the others
+    weigh 0, so a code has at most 128 digits on any support.  On a larger
+    support the windowed codes compare the counts below ``top`` alone: a
+    test that fires still finds a true ``φ(P) < P``, so the walk drops no
+    node that the exact test keeps, yields the least atom of every orbit
+    and only visits more nodes.  Up to 128 positions the test is exact.
     """
     G = support.group
     n = G.order()
@@ -214,8 +231,18 @@ def _atom_vectors(support: SupportSet, cfg: ResourceConfig, perms=()) -> Iterato
         from_pos[p] = from_pos[p + 1] | 1 << sup_idx[p]
 
     counts = [0] * k
-    # lowering[x]: the maps in ``perms`` that send x lower, the only ones that drop a node ending at x
-    lowering = [[perm for perm in perms if perm[x] < x] for x in range(k)] if perms else []
+    if perms:
+        top, width = min(k, 128), n.bit_length()
+        w = [1 << width * (top - 1 - x) for x in range(top)] + [0] * (k - top)
+        # cols[x]: what a child at x adds to the codes of the node and of its images
+        cols = [[w[x]] + [w[perm[x]] for perm in perms] for x in range(k)]
+        # path[d + 1]: the codes of the node at depth d of the current path; the
+        # root has no position, so path[0] is minus the column its visit adds
+        path = [[-c for c in cols[0]]] + [None] * (n + 1)
+
+        def lowered(depth: int, x: int) -> bool:
+            codes = path[depth + 1] = list(map(add, path[depth], cols[x]))
+            return max(codes) > codes[0]
     nodes = atoms = 0
     # the current path, one frame per node with a zero-sum-free child (a leaf
     # pushes none): (position of its last element, its mask -Σ₀, its nsig,
@@ -232,8 +259,8 @@ def _atom_vectors(support: SupportSet, cfg: ResourceConfig, perms=()) -> Iterato
         nodes += 1
         if nodes > cfg.max_nodes:
             raise BudgetExceededError("enumeration nodes", cfg.max_nodes)
-        if lowering and lowering[last_pos] and _moved_lower(frames, last_pos, lowering[last_pos]):
-            free = 0
+        if perms and lowered(len(frames), last_pos):
+            free = 0  # some map sends the node's positions lower
         else:
             p = pos_of[nsig]
             if p >= last_pos:  # p is -1 outside the support
@@ -270,16 +297,6 @@ def _atom_vectors(support: SupportSet, cfg: ResourceConfig, perms=()) -> Iterato
         negs = parent_negs | shifted
         counts[p] += 1
         last_pos = p
-
-
-def _moved_lower(frames: list[tuple], last_pos: int, perms) -> bool:
-    """Whether a map in ``perms`` sends the sorted positions of a node below
-    the root (its frames' last positions but the root's, then its own) lower."""
-    path = [frame[0] for frame in frames[1:]] + [last_pos]
-    for perm in perms:
-        if sorted(map(perm.__getitem__, path)) < path:
-            return True
-    return False
 
 
 def full_support(group: AbelianGroup) -> SupportSet:

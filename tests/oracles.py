@@ -282,6 +282,44 @@ def brute_force_automorphisms(G: AbelianGroup) -> list[dict]:
     return automorphisms
 
 
+def orderly_atoms(support: SupportSet, perms) -> tuple[list[tuple[int, ...]], int]:
+    """The atoms over ``support`` that an orderly walk keeps, in the order it
+    finds them, and the number of nodes it visits.
+
+    The walk goes depth first over sorted tuples ``P`` of support positions
+    whose sequences are zero-sum free, the children of ``P`` in increasing
+    order of the position ``x >= max P`` they append.  ``P·x`` is zero-sum
+    free exactly when ``-g_x`` is not a sum of a subsequence of ``P``, the
+    empty one included; those sums are kept as a set of elements and grown
+    as ``Σ₀(P·x) = Σ₀(P) ∪ (Σ₀(P) + g_x)``.  A node other than the root is
+    dropped, subtree and atom with it, when a map ``φ`` in ``perms`` with
+    ``φ(x) < x`` for its last position ``x`` gives ``sorted(φ(P)) < P``.  A
+    kept node ``P`` yields the atom ``P·q`` when ``-Σ(P)`` is the element of
+    a position ``q >= max P``.  Every node, a dropped one too, is counted."""
+    G, elements = support.group, support.elements
+    where = {g: j for j, g in enumerate(elements)}
+    atoms, nodes = [], 0
+
+    def visit(path: tuple[int, ...], sums: frozenset):
+        nonlocal nodes
+        nodes += 1
+        last = path[-1] if path else 0
+        if path and any(sorted(perm[x] for x in path) < list(path) for perm in perms if perm[last] < last):
+            return
+        total = G.zero()
+        for x in path:
+            total = G.add(total, elements[x])
+        q = where.get(G.neg(total), -1)
+        if q >= last:
+            atoms.append(tuple((path + (q,)).count(j) for j in range(len(elements))))
+        for x in range(last, len(elements)):
+            if G.neg(elements[x]) not in sums:
+                visit(path + (x,), sums | {G.add(s, elements[x]) for s in sums})
+
+    visit((), frozenset({G.zero()}))
+    return atoms, nodes
+
+
 def orbits_of_sets(sets, automorphisms) -> set[frozenset]:
     """The orbits of ``sets`` (frozensets of elements) under the given
     automorphisms, each a frozenset of frozensets; the automorphisms must

@@ -26,6 +26,7 @@ from zslen.cf import (
     _scan_direct_range,
     _scan_inverted,
     _shard_ranges,
+    _zeros,
     cf_odd_length,
     cf_regular,
     exceptional_witness,
@@ -146,6 +147,23 @@ def _random_smallest(rng, size):
             t[0] = t[-1] = 0
         tuples.append(tuple(t))
     return tuples
+
+
+def test_zeros_finds_every_zero_word_and_no_zero_byte():
+    # the search looks for zero bytes: words such as 256 and 65536 hold some
+    # without being 0, and runs of them straddle word boundaries; zeros sit
+    # on both sides of each 2^16-word block edge
+    rng = random.Random(3216)
+    edge = 1 << 16
+    for code in "IQ":
+        for size in (0, 1, 2, 5, edge - 1, edge, edge + 1, 2 * edge + 3):
+            for density in (0.0, 0.01, 0.5, 1.0):
+                a = array(code, (0 if rng.random() < density else rng.choice((1, 256, 65536, 2**24, 7, 257))
+                                 for _ in range(size)))
+                for i in (edge - 1, edge, 2 * edge - 1, 2 * edge):
+                    if i < size and rng.random() < 0.5:
+                        a[i] = 0
+                assert _zeros(a) == [i for i, w in enumerate(a) if w == 0]
 
 
 def test_report_exceptional_matches_the_compress_form():

@@ -258,6 +258,24 @@ def test_budgets_stop_the_setup_of_a_large_noncyclic_group(monkeypatch, capsys):
     assert "atom count" in capsys.readouterr().err
 
 
+def test_atom_cap_stops_a_large_noncyclic_set_up_in_bounded_memory():
+    # C2xC4xC1000 has 8,000 positions: the pruned DFS codes only the first
+    # 128 of them, so the codes on its path hold at most 128 digits; coding
+    # all 8,000 took the peak of this run to about 390 MB.  About 60 MB of
+    # the peak are the set-up's tables at the group's order (translation
+    # steps, support masks, permutations), which no prune test changes
+    group = parse_group("C2xC4xC1000")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as exc:
+            delta_rho_star(group, config=ResourceConfig(max_atoms=1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.what == "atom count"
+    assert peak < 80_000_000
+
+
 def test_star_values():
     assert delta_rho_star(cyclic(10)) == frozenset({2, 8})
     assert delta_rho_star(make_group([2, 2, 2])) == frozenset({1, 2})

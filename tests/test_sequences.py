@@ -22,7 +22,7 @@ from zslen.sequences import (
     parse_support,
 )
 
-from oracles import brute_atoms, brute_force_automorphisms, brute_is_atom
+from oracles import brute_atoms, brute_force_automorphisms, brute_is_atom, orderly_atoms
 
 
 def seq(group, pairs):
@@ -249,6 +249,24 @@ def test_pruned_walk_yields_the_least_atom_of_every_orbit(name):
         if atom not in seen:
             assert atom in pruned, atom
             seen.update(tuple(sorted(map(phi.__getitem__, atom))) for phi in automorphisms)
+
+
+@pytest.mark.parametrize("name, nodes", [("C2xC2xC2xC2", 131), ("C4xC4", 440), ("C3xC6", 877),
+                                         ("C2xC2xC6", 4297), ("C5xC5", 2335), ("C3xC3xC3", 684),
+                                         ("C2xC4xC4", 5969)])
+def test_pruned_walk_matches_the_orderly_oracle_node_for_node(name, nodes):
+    # the oracle drops a node by sorting the images of its positions under
+    # the maps that send its last position lower; the walk compares position
+    # codes under every map, and must keep the same atoms in the same order
+    # and visit the same nodes, so that it finishes on exactly that node cap
+    G = parse_group(name)
+    support, perms = full_support(G), _pruning_perms(G)
+    want, visited = orderly_atoms(support, perms)
+    assert visited == nodes
+    assert list(_atom_vectors(support, ResourceConfig(max_nodes=nodes), perms)) == want
+    with pytest.raises(BudgetExceededError) as exc:
+        list(_atom_vectors(support, ResourceConfig(max_nodes=nodes - 1), perms))
+    assert exc.value.what == "enumeration nodes"
 
 
 def _longest_pruned_atom(G):
