@@ -12,12 +12,15 @@ even n in order, 0 for an exceptional n.  Two independent engines compute it:
   the n of the progressions n = a + r (mod a·p), n >= a(1 + p) + r, one per
   r and prime p of T(a, r); each is marked by a slice, and only the n left
   unmarked are tried a by a;
-* E2 inverts the criterion: it enumerates all quotient lists matching the
+* E2 inverts the criterion: it enumerates the quotient lists matching the
   divisibility pattern for a prime t (first and last quotient = 1 mod t,
   interior quotients = 0 mod t) whose continuant stays below the bound, each
-  once up to reversal, and drops a branch as soon as no list below it can
-  close under the bound.  Continuants grow at least as fast as Fibonacci
-  numbers, so the enumeration depth is logarithmic in the bound.
+  once up to reversal.  Without its last quotient such a list has a
+  continuant p0 that witnesses each n the list closes to.  Continuants only
+  grow down a branch, so the walk keeps to p0 up to a fixed cap and marks
+  the n of each p0 by one slice, largest p0 first; the n left unmarked are
+  tried over the a above the cap, each by the gcd over the quotient list of
+  n/a.
 
 With both engines the two sequences must be equal before a report is made.
 """
@@ -300,52 +303,82 @@ def _scan_direct_range(lo: int, hi: int, typecode: str | None = None) -> array:
     return best
 
 
-def _scan_inverted(hi: int) -> list[int]:
+# E2's walk marks every witness up to this cap, and each order that it leaves
+# unmarked is tried above the cap.  With the cap fixed, the marking and the
+# trials both grow linearly in the bound, so the best cap does not grow with
+# it: timed at 10^5, 10^6 and 10^7, caps from 401 to 1001 were within 20 % of
+# each other, 601 among the fastest, and isqrt(hi // 2) took 1.4x as long
+# at 10^7.  It is odd, so that a witness can equal it.
+_E2_CAP = 601
+
+
+def _scan_inverted(hi: int) -> array:
     """E2: the smallest witness of every even n <= hi at index n // 2, or 0.
 
     Quotient lists are generated per prime t; the criterion gcd of any
     witnessed pair is divisible by some prime, so prime patterns cover all.
-    A list and its reversal have the same continuant n, and the reversal's
-    a is the list's own continuant without its last quotient, so only lists
-    whose last quotient is at least the first are walked, each marking the
-    smaller of the two.
+    A pattern list [q0; ..., q_m] with continuant n is the expansion of
+    n/a, and its reversal that of n/p0, p0 = K(q0, ..., q_{m-1}) the
+    continuant without the last quotient; so p0 witnesses n.  A walked node
+    is a list [first, ...] with continuant p0, and its closes with a last
+    quotient L = 1 mod t, L >= first, give the n = L * p0 + p1 of one run,
+    all witnessed by p0.  Every smallest witness is the p0 of a run: when
+    it is the a of a list whose last quotient exceeds the first (by t at
+    least), that list's own p0 is smaller.  Continuants grow down a branch,
+    so the walk keeps to the nodes with p0 at most the cap C.  Their runs,
+    applied largest p0 first, each by one slice, leave the smallest witness
+    of each n that has one up to C, and an n still at 0 gets a trial over
+    the odd a above C.
     """
-    best = [hi] * (hi // 2 + 1)  # hi stands for unmarked until the walk ends
-    # minimal pattern continuant is (t+1)^2 + 1, so t + 1 <= isqrt(hi - 1)
-    for t in filter(_is_prime, range(2, isqrt(hi - 1))):
-        first = t + 1
-        while first * first + 1 <= hi:
-            # the last two convergents p1/d1, p0/d0 of a list [first, ...]
-            stack = [(1, first, 0, 1)]
+    cap = _E2_CAP
+    top = min(cap, isqrt(hi - 1))  # minimal pattern continuant is first^2 + 1
+    runs = []
+    for t in range(2, top):
+        if any(t % p == 0 for p in range(2, isqrt(t) + 1)):
+            continue  # a composite t repeats the lists of its prime factors
+        for first in range(t + 1, top + 1, t):
+            # the continuants p1, p0 of a list [first, ...] without and with
+            # its last quotient
+            stack = [(1, first)]
             while stack:
-                p1, p0, d1, d0 = stack.pop()
+                p1, p0 = stack.pop()
                 # close with a last quotient = 1 mod t and >= first, even n only
-                n, a = first * p0 + p1, first * d0 + d1
-                n_step, a_step = t * p0, t * d0
-                if n_step & 1:  # n alternates in parity
-                    if n & 1:
-                        n, a = n + n_step, a + a_step
-                    n_step, a_step = 2 * n_step, 2 * a_step
-                elif n & 1:  # every n is odd
-                    n = hi + 1
-                while n <= hi and a < p0:
-                    if a < best[n >> 1]:
-                        best[n >> 1] = a
-                    n, a = n + n_step, a + a_step
-                # a only grows, so from here on every n marks p0; the guard
-                # keeps the all-odd sentinel hi + 1 out of the index range
-                if n <= hi:
-                    for i in range(n >> 1, hi // 2 + 1, n_step >> 1):
-                        if p0 < best[i]:
-                            best[i] = p0
-                # extend with an interior quotient = 0 mod t; a child that
-                # cannot close has no descendant that can, as continuants grow
-                c, e = t * p0 + p1, t * d0 + d1
-                while first * c + p0 <= hi:
-                    stack.append((p0, c, d0, e))
-                    c, e = c + t * p0, e + t * d0
-            first += t
-    return [w if w < hi else 0 for w in best]
+                n, step = first * p0 + p1, t * p0
+                if step & 1:  # n alternates in parity: keep the even ones
+                    n, step = n + (n & 1) * step, 2 * step
+                if n <= hi and not n & 1:
+                    runs.append((p0, n >> 1, step >> 1))
+                # extend with an interior quotient = 0 mod t while the child's
+                # p0 is at most the cap and its first close is at most hi
+                c = t * p0 + p1
+                while c <= cap and first * c + p0 <= hi:
+                    stack.append((p0, c))
+                    c += t * p0
+    size = hi // 2 + 1
+    best = array(_typecode(hi), [0]) * size
+    for p0, i, step in sorted(runs, reverse=True):
+        best[i::step] = array(best.typecode, [p0]) * len(range(i, size, step))
+    i = cap  # an n = 2i with i <= cap has no a above the cap to try
+    while True:
+        try:
+            i = best.index(0, i + 1)
+        except ValueError:  # no 0 past i
+            return best
+        n = 2 * i
+        best[i] = next((a for a in range(cap + 1 | 1, i + 1, 2)
+                        if gcd(a, n) == 1 and _quotient_list_gcd(n, a) > 1), 0)
+
+
+def _quotient_list_gcd(n: int, a: int) -> int:
+    """gcd(q0 - 1, q1, ..., q_{m-1}, q_m - 1) over the regular quotient list
+    [q0; q1, ..., q_m] of n/a, for coprime 2 <= a < n/2 (so m >= 1)."""
+    qs = []
+    while a:
+        qs.append(n // a)
+        n, a = a, n % a
+    qs[0] -= 1
+    qs[-1] -= 1
+    return gcd(*qs)
 
 
 def _shard_ranges(lo: int, hi: int, shards: int) -> list[tuple[int, int]]:
@@ -514,16 +547,17 @@ def scan_exceptional(
         raise InputError(f"shards and workers must be >= 1, got {shards} and {workers}")
     if engine == "e2" and (checkpoint or shards > 1 or workers > 1):
         raise InputError("shards, workers and checkpoint apply to E1 only, not to engine 'e2'")
-    # E1's report holds a word per even n in [lo, hi], E2's walk a reference
-    # per n // 2 <= hi // 2
-    typecode = _typecode(hi)
-    need = (hi // 2 - (lo - 1) // 2) * array(typecode).itemsize + (engine != "e1") * 8 * (hi // 2 + 1)
+    # E1's report holds a word per even n in [lo, hi], E2's array a word per
+    # n // 2 <= hi // 2
+    itemsize = array(_typecode(hi)).itemsize
+    need = ((hi // 2 - (lo - 1) // 2) + (engine != "e1") * (hi // 2 + 1)) * itemsize
     if need > _memory_bytes():
         raise MemoryError(f"a scan of [{lo}, {hi}] needs {need} bytes, more than this host has")
     if engine != "e2":
         smallest = _scan_e1(lo, hi, shards, workers, Path(checkpoint) if checkpoint else None)
     if engine != "e1":
-        inverted = array(typecode, _scan_inverted(hi)[(lo + 1) // 2:])
+        inverted = _scan_inverted(hi)
+        del inverted[:(lo + 1) // 2]
         if engine == "both" and smallest != inverted:
             raise EngineMismatchError(
                 f"scan engines disagree on [{lo}, {hi}]: E1 found {smallest.count(0)} "

@@ -559,8 +559,49 @@ def test_inverted_engine_matches_direct_witnesses_to_30000():
     # every minimal witness, including those only a reversed list reaches;
     # E2 lists n // 2 from n = 0, so n = 8 is at index 4
     direct = _scan_direct_range(8, 30000)
-    assert _scan_inverted(30000)[4:] == direct.tolist()
+    assert _scan_inverted(30000)[4:] == direct
     assert direct.count(0) == 25  # the exceptional orders, all below 3000
+
+
+def test_inverted_engine_equals_direct_engine_to_one_million():
+    inverted = _scan_inverted(10**6)
+    assert inverted[4:] == _scan_direct_range(8, 10**6)
+    assert inverted.typecode == "I"
+
+
+# cap, hi and n -> smallest witness for an n whose smallest witness is the
+# last odd value the walk marks (the cap itself when it is odd) and an n
+# whose smallest witness is the first odd value above the cap, where the
+# trial starts; 603 is the first witness of an n only past 1.4 * 10^6
+@pytest.mark.parametrize("cap, hi, pinned", [
+    (5, 400, {26: 5, 24: 7}),
+    (6, 400, {26: 5, 24: 7}),
+    (41, 3000, {140: 41, 132: 43}),
+    (42, 3000, {140: 41, 132: 43}),
+    (123, 15000, {12452: 123, 684: 125}),
+    (124, 15000, {12452: 123, 684: 125}),
+    (601, 300000, {226602: 601, 15132: 605}),
+])
+def test_inverted_engine_at_the_edge_of_its_walk(monkeypatch, cap, hi, pinned):
+    import zslen.cf as cf_module
+
+    monkeypatch.setattr(cf_module, "_E2_CAP", cap)
+    inverted = _scan_inverted(hi)
+    assert {n: inverted[n // 2] for n in pinned} == pinned
+    assert inverted[4:] == _scan_direct_range(8, hi)
+
+
+def test_inverted_engine_calls_no_part_of_the_direct_engine(monkeypatch):
+    import zslen.cf as cf_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("E2 called a helper of E1")
+
+    for name in ("_tail_gcd", "_quad_criterion", "_trial_witness", "_factorint", "_scan_direct_range"):
+        monkeypatch.setattr(cf_module, name, refuse)
+    # the 25 exceptional orders of every range [8, hi] with hi >= 2844
+    assert scan_exceptional(8, 3000, engine="e2").digest() == (
+        "776cc5fa0de736c4e6df863e2a165705881bc498ae471fb4fc2d99807ff8d0d7")
 
 
 def _oracle_range(lo, hi):
@@ -583,7 +624,7 @@ def test_engine_mismatch_is_detectable(monkeypatch):
     import zslen.cf as cf_module
 
     def broken(hi):
-        return [0] * (hi // 2 + 1)  # no witness anywhere
+        return array("I", [0]) * (hi // 2 + 1)  # no witness anywhere
 
     monkeypatch.setattr(cf_module, "_scan_inverted", broken)
     with pytest.raises(EngineMismatchError):

@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import time
+from array import array
 
 import pytest
 from oracles import checkpoint_record, words
@@ -328,7 +329,7 @@ def test_cf_scan_lines(capsys):
 def _disagreeing_engines(monkeypatch):
     import zslen.cf as cf_module
 
-    monkeypatch.setattr(cf_module, "_scan_inverted", lambda hi: [0] * (hi // 2 + 1))
+    monkeypatch.setattr(cf_module, "_scan_inverted", lambda hi: array("I", [0]) * (hi // 2 + 1))
 
 
 def test_cf_scan_engine_mismatch_exits_1(capsys, monkeypatch):
