@@ -471,12 +471,13 @@ def _scan_e1(lo: int, hi: int, shards: int, workers: int, ck_path: Path | None) 
     """E1 over the shards of [lo, hi] as one array of the run's typecode,
     extended shard by shard in range order, reusing the shards that the
     checkpoint holds in that typecode.  Fresh shards are appended to the
-    checkpoint in range order as their results are taken.  The pool has at most one worker per fresh shard and per CPU, as
-    it may start them all at once.  Worker shards all run, so each one that
-    succeeds is recorded, also after a failed one, before the first failure
-    is raised.  Workers ignore SIGINT: a Ctrl-C of the process group
-    interrupts this loop alone, which then drops the shards not yet started
-    and waits for the running ones, so no worker is left behind."""
+    checkpoint in range order as their results are taken.  The pool has at
+    most one worker per fresh shard and per CPU, as it may start them all at
+    once.  Worker shards all run, so each one that succeeds is recorded, also
+    after a failed one, before the first failure is raised.  Workers ignore
+    SIGINT: a Ctrl-C of the process group interrupts this loop alone, which
+    then drops the shards not yet started and waits for the running ones, so
+    no worker is left behind."""
     typecode = _typecode(hi)
     done = _load_checkpoint(ck_path) if ck_path else {}
     ranges = _shard_ranges(lo, hi, shards)

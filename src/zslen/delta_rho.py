@@ -8,10 +8,10 @@ distinct unions of those support classes.  Three facts keep it small:
 * enlarging a support divides its minimum distance, so a union is expanded
   only while some divisor of its value is missing from the star set, and its
   expansion stops as soon as none is;
-* over a negation-closed support, the minimum distance divides ``|U| - 2``
-  for every atom ``U`` (pair off each element with its negative), so a running
-  gcd of atom lengths settles most unions to 1 without touching the kernel,
-  and stops their atom enumeration as soon as it reaches 1;
+* the kernel reduction stops reading a union's atoms once the gcd it has
+  found is 1, and over a negation-closed support it is handed ``|U| - 2``
+  for every atom ``U`` as a lattice vector (pair off each element with its
+  negative), so most unions settle to 1 from a prefix of their atoms;
 * a group automorphism keeps the minimum distance, so the walk may visit one
   canonical union per orbit.
 
@@ -30,8 +30,9 @@ is exact on groups of order at most 128 and may drop fewer nodes on larger
 ones.  That keeps the least atom of every orbit, and the classes of the
 maximal-length atoms it finds, closed under the automorphisms, are all the
 classes.  A class is canonical as one representative of its orbit; any
-other union is its own canonical form.  Values produced by the gcd shortcut coincide with the
-kernel-lattice value; the property suite checks this on every build.
+other union is its own canonical form.  A union's value from a prefix of
+its atoms equals ``min_delta`` of its support; the property suite checks
+this on every build.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from math import gcd
 from .config import ResourceConfig, default_config
 from .errors import BudgetExceededError, InputError
 from .groups import AbelianGroup, _factorint, cyclic, direct_sum_with_embeddings, make_group
-from .lengths import _set_bits, min_delta_of_atoms
-from .sequences import AtomSet, SupportSet, _atom_vectors, full_support
+from .lengths import _functional_gcd, _set_bits
+from .sequences import SupportSet, _atom_vectors, full_support
 
 
 def gcd_closure(values) -> frozenset[int]:
@@ -80,14 +81,13 @@ class DeltaRhoResult:
 
 class _UnionValues:
     """What both walk sources share: a union's value from the atoms over it
-    alone, read from the DFS stream.  Every union is negation-closed, so its
-    value divides ``|U| - 2`` for each atom ``U``: the stream stops once the
-    gcd of those is 1, and otherwise the kernel gets every atom over the
-    union.  A source whose gcd can never reach 1 sets ``fold`` to False and
-    hands the stream to the kernel as it is.  The atom and node budgets bound
-    what is read.  Bit j of a mask stands for the element of index j."""
-
-    fold = True
+    alone, read from the DFS stream by the kernel reduction, which stops once
+    its gcd is 1.  Every union is negation-closed, so ``U·(-U)`` is also the
+    product of the ``|U|`` atoms ``g·(-g)``, and ``(0, ..., 0, |U| - 2)`` lies
+    in the lattice: it goes in ahead of each atom ``U`` of length at least 3,
+    costs no reduction, and settles most odd-order unions before ``U`` is
+    reduced.  The atom and node budgets bound what is read.  Bit j of a mask
+    stands for the element of index j."""
 
     def __init__(self, group: AbelianGroup, config: ResourceConfig):
         self.group = group
@@ -96,17 +96,15 @@ class _UnionValues:
     def min_delta_of_mask(self, mask: int) -> int:
         # bits in increasing order are elements in index order, which is sorted
         support = SupportSet(self.group, tuple(map(self.group.element_at, _set_bits(mask))))
-        if not self.fold:
-            return min_delta_of_atoms(AtomSet(support, list(_atom_vectors(support, self.config))))
-        g, vectors = 0, []
-        for v in _atom_vectors(support, self.config):
-            length = sum(v)
-            if length >= 3:
-                g = gcd(g, length - 2)
-                if g == 1:
-                    return 1
-            vectors.append(v)
-        return min_delta_of_atoms(AtomSet(support, vectors))
+        nrows = len(support.elements)
+
+        def columns():
+            for v in _atom_vectors(support, self.config):
+                if (length := sum(v)) >= 3:
+                    yield (0,) * nrows + (length - 2,)
+                yield v + (1,)
+
+        return _functional_gcd(columns(), nrows)
 
 
 def _orbits(masks, perms, cap: int) -> dict[int, int]:
@@ -179,14 +177,11 @@ class _UnitClassScan(_UnionValues):
     ``{u, n - u}`` are the classes, and nothing is enumerated up front; bit j
     of a mask stands for the residue j, whose index is j.  Only the units
     are stored: each read of ``class_masks`` builds the n-bit masks one at a
-    time, so the set-up holds no mask per class before any budget applies.
-    For even n every unit is odd, so every atom over units has even length
-    and the gcd of ``|U| - 2`` never reaches 1: there it is not folded."""
+    time, so the set-up holds no mask per class before any budget applies."""
 
     def __init__(self, group: AbelianGroup, config: ResourceConfig):
         super().__init__(group, config)
         n = self.n = group.order()
-        self.fold = n % 2 == 1
         self.units = [u for u in range(1, (n + 1) // 2) if gcd(u, n) == 1]
         self.roots = [(1 << 1) | (1 << (n - 1))]  # every class is a unit multiple of {1, n - 1}
 

@@ -185,8 +185,7 @@ def fp_min_delta(monoid: FPMonoid, atoms: list[tuple[int, int]]) -> int | None:
     q = monoid.unit_modulus
     columns = [(val, cls, 1) for cls, val in atoms]
     columns.append((0, q, 0))  # class row is a congruence mod q
-    g = _functional_gcd(columns, 2)
-    return g if g else None
+    return _functional_gcd(columns, 2) or None
 
 
 def local_profile(monoid: FPMonoid, *, config: ResourceConfig | None = None) -> LocalProfile:

@@ -6,7 +6,8 @@ of a common element, so the coordinate-sum functional ranges exactly over the
 achievable length differences.  Its gcd over the kernel lattice therefore
 equals the gcd of all distances, which is the minimum distance.  The gcd of a
 linear functional over a lattice is reached on any generating set, so no
-individual factorizations ever need to be expanded.
+individual factorizations ever need to be expanded, and the reduction stops
+reading generators once the gcd of the kernel vectors found so far is 1.
 
 Sets of lengths count atoms in one step loop (:func:`_count_atoms`): every
 cell of a finite set is one bit of an int, one step ORs the shifted, masked
@@ -102,13 +103,13 @@ def _extgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _vanishing_part(vectors, nrows: int) -> list[list[int]]:
-    """Unimodular pivot reduction of ``vectors``: the reduced vectors that
-    become no pivot vanish on the first ``nrows`` coordinates and span exactly
-    the part of the lattice that does (a basis of it when ``vectors`` are
-    linearly independent), since the pivots are independent there."""
+def _vanishing_part(vectors, nrows: int):
+    """Unimodular pivot reduction of ``vectors``: yields, once it is reduced,
+    each vector that becomes no pivot.  These vanish on the first ``nrows``
+    coordinates and span exactly the part of the lattice that does (a basis
+    of it when ``vectors`` are linearly independent), since the pivots are
+    independent there."""
     pivots: list[list[int] | None] = [None] * nrows
-    rest = []
     for vec in vectors:
         v = list(vec)
         for i in range(nrows):
@@ -129,15 +130,20 @@ def _vanishing_part(vectors, nrows: int) -> list[list[int]]:
                 pivots[i] = [x * pj + y * vj for pj, vj in zip(p, v)]
                 v = [qa * vj - qb * pj for pj, vj in zip(p, v)]
         else:
-            rest.append(v)
-    return rest
+            yield v
 
 
 def _functional_gcd(columns, nrows: int) -> int:
     """gcd of the final coordinate over lattice vectors vanishing on the
     first ``nrows`` coordinates; the lattice is spanned by ``columns``
-    (integer vectors of size nrows + 1)."""
-    return gcd(*(v[nrows] for v in _vanishing_part(columns, nrows)))
+    (integer vectors of size nrows + 1).  Each vanishing vector lies in the
+    lattice, so the gcd stops at 1 and reads no further column."""
+    g = 0
+    for v in _vanishing_part(columns, nrows):
+        g = gcd(g, v[nrows])
+        if g == 1:
+            break
+    return g
 
 
 def kernel_basis_of(mult_vectors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -161,9 +167,7 @@ def min_delta_of_atoms(atoms: AtomSet) -> int | None:
     set).
     """
     nrows = len(atoms.support.elements)
-    columns = [v + (1,) for v in atoms.mult_vectors]
-    g = _functional_gcd(columns, nrows)
-    return g if g else None
+    return _functional_gcd((v + (1,) for v in atoms.mult_vectors), nrows) or None
 
 
 def min_delta(support: SupportSet, *, config: ResourceConfig | None = None) -> int | None:

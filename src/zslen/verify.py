@@ -340,8 +340,8 @@ def _exhaustive_lengths(atoms, bound: int) -> dict[tuple[int, ...], frozenset[in
 def observed_min_delta(atoms, bound: int) -> int | None:
     """gcd of all distances over exhaustively generated products: the gcd
     of the gaps of a length set is the gcd of its lengths less its least.
-    The products stream in, and the fold stops once the gcd is 1, which no
-    further product can change."""
+    The products stream in, and the gcd stops once it is 1, which no further
+    product can change."""
     g = 0
     for _, b in _packed_lengths(atoms, bound)[1]:
         g = gcd(g, *_set_bits(b >> (b & -b).bit_length() - 1))

@@ -101,82 +101,104 @@ def test_star_scan_agrees_with_unpruned_enumeration(name):
     assert star == frozenset(unpruned)
 
 
-@pytest.mark.parametrize("name", ["C9", "C2xC4", "C2xC2xC2", "C3xC6", "C2xC2xC2xC2"])
+def _record_reductions(monkeypatch):
+    """The columns that reach the walk's kernel reduction, one list per call,
+    with the number of rows it was given."""
+    module = importlib.import_module("zslen.delta_rho")
+    reduce = module._functional_gcd
+    calls = []
+
+    def recorded(columns, nrows):
+        read = []
+        calls.append((nrows, read))
+        return reduce((read.append(c) or c for c in columns), nrows)
+
+    monkeypatch.setattr(module, "_functional_gcd", recorded)
+    return calls
+
+
+def _reads_a_prefix(group, union, calls, value) -> bool:
+    """Whether the one reduction of ``union`` stopped before the end of its
+    columns, after checking what it read: a prefix of the atoms of
+    ``enumerate_atoms``'s stream in DFS order, each as ``v + (1,)``, and
+    right before each atom of length >= 3 the vector (0, ..., 0, length -
+    2); a union whose reduction stops early is worth 1."""
+    support = SupportSet.of(group, union)
+    stream = list(sequences._atom_vectors(support, default_config()))  # what enumerate_atoms reads
+    assert sorted(stream) == sorted(enumerate_atoms(support).mult_vectors)
+    nrows = len(union)
+    columns = []
+    for v in stream:
+        if sum(v) >= 3:
+            columns.append((0,) * nrows + (sum(v) - 2,))
+        columns.append(v + (1,))
+    [(rows, read)] = calls
+    assert rows == nrows and read == columns[:len(read)], union
+    assert len(read) == len(columns) or value == 1, union
+    return len(read) < len(columns)
+
+
+# unions whose reduction stops before the end of their stream, per group
+_STOPPED_EARLY = {"C9": 3, "C2xC4": 5, "C2xC2xC2": 7, "C3xC6": 196, "C2xC2xC2xC2": 145}
+
+
+@pytest.mark.parametrize("name", list(_STOPPED_EARLY))
 def test_min_delta_of_mask_matches_min_delta_of_its_support(name, monkeypatch):
-    # the walk's valuation (atoms over the union, gcd-of-lengths shortcut,
-    # kernel fallback) against the kernel alone on atoms enumerated afresh
-    # over the union, on every class and on the unions of two classes (a
-    # fixed sample of them for C2^4, whose 168 classes make 8,001); the C2^4
-    # classes have value 3, so they reach the kernel fallback, which must get
-    # every atom over the union and nothing else
+    # the walk's valuation against the kernel alone on atoms enumerated
+    # afresh over the union, on every class and on the unions of two classes
+    # (a fixed sample of them for C2^4, whose 168 classes make 8,001); the
+    # C2^4 classes have value 3, so their reduction reads every column
     G = parse_group(name)
     source = _OrbitSource(G, default_config())
     elems = G.elements()
-    passed = []
-
-    def kernel(atoms):
-        passed.append(atoms.support.elements)
-        return min_delta_of_atoms(atoms)
-
-    monkeypatch.setattr(importlib.import_module("zslen.delta_rho"), "min_delta_of_atoms", kernel)
+    calls = _record_reductions(monkeypatch)
     pairs = sorted({a | b for a in source.class_masks for b in source.class_masks})
     if name == "C2xC2xC2xC2":
         pairs = random.Random(1606).sample(pairs, 150)
+    settled = 0
     for m in source.class_masks + pairs:
         union = tuple(elems[j] for j in _set_bits(m))
-        passed.clear()
-        assert source.min_delta_of_mask(m) == min_delta(SupportSet.of(G, union)), m
-        assert all(passed_union == union for passed_union in passed)
+        calls.clear()
+        value = source.min_delta_of_mask(m)
+        assert value == min_delta(SupportSet.of(G, union)), m
+        settled += _reads_a_prefix(G, union, calls, value)
+    assert settled == _STOPPED_EARLY[name]
     if name == "C2xC2xC2xC2":
-        passed.clear()
-        assert source.min_delta_of_mask(source.class_masks[0]) == 3 and len(passed) == 1
+        assert source.min_delta_of_mask(source.class_masks[0]) == 3
 
 
-@pytest.mark.parametrize("n, want, settled_by_gcd", [
-    (15, {1, 13}, 10), (16, {1, 2, 14}, 0), (21, {1, 19}, 35), (26, {1, 4, 24}, 0),
+@pytest.mark.parametrize("n, want, stopped", [
+    (15, {1, 13}, 10), (16, {1, 2, 14}, 6), (21, {1, 19}, 35), (26, {1, 4, 24}, 32),
 ])
-def test_cyclic_min_delta_of_mask_matches_min_delta_of_its_support(n, want, settled_by_gcd, monkeypatch):
+def test_cyclic_min_delta_of_mask_matches_min_delta_of_its_support(n, want, stopped, monkeypatch):
     # the cyclic source's valuation against the kernel alone, on every class
     # and every union of two or three of its classes (4 for C15 and C16, 6
-    # for C21 and C26); a union is either settled to 1 mid-stream by the gcd
-    # of length - 2, or valued by the kernel on every atom over it.  For even
-    # n every unit is odd, so every atom over units has even length and the
-    # gcd never reaches 1: there the kernel finds every value, 1 included
+    # for C21 and C26).  For even n every unit is odd, so every atom over
+    # units has even length and the vectors (0, ..., 0, length - 2) alone
+    # never give 1, but with the atoms reduced so far they settle unions
+    # before the end of their stream all the same
     G = cyclic(n)
     source = _UnitClassScan(G, default_config())
     classes = list(source.class_masks)
-    passed = []
-
-    def kernel(atoms):
-        passed.append(atoms.mult_vectors)
-        return min_delta_of_atoms(atoms)
-
-    monkeypatch.setattr(importlib.import_module("zslen.delta_rho"), "min_delta_of_atoms", kernel)
+    calls = _record_reductions(monkeypatch)
     values, settled = set(), 0
     for m in (sum(c) for k in (1, 2, 3) for c in combinations(classes, k)):
-        support = SupportSet.of(G, [(j,) for j in _set_bits(m)])
-        passed.clear()
+        union = [(j,) for j in _set_bits(m)]
+        calls.clear()
         value = source.min_delta_of_mask(m)
-        assert value == min_delta(support), m
-        if passed:
-            assert passed == [enumerate_atoms(support).mult_vectors], m
-        else:
-            assert value == 1, m
-            settled += 1
+        assert value == min_delta(SupportSet.of(G, union)), m
+        settled += _reads_a_prefix(G, union, calls, value)
         values.add(value)
-    assert (values, settled) == (want, settled_by_gcd)
+    assert (values, settled) == (want, stopped)
 
 
 @pytest.mark.parametrize("n", [6, 8, 10, 12, 14])
 def test_every_atom_over_the_units_of_an_even_cyclic_group_has_even_length(n):
-    # a sum of k odd residues is 0 mod n, hence even, only for even k; this
-    # is why the even-order cyclic source never folds atom lengths into a gcd
+    # a sum of k odd residues is 0 mod n, hence even, only for even k
     G = cyclic(n)
     units = SupportSet.of(G, [(u,) for u in range(1, n) if gcd(u, n) == 1])
     lengths = enumerate_atoms(units).lengths
     assert lengths and all(length % 2 == 0 for length in lengths)
-    source = _UnitClassScan(G, default_config())
-    assert not source.fold and _UnitClassScan(cyclic(n + 1), default_config()).fold
 
 
 def _as_sets(group, masks):
@@ -342,8 +364,22 @@ def test_realize_list_assembles_blocks():
 
 
 def test_star_budget_error_propagates():
+    # C12 needs 23 nodes (next test)
     with pytest.raises(BudgetExceededError):
-        delta_rho_star(cyclic(12), config=ResourceConfig(max_nodes=50))
+        delta_rho_star(cyclic(12), config=ResourceConfig(max_nodes=20))
+
+
+@pytest.mark.parametrize("n, field, cap, star", [
+    (12, "max_nodes", 23, {1, 10}), (26, "max_atoms", 37, {1, 4, 24}),
+])
+def test_an_even_order_walk_answers_from_a_prefix_of_each_union(n, field, cap, star):
+    # the reduction stops each union's DFS once its gcd is 1, also on even
+    # orders, where every atom length is even: C12 answers within 23 nodes
+    # (91 when each union read its whole stream) and C26 within 37 atoms
+    # (115); one less raises
+    assert delta_rho_star(cyclic(n), config=ResourceConfig(**{field: cap})) == star
+    with pytest.raises(BudgetExceededError):
+        delta_rho_star(cyclic(n), config=ResourceConfig(**{field: cap - 1}))
 
 
 def test_node_budget_stops_a_large_cyclic_walk_in_little_memory():

@@ -14,7 +14,9 @@ from zslen import verify
 from zslen.groups import cyclic, make_group
 from zslen.lengths import (
     LengthSet,
+    _functional_gcd,
     _set_bits,
+    _vanishing_part,
     kernel_basis_of,
     length_set,
     max_elasticity_witness,
@@ -131,6 +133,39 @@ def test_kernel_basis_spans_the_full_kernel():
         if basis:
             minors = [_det([[x[j] for j in cols] for x in basis]) for cols in combinations(range(t), len(basis))]
             assert gcd(*minors) == 1, (vectors, basis)
+
+
+def test_functional_gcd_stops_reading_columns_at_one():
+    # (2, 1) and (2, 0) reduce to (0, 1), so the gcd is 1 after two columns,
+    # and a third one is never asked for
+    def columns():
+        yield (2, 1)
+        yield (2, 0)
+        raise AssertionError("read past a gcd of 1")
+
+    assert _functional_gcd(columns(), 1) == 1
+    # the early stop agrees with the gcd over the whole vanishing part, also
+    # where that gcd is above 1 and every column is read, and where an
+    # earlier gcd of 2 or 0 still falls to 1
+    rng = random.Random(34)
+    above_one = 0
+    for _ in range(200):
+        scale = rng.choice([1, 2, 3])
+        columns = [tuple(rng.randint(-4, 4) for _ in range(2)) + (scale * rng.randint(-3, 3),)
+                   for _ in range(rng.randint(1, 6))]
+        g = _functional_gcd(iter(columns), 2)
+        assert g == gcd(*(v[2] for v in _vanishing_part(columns, 2))), columns
+        above_one += g > 1
+    assert above_one >= 50
+
+
+def test_kernel_basis_of_is_unchanged_by_the_lazy_reduction():
+    # the bases that the list-building reduction gave on these inputs
+    assert [kernel_basis_of(v) for v in ([(2,), (3,)], [(1, 1), (1, 1), (2, 2)],
+                                         [(2, 0), (0, 3), (4, 6), (6, 6)],
+                                         [(0, 0), (1, 2), (3, 4)], [(6,), (10,), (15,)])] == [
+        [(-3, 2)], [(-1, 1, 0), (-2, 0, 1)], [(-2, -2, 1, 0), (-3, -2, 0, 1)], [(1, 0, 0)],
+        [(-5, 3, 0), (-30, 15, 2)]]
 
 
 def test_max_elasticity_witness():
