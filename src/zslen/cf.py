@@ -156,8 +156,10 @@ def _tail_gcd(x: int, y: int, g: int = 0) -> int:
 
 def _trial_witness(n: int, start: int) -> int:
     """Smallest a in [start, n // 2], coprime to n, whose quad gcd exceeds
-    1; 0 when there is none."""
-    for a in range(start, n // 2 + 1):
+    1; 0 when there is none.  An even n has no even unit, so for it only
+    the odd a are tried."""
+    even = 1 - n % 2
+    for a in range(start | even, n // 2 + 1, 1 + even):
         if gcd(a, n) == 1 and _quad_criterion(n, a) > 1:
             return a
     return 0
@@ -263,7 +265,30 @@ def _zeros(seq) -> list[int]:
     return out
 
 
-def _scan_direct_range(lo: int, hi: int, typecode: str | None = None) -> array:
+def _sieve(cutoff: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """E1's sieve table up to ``cutoff``: the triples (a, r, p) of the odd
+    a in [3, cutoff], largest a first, each r in [1, a) coprime to a and
+    each prime p of T(a, r), the tail gcd of a/r.  Each triple is one
+    progression of the n that a witnesses; none depends on a range, so one
+    table serves every shard of a scan."""
+    table = []
+    for a in reversed(range(3, cutoff + 1, 2)):
+        for r in range(1, a):
+            if gcd(a, r) == 1 and (t := _tail_gcd(a, r)) > 1:
+                table.extend((a, r, p) for p in _factorint(t))
+    return cutoff, tuple(table)
+
+
+def _icbrt(x: int) -> int:
+    """The integer cube root of x >= 0, by Newton's method from above."""
+    y = 1 << -(-x.bit_length() // 3)
+    while y ** 3 > x:
+        y = (2 * y + x // (y * y)) // 3
+    return y
+
+
+def _scan_direct_range(lo: int, hi: int, typecode: str | None = None,
+                       sieve: tuple | None = None) -> array:
     """E1: the smallest witness of every even n in [lo, hi], 0 where there is none.
 
     With q = n // a and r = n mod a, the quad gcd of n/a is
@@ -274,30 +299,34 @@ def _scan_direct_range(lo: int, hi: int, typecode: str | None = None) -> array:
     even unit) from a cutoff A down to 3 and assigns a to the even n of
     each such progression with one slice assignment; as a descends, the
     smallest witness is the one that stays.  An n left unmarked has no
-    witness up to A and gets the trial from A + 1.  For m even n the cutoff
-    is A = max(16, isqrt(m) // 2), so the sieve visits about m / 20 pairs
-    (a, r); up to 10^6 it leaves 685 of the 499,997 even n to the trial.
-    The witnesses fill an array of ``typecode``, by default that of a scan
-    to hi.
+    witness up to A and gets the trial from A + 1.  The progressions come
+    from ``sieve``, the :func:`_sieve` table that a scan with more than one
+    fresh shard builds once and hands to each of them.  Its cost is paid
+    once per run, so its cutoff grows with the run, capped by what one shard
+    can use: A = max(16, min(isqrt(M) // 2, 10·∛w)) for the M even n of the
+    run and the w of its widest fresh shard.  The 8 shards of 6,250 even n
+    of a 10^5-wide window then sieve to 111 and leave 828 of their 50,000
+    even n to the trial, where 8 tables to 39 left 4,438.  Without a table
+    the range builds its own, to A = max(16, isqrt(m) // 2) for its m even
+    n; up to 10^6 that leaves 685 of the 499,997 even n to the trial.  The
+    witnesses fill an array of ``typecode``, by default that of a scan to
+    hi.
     """
     evens = _evens(lo, hi)
     first, size = evens.start, len(evens)
     best = array(typecode or _typecode(hi), [0]) * size
-    cutoff = max(16, isqrt(size) // 2)
-    for a in reversed(range(3, cutoff + 1, 2)):
-        fill = array(best.typecode, [a])
-        for r in range(1, a):
-            if gcd(a, r) != 1 or (t := _tail_gcd(a, r)) == 1:
-                continue
-            for p in _factorint(t):
-                # for p = 2 every n is even: all quotients of a/r but the
-                # last are even, so every continuant, r among them, is odd
-                start, step = a * (1 + p) + r, a * p
-                if step & 1:  # n alternates in parity: keep the even ones
-                    start, step = start + (start & 1) * step, 2 * step
-                start = max(start, first + (start - first) % step)
-                i, j = (start - first) // 2, step // 2
-                best[i::j] = fill * len(range(i, size, j))
+    cutoff, table = sieve or _sieve(max(16, isqrt(size) // 2))
+    fill = array(best.typecode, [0])
+    for a, r, p in table:
+        fill[0] = a
+        # for p = 2 every n is even: all quotients of a/r but the last are
+        # even, so every continuant, r among them, is odd
+        start, step = a * (1 + p) + r, a * p
+        if step & 1:  # n alternates in parity: keep the even ones
+            start, step = start + (start & 1) * step, 2 * step
+        start = max(start, first + (start - first) % step)
+        i, j = (start - first) // 2, step // 2
+        best[i::j] = fill * len(range(i, size, j))
     for i in _zeros(best):
         best[i] = _trial_witness(first + 2 * i, cutoff + 1)
     return best
@@ -477,25 +506,35 @@ def _scan_e1(lo: int, hi: int, shards: int, workers: int, ck_path: Path | None) 
     after a failed one, before the first failure is raised.  Workers ignore
     SIGINT: a Ctrl-C of the process group interrupts this loop alone, which
     then drops the shards not yet started and waits for the running ones, so
-    no worker is left behind."""
+    no worker is left behind.  Two or more fresh shards share one sieve
+    table (:func:`_scan_direct_range`); a run that reuses every record
+    builds none."""
     typecode = _typecode(hi)
     done = _load_checkpoint(ck_path) if ck_path else {}
     ranges = _shard_ranges(lo, hi, shards)
     fresh = [r for r in ranges if r not in done or done[r].typecode != typecode]
-    pool = None
-    if workers > 1 and len(fresh) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    sieve = pool = None
+    if len(fresh) > 1:
+        # one table for the run, so its cutoff grows with the run, but no
+        # further than the widest fresh shard can use
+        width = max(len(_evens(*r)) for r in fresh)
+        sieve = _sieve(max(16, min(isqrt(len(_evens(lo, hi))) // 2, _icbrt(1000 * width))))
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(fresh), os.cpu_count() or 1),
-                                   initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
+            pool = ProcessPoolExecutor(max_workers=min(workers, len(fresh), os.cpu_count() or 1),
+                                       initializer=signal.signal,
+                                       initargs=(signal.SIGINT, signal.SIG_IGN))
     smallest, failure = array(typecode), None
     try:
-        jobs = {r: pool.submit(_scan_direct_range, *r, typecode) for r in fresh} if pool else {}
+        jobs = ({r: pool.submit(_scan_direct_range, *r, typecode, sieve) for r in fresh}
+                if pool else {})
         for r in ranges:
             shard = done.pop(r, None)
             if shard is None or shard.typecode != typecode:
                 try:
-                    shard = jobs.pop(r).result() if pool else _scan_direct_range(*r, typecode)
+                    shard = (jobs.pop(r).result() if pool
+                             else _scan_direct_range(*r, typecode, sieve))
                 except Exception as exc:
                     if not pool:
                         raise  # no later shard has run

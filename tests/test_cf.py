@@ -22,10 +22,12 @@ from oracles import (
 )
 
 from zslen.cf import (
+    _icbrt,
     _load_checkpoint,
     _scan_direct_range,
     _scan_inverted,
     _shard_ranges,
+    _sieve,
     _zeros,
     cf_odd_length,
     cf_regular,
@@ -113,6 +115,9 @@ def test_exceptional_witness():
     assert exceptional_witness(17) == 4
     assert exceptional_witness(10) == 3
     assert exceptional_witness(18) is None
+    # an even n is tried at odd a alone, an odd n at every a
+    orders = range(8, 300)
+    assert [exceptional_witness(n) or 0 for n in orders] == [smallest_witness(n) for n in orders]
 
 
 def test_witness_matches_star_set_for_small_orders():
@@ -231,6 +236,84 @@ def test_a_scan_past_two_to_the_thirty_third_holds_eight_byte_words():
     assert scan_exceptional(lo - 100, lo - 20, engine="e1").smallest.typecode == "I"
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("lo, hi, shards", [
+    # 4,000 even n in shards of 500: one table to 31, where a shard's own
+    # sieves to 16
+    (10**6, 10**6 + 7999, 8),
+    (10**9 + 1, 10**9 + 8000, 8),
+    (10**12, 10**12 + 7999, 8),
+    # shards of 100 even n: 10·∛100 = 46 caps isqrt(10,000) // 2 = 50
+    (10**9, 10**9 + 19999, 100),
+])
+def test_sharded_scans_sharing_one_sieve_table_match_the_quotient_list_oracle(lo, hi, shards, workers):
+    report = scan_exceptional(lo, hi, engine="e1", shards=shards, workers=workers)
+    assert report.smallest.tolist() == _oracle_range(lo, hi)
+
+
+def test_a_scan_builds_one_sieve_table_for_all_its_fresh_shards(tmp_path, monkeypatch):
+    import zslen.cf as cf_module
+
+    cutoffs = []
+
+    def counted(cutoff):
+        cutoffs.append(cutoff)
+        return _sieve(cutoff)
+
+    monkeypatch.setattr(cf_module, "_sieve", counted)
+    ck = tmp_path / "scan.ck"
+    lo, hi = 207480, 307479  # 50,000 even n in 8 shards of 6,250
+    fresh = scan_exceptional(lo, hi, engine="e1", shards=8, checkpoint=ck)
+    # isqrt(50,000) // 2 = 111, below 10·∛6,250 = 184; each shard alone
+    # would sieve to 39
+    assert cutoffs == [111]
+    assert scan_exceptional(lo, hi, engine="e1", shards=8, checkpoint=ck) == fresh
+    assert cutoffs == [111]  # every record reused: no table
+    # one fresh shard left: it sieves with its own table, isqrt(6,250) // 2
+    ck.write_bytes(b"".join(_raw_records(ck.read_bytes())[:7]))
+    assert scan_exceptional(lo, hi, engine="e1", shards=8, checkpoint=ck) == fresh
+    assert cutoffs == [111, 39]
+    scan_exceptional(8, 10**6, engine="e1")
+    assert cutoffs == [111, 39, 353]  # one shard: isqrt(499,997) // 2
+
+
+def test_the_cutoff_of_a_shared_sieve_table_grows_with_the_run_and_is_capped_by_its_widest_shard(
+        tmp_path, monkeypatch):
+    import zslen.cf as cf_module
+
+    class Built(Exception):
+        pass
+
+    def refuse(cutoff):
+        raise Built(cutoff)
+
+    # [9, 11] in shards of one n, the checkpoint holding n = 10 alone: two
+    # fresh shards with no even n
+    ck = tmp_path / "scan.ck"
+    fresh = scan_exceptional(9, 11, engine="e1", shards=3, checkpoint=ck)
+    ck.write_bytes(_raw_records(ck.read_bytes())[1])
+    monkeypatch.setattr(cf_module, "_sieve", refuse)
+    for (lo, hi, shards, path), want in {
+        # 49,999,997 even n: isqrt // 2 = 3,535, capped at 10·∛781,250 = 921
+        (8, 10**8, 64, None): 921,
+        (8, 10**8, 2, None): 2924,  # 10·∛25,000,000
+        # 147 even n in 293 shards of one n: the floor of 16
+        (8, 300, 1000, None): 16,
+        (9, 11, 3, ck): 16,  # a widest fresh shard of width 0
+    }.items():
+        with pytest.raises(Built) as built:
+            scan_exceptional(lo, hi, engine="e1", shards=shards, checkpoint=path)
+        assert built.value.args == (want,)
+    monkeypatch.undo()
+    assert scan_exceptional(9, 11, engine="e1", shards=3, checkpoint=ck) == fresh
+
+
+def test_icbrt_is_the_floor_of_the_cube_root():
+    for x in [*range(2000), *(k**3 + d for k in (10**3, 10**6, 3**40) for d in (-1, 0, 1))]:
+        y = _icbrt(x)
+        assert y**3 <= x < (y + 1) ** 3, x
+
+
 def _records(ck):
     return read_checkpoint(ck.read_bytes())
 
@@ -317,11 +400,11 @@ def test_interrupted_scan_keeps_its_finished_shards(tmp_path, monkeypatch):
     fresh = scan_exceptional(8, 4000, engine="e1", shards=4)
     calls = []
 
-    def interrupted(lo, hi, typecode):
+    def interrupted(lo, hi, typecode, sieve):
         calls.append((lo, hi))
         if len(calls) == 3:
             raise RuntimeError("interrupted at shard 3 of 4")
-        return _scan_direct_range(lo, hi, typecode)
+        return _scan_direct_range(lo, hi, typecode, sieve)
 
     monkeypatch.setattr(cf_module, "_scan_direct_range", interrupted)
     with pytest.raises(RuntimeError, match="shard 3"):
@@ -387,9 +470,9 @@ def test_scan_recomputes_a_record_in_the_object_format(tmp_path, monkeypatch):
     assert _load_checkpoint(ck) == {}
     calls = []
 
-    def counted(lo, hi, typecode):
+    def counted(lo, hi, typecode, sieve):
         calls.append((lo, hi))
-        return _scan_direct_range(lo, hi, typecode)
+        return _scan_direct_range(lo, hi, typecode, sieve)
 
     monkeypatch.setattr(cf_module, "_scan_direct_range", counted)
     assert scan_exceptional(8, 400, engine="e1", shards=2, checkpoint=ck) == fresh
@@ -417,12 +500,12 @@ def test_scan_recomputes_a_record_in_the_sealed_json_line_format(tmp_path, monke
     assert sorted(_load_checkpoint(ck)) == ranges
 
 
-def _fails_on_third_shard(lo, hi, typecode):
+def _fails_on_third_shard(lo, hi, typecode, sieve):
     """E1 on one shard of [8, 4000] in four, failing on the third; at module
     level, so that worker processes can unpickle it."""
     if lo == _shard_ranges(8, 4000, 4)[2][0]:
         raise RuntimeError("shard 3 failed")
-    return _scan_direct_range(lo, hi, typecode)
+    return _scan_direct_range(lo, hi, typecode, sieve)
 
 
 def test_worker_shards_finished_around_a_failed_one_are_recorded(tmp_path, monkeypatch):
@@ -485,7 +568,7 @@ def test_worker_pool_is_sized_by_the_shards_it_runs(tmp_path, monkeypatch, shard
 _MARKS = None  # a directory, set before the pool forks its workers
 
 
-def _slow_shard_that_ignores_sigint(lo, hi, typecode):
+def _slow_shard_that_ignores_sigint(lo, hi, typecode, sieve):
     """E1 on one shard after 0.2 s, leaving a mark; fails in a worker that
     would take SIGINT itself, where a Ctrl-C of the process group reaches
     workers and parent alike."""
@@ -493,7 +576,7 @@ def _slow_shard_that_ignores_sigint(lo, hi, typecode):
         raise RuntimeError("a worker handles SIGINT")
     (_MARKS / str(lo)).touch()
     time.sleep(0.2)
-    return _scan_direct_range(lo, hi, typecode)
+    return _scan_direct_range(lo, hi, typecode, sieve)
 
 
 def test_an_interrupted_worker_scan_drops_the_shards_not_yet_started(tmp_path, monkeypatch):
