@@ -287,6 +287,17 @@ def _icbrt(x: int) -> int:
     return y
 
 
+def _cutoff(total: int, width: int) -> int:
+    """E1's sieve cutoff for one table that serves ``total`` even n in
+    ranges of at most ``width`` even n: max(16, min(isqrt(total) // 2,
+    10·∛width)).  The table is built once, so the cutoff grows with all the
+    n it serves; its triples are sliced in every range, so it grows no
+    further than one range can use (at 10^8 in 64 shards, 10·∛width beat
+    5· and 20·∛width, and no cap took twice as long).  For a single range
+    of m even n it is isqrt(m) // 2 up to about 6.4·10^7 of them."""
+    return max(16, min(isqrt(total) // 2, _icbrt(1000 * width)))
+
+
 def _scan_direct_range(lo: int, hi: int, typecode: str | None = None,
                        sieve: tuple | None = None) -> array:
     """E1: the smallest witness of every even n in [lo, hi], 0 where there is none.
@@ -300,22 +311,19 @@ def _scan_direct_range(lo: int, hi: int, typecode: str | None = None,
     each such progression with one slice assignment; as a descends, the
     smallest witness is the one that stays.  An n left unmarked has no
     witness up to A and gets the trial from A + 1.  The progressions come
-    from ``sieve``, the :func:`_sieve` table that a scan with more than one
-    fresh shard builds once and hands to each of them.  Its cost is paid
-    once per run, so its cutoff grows with the run, capped by what one shard
-    can use: A = max(16, min(isqrt(M) // 2, 10·∛w)) for the M even n of the
-    run and the w of its widest fresh shard.  The 8 shards of 6,250 even n
-    of a 10^5-wide window then sieve to 111 and leave 828 of their 50,000
-    even n to the trial, where 8 tables to 39 left 4,438.  Without a table
-    the range builds its own, to A = max(16, isqrt(m) // 2) for its m even
-    n; up to 10^6 that leaves 685 of the 499,997 even n to the trial.  The
-    witnesses fill an array of ``typecode``, by default that of a scan to
-    hi.
+    from ``sieve``, the :func:`_sieve` table that a scan builds once and
+    hands to each of its fresh shards, to the cutoff :func:`_cutoff` of the
+    run as a whole.  The 8 shards of 6,250 even n of a 10^5-wide window then
+    sieve to 111 and leave 828 of their 50,000 even n to the trial, where 8
+    tables to 39 left 4,438.  Without a table the range builds its own by
+    the same rule, for its m even n alone; up to 10^6 that sieves to 353
+    and leaves 685 of the 499,997 even n to the trial.  The witnesses fill
+    an array of ``typecode``, by default that of a scan to hi.
     """
     evens = _evens(lo, hi)
     first, size = evens.start, len(evens)
     best = array(typecode or _typecode(hi), [0]) * size
-    cutoff, table = sieve or _sieve(max(16, isqrt(size) // 2))
+    cutoff, table = sieve or _sieve(_cutoff(size, size))
     fill = array(best.typecode, [0])
     for a, r, p in table:
         fill[0] = a
@@ -506,25 +514,21 @@ def _scan_e1(lo: int, hi: int, shards: int, workers: int, ck_path: Path | None) 
     after a failed one, before the first failure is raised.  Workers ignore
     SIGINT: a Ctrl-C of the process group interrupts this loop alone, which
     then drops the shards not yet started and waits for the running ones, so
-    no worker is left behind.  Two or more fresh shards share one sieve
-    table (:func:`_scan_direct_range`); a run that reuses every record
-    builds none."""
+    no worker is left behind.  The fresh shards share one sieve table
+    (:func:`_scan_direct_range`); a run that reuses every record builds
+    none."""
     typecode = _typecode(hi)
     done = _load_checkpoint(ck_path) if ck_path else {}
     ranges = _shard_ranges(lo, hi, shards)
     fresh = [r for r in ranges if r not in done or done[r].typecode != typecode]
     sieve = pool = None
-    if len(fresh) > 1:
-        # one table for the run, so its cutoff grows with the run, but no
-        # further than the widest fresh shard can use
-        width = max(len(_evens(*r)) for r in fresh)
-        sieve = _sieve(max(16, min(isqrt(len(_evens(lo, hi))) // 2, _icbrt(1000 * width))))
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    if fresh:
+        sieve = _sieve(_cutoff(len(_evens(lo, hi)), max(len(_evens(*r)) for r in fresh)))
+    if workers > 1 and len(fresh) > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(max_workers=min(workers, len(fresh), os.cpu_count() or 1),
-                                       initializer=signal.signal,
-                                       initargs=(signal.SIGINT, signal.SIG_IGN))
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(fresh), os.cpu_count() or 1),
+                                   initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
     smallest, failure = array(typecode), None
     try:
         jobs = ({r: pool.submit(_scan_direct_range, *r, typecode, sieve) for r in fresh}

@@ -8,7 +8,7 @@ import time
 from array import array
 from fractions import Fraction
 from itertools import compress
-from math import gcd
+from math import gcd, isqrt
 from operator import not_
 
 import pytest
@@ -22,6 +22,7 @@ from oracles import (
 )
 
 from zslen.cf import (
+    _cutoff,
     _icbrt,
     _load_checkpoint,
     _scan_direct_range,
@@ -269,12 +270,15 @@ def test_a_scan_builds_one_sieve_table_for_all_its_fresh_shards(tmp_path, monkey
     assert cutoffs == [111]
     assert scan_exceptional(lo, hi, engine="e1", shards=8, checkpoint=ck) == fresh
     assert cutoffs == [111]  # every record reused: no table
-    # one fresh shard left: it sieves with its own table, isqrt(6,250) // 2
+    # one fresh shard left: the run's table all the same, where its own
+    # would sieve to isqrt(6,250) // 2 = 39
     ck.write_bytes(b"".join(_raw_records(ck.read_bytes())[:7]))
     assert scan_exceptional(lo, hi, engine="e1", shards=8, checkpoint=ck) == fresh
-    assert cutoffs == [111, 39]
+    assert cutoffs == [111, 111]
     scan_exceptional(8, 10**6, engine="e1")
-    assert cutoffs == [111, 39, 353]  # one shard: isqrt(499,997) // 2
+    assert cutoffs == [111, 111, 353]  # one shard: isqrt(499,997) // 2
+    _scan_direct_range(lo, hi)
+    assert cutoffs == [111, 111, 353, 111]  # no table given: the same rule
 
 
 def test_the_cutoff_of_a_shared_sieve_table_grows_with_the_run_and_is_capped_by_its_widest_shard(
@@ -312,6 +316,12 @@ def test_icbrt_is_the_floor_of_the_cube_root():
     for x in [*range(2000), *(k**3 + d for k in (10**3, 10**6, 3**40) for d in (-1, 0, 1))]:
         y = _icbrt(x)
         assert y**3 <= x < (y + 1) ** 3, x
+
+
+def test_the_cutoff_of_one_range_is_isqrt_of_its_size_over_two_until_the_cube_root_cap():
+    for m in [*range(20000), *range(20000, 64_032_004, 9973), 64_032_003]:
+        assert _cutoff(m, m) == max(16, isqrt(m) // 2), m
+    assert _cutoff(64_032_004, 64_032_004) == 4000 < isqrt(64_032_004) // 2
 
 
 def _records(ck):
