@@ -243,13 +243,10 @@ def _typecode(hi: int) -> str:
     return "I" if hi // 2 < 2**32 else "Q"
 
 
-def _zeros(seq) -> list[int]:
-    """The indices of the zero words of ``seq``, an array or else read as
-    ``'Q'`` words.  A zero word is all zero bytes in either byte order, so
-    ``bytes.find`` looks for them in the raw bytes, 2^16 words at a time,
-    and keeps the hits that start a word."""
-    if not isinstance(seq, array):
-        seq = array("Q", seq)
+def _zeros(seq: array) -> list[int]:
+    """The indices of the zero words of ``seq``.  A zero word is all zero
+    bytes in either byte order, so ``bytes.find`` looks for them in the raw
+    bytes, 2^16 words at a time, and keeps the hits that start a word."""
     size, block = seq.itemsize, 1 << 16
     zero, out = bytes(size), []
     with memoryview(seq) as view:
@@ -298,8 +295,7 @@ def _cutoff(total: int, width: int) -> int:
     return max(16, min(isqrt(total) // 2, _icbrt(1000 * width)))
 
 
-def _scan_direct_range(lo: int, hi: int, typecode: str | None = None,
-                       sieve: tuple | None = None) -> array:
+def _scan_direct_range(lo: int, hi: int, typecode: str, sieve: tuple) -> array:
     """E1: the smallest witness of every even n in [lo, hi], 0 where there is none.
 
     With q = n // a and r = n mod a, the quad gcd of n/a is
@@ -314,16 +310,13 @@ def _scan_direct_range(lo: int, hi: int, typecode: str | None = None,
     from ``sieve``, the :func:`_sieve` table that a scan builds once and
     hands to each of its fresh shards, to the cutoff :func:`_cutoff` of the
     run as a whole.  The 8 shards of 6,250 even n of a 10^5-wide window then
-    sieve to 111 and leave 828 of their 50,000 even n to the trial, where 8
-    tables to 39 left 4,438.  Without a table the range builds its own by
-    the same rule, for its m even n alone; up to 10^6 that sieves to 353
-    and leaves 685 of the 499,997 even n to the trial.  The witnesses fill
-    an array of ``typecode``, by default that of a scan to hi.
+    sieve to 111 and leave 828 of their 50,000 even n to the trial.  The
+    witnesses fill an array of ``typecode``, the run's.
     """
     evens = _evens(lo, hi)
     first, size = evens.start, len(evens)
-    best = array(typecode or _typecode(hi), [0]) * size
-    cutoff, table = sieve or _sieve(_cutoff(size, size))
+    best = array(typecode, [0]) * size
+    cutoff, table = sieve
     fill = array(best.typecode, [0])
     for a, r, p in table:
         fill[0] = a
@@ -423,22 +416,24 @@ def _shard_ranges(lo: int, hi: int, shards: int) -> list[tuple[int, int]]:
     return [(start, min(start + size - 1, hi)) for start in range(lo, hi + 1, size)]
 
 
-def _load_checkpoint(path: Path) -> dict[tuple[int, int], array]:
-    """Completed shards of a checkpoint.  A record is the header line
-    ``scan <lo> <hi> <typecode> <length> <seal>``, then ``length`` bytes,
-    the witnesses of the even n in [lo, hi] as little-endian words of the
-    typecode, 'I' or 'Q', then a newline.  The seal is the sha256 hex of the
-    header up to the length, a newline and the words.
+def _load_checkpoint(path: Path, typecode: str) -> dict[tuple[int, int], array]:
+    """Completed shards of a checkpoint, in words of ``typecode``.  A record
+    is the header line ``scan <lo> <hi> <typecode> <length> <seal>``, then
+    ``length`` bytes, the witnesses of the even n in [lo, hi] as
+    little-endian words of the typecode, 'I' or 'Q', then a newline.  The
+    seal is the sha256 hex of the header up to the length, a newline and the
+    words.
 
-    A record is reused when its seal matches, its length is the one that its
-    range and typecode need, and each witness is 0 or in [2, n // 2], the
-    range that :func:`exceptional_witness` searches; a witness in range is
-    trusted without re-checking its criterion.  Any other line is skipped,
-    so its shard is recomputed; after a header whose seal fails, reading
-    goes on with the next line.  A line or record that the file ends inside
-    of, as an interrupted write leaves it, is cut off, so that the next
-    record starts on its own line.  Opening the file to append first makes
-    an unwritable path an :class:`InputError` before any shard runs."""
+    A record is reused when its typecode is ``typecode``, its seal matches,
+    its length is one word per even n of its range, and each witness is 0 or
+    in [2, n // 2], the range that :func:`exceptional_witness` searches; a
+    witness in range is trusted without re-checking its criterion.  Any
+    other line, a record of the other typecode too, is skipped, so its shard
+    is recomputed; after a header whose seal fails, reading goes on with the
+    next line.  A line or record that the file ends inside of, as an
+    interrupted write leaves it, is cut off, so that the next record starts
+    on its own line.  Opening the file to append first makes an unwritable
+    path an :class:`InputError` before any shard runs."""
     done: dict[tuple[int, int], array] = {}
     try:
         with path.open("a+b") as fh:
@@ -448,10 +443,10 @@ def _load_checkpoint(path: Path) -> dict[tuple[int, int], array]:
                 head, _, seal = line[:-1].rpartition(b" ")
                 try:
                     tag, lo, hi, code, size = head.split(b" ")
-                    lo, hi, size, ws = int(lo), int(hi), int(size), array({b"I": "I", b"Q": "Q"}[code])
-                    if tag != b"scan" or size != len(_evens(lo, hi)) * ws.itemsize:
+                    lo, hi, size, ws = int(lo), int(hi), int(size), array(typecode)
+                    if (tag, code) != (b"scan", typecode.encode()) or size != len(_evens(lo, hi)) * ws.itemsize:
                         continue
-                except (KeyError, ValueError, OverflowError):
+                except (ValueError, OverflowError):
                     continue  # not a header
                 if fh.tell() + size >= total:
                     break  # torn
@@ -518,9 +513,9 @@ def _scan_e1(lo: int, hi: int, shards: int, workers: int, ck_path: Path | None) 
     (:func:`_scan_direct_range`); a run that reuses every record builds
     none."""
     typecode = _typecode(hi)
-    done = _load_checkpoint(ck_path) if ck_path else {}
+    done = _load_checkpoint(ck_path, typecode) if ck_path else {}
     ranges = _shard_ranges(lo, hi, shards)
-    fresh = [r for r in ranges if r not in done or done[r].typecode != typecode]
+    fresh = [r for r in ranges if r not in done]
     sieve = pool = None
     if fresh:
         sieve = _sieve(_cutoff(len(_evens(lo, hi)), max(len(_evens(*r)) for r in fresh)))
@@ -535,7 +530,7 @@ def _scan_e1(lo: int, hi: int, shards: int, workers: int, ck_path: Path | None) 
                 if pool else {})
         for r in ranges:
             shard = done.pop(r, None)
-            if shard is None or shard.typecode != typecode:
+            if shard is None:
                 try:
                     shard = (jobs.pop(r).result() if pool
                              else _scan_direct_range(*r, typecode, sieve))

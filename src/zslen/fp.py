@@ -203,13 +203,17 @@ def local_profile(monoid: FPMonoid, *, config: ResourceConfig | None = None) -> 
     return LocalProfile(rho, True, fp_min_delta(monoid, atoms), d)
 
 
-def delta_rho_star_product(d_list: list[int]) -> frozenset[int]:
-    """Star set of a product of local factors of equal extreme elasticity:
-    the gcd closure of their minimum distances."""
+def _check_distances(d_list: list[int]):
     if not d_list:
         raise InputError("need at least one local minimum distance")
     if any(d < 1 for d in d_list):
         raise InputError("minimum distances are positive")
+
+
+def delta_rho_star_product(d_list: list[int]) -> frozenset[int]:
+    """Star set of a product of local factors of equal extreme elasticity:
+    the gcd closure of their minimum distances."""
+    _check_distances(d_list)
     return gcd_closure(d_list)
 
 
@@ -248,10 +252,7 @@ class ObstructionReport:
 def transfer_obstruction(d_list: list[int]) -> ObstructionReport:
     """Obstruction logic for products of local factors (distances as in
     :func:`delta_rho_star_product`, elasticities locally maximal and > 1)."""
-    if not d_list:
-        raise InputError("need at least one local minimum distance")
-    if any(d < 1 for d in d_list):
-        raise InputError("minimum distances are positive")
+    _check_distances(d_list)
     overall = gcd(*d_list)
     nontrivial = tuple(sorted({d for d in d_list if d > 1}))
     return ObstructionReport(

@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import heappop, heappush
 from math import gcd
 from typing import Callable, Iterator
 
@@ -284,19 +283,18 @@ def _product_bits(weighted, bound: int) -> Iterator[tuple[int, int]]:
     vector ``a`` and a positive weight ``w``.  A product is the sum of its
     atoms' keys, the empty product 0, and its grade is the sum of their
     weights.  Bit k of ``bits`` is set when ``p`` has a factorization into k
-    atoms, so ``bits(p + a) |= bits(p) << 1`` over all atoms.  A product is yielded when it is
-    popped for expansion: weights are positive, so every contribution to its
-    bitset came from a product of lower grade and the bitset is final.  A
-    caller may stop iterating as soon as it has what it needs.  This stream
-    shares no code with the length sets it checks.
+    atoms, so ``bits(p + a) |= bits(p) << 1`` over all atoms.  The grades are
+    walked upwards, and a product is yielded when its grade is reached:
+    weights are positive integers, so every contribution to its bitset came
+    from a product of lower grade and the bitset is final.  A caller may
+    stop iterating as soon as it has what it needs.  This stream shares no
+    code with the length sets it checks.
     """
     atoms = sorted(weighted, key=lambda aw: aw[1])
     bits = {0: 1}
     layers = {0: [0]}
-    grades = [0]
-    while grades:
-        grade = heappop(grades)
-        for p in layers.pop(grade):
+    for grade in range(bound + 1):
+        for p in layers.pop(grade, ()):
             b = bits[p]
             yield p, b
             shifted = b << 1
@@ -313,7 +311,6 @@ def _product_bits(weighted, bound: int) -> Iterator[tuple[int, int]]:
                 layer = layers.get(g)
                 if layer is None:
                     layers[g] = [q]
-                    heappush(grades, g)
                 else:
                     layer.append(q)
 

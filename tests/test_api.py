@@ -1,6 +1,6 @@
 """The public surface of zslen: every public name is computed with, every
-private helper is read in the package, and every argument check raises
-:class:`InputError`."""
+private helper is read in the package, every default of a private helper is
+used by the package, and every argument check raises :class:`InputError`."""
 
 import ast
 from pathlib import Path
@@ -92,6 +92,37 @@ def test_every_private_helper_is_read_in_the_package():
                 if all(where == module and line in own for where, line, _ in reads.get(node.name, ())):
                     unread.add(f"{module}.{node.name}")
     assert unread == set()
+
+
+def _defaulted(function):
+    """``{name: position}`` of the parameters of ``function`` that have a
+    default; a keyword-only parameter has no position."""
+    args = function.args
+    positional = [*args.posonlyargs, *args.args]
+    out = {a.arg: i for i, a in enumerate(positional) if i >= len(positional) - len(args.defaults)}
+    out.update((a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+    return out
+
+
+def test_every_default_of_a_private_helper_is_left_out_by_some_call_in_the_package():
+    # a default that every call in the package passes serves only callers
+    # outside it; a call is matched by the function's name, as a name or an
+    # attribute, and one that unpacks *args or **kwargs passes everything
+    modules = [ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))]
+    defaults = {node.name: _defaulted(node) for tree in modules for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
+    unused = {(function, name) for function, names in defaults.items() for name in names}
+    for tree in modules:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            passed = {k.arg for k in call.keywords}
+            if callee not in defaults or None in passed or any(isinstance(a, ast.Starred) for a in call.args):
+                continue
+            unused -= {(callee, name) for name, at in defaults[callee].items()
+                       if name not in passed and (at is None or at >= len(call.args))}
+    assert unused == set()
 
 
 C4 = cyclic(4)

@@ -179,7 +179,7 @@ def test_report_exceptional_matches_the_compress_form():
             lo = rng.choice((8, 9, 1000))
             hi = lo + lo % 2 + 2 * size - 1
             want = tuple(compress(range(lo + lo % 2, hi + 1, 2), map(not_, smallest)))
-            for form in (smallest, array("I", smallest), array("Q", smallest)):
+            for form in (array("I", smallest), array("Q", smallest)):
                 assert ScanReport(lo, hi, "e1", form).exceptional == want
 
 
@@ -277,8 +277,6 @@ def test_a_scan_builds_one_sieve_table_for_all_its_fresh_shards(tmp_path, monkey
     assert cutoffs == [111, 111]
     scan_exceptional(8, 10**6, engine="e1")
     assert cutoffs == [111, 111, 353]  # one shard: isqrt(499,997) // 2
-    _scan_direct_range(lo, hi)
-    assert cutoffs == [111, 111, 353, 111]  # no table given: the same rule
 
 
 def test_the_cutoff_of_a_shared_sieve_table_grows_with_the_run_and_is_capped_by_its_widest_shard(
@@ -349,7 +347,7 @@ def test_scan_checkpoint_resume(tmp_path):
     assert b"".join(raw for *_, raw in records) == words("I", first.smallest)
     assert [p.name for p in tmp_path.iterdir()] == ["scan.ck"]  # one file, no sidecar
     # resume: completed shards are reused, results identical
-    assert {r: ws.tolist() for r, ws in _load_checkpoint(ck).items()} == {
+    assert {r: ws.tolist() for r, ws in _load_checkpoint(ck, "I").items()} == {
         (lo, hi): list(struct.unpack(f"<{len(raw) // 4}I", raw)) for lo, hi, _, raw in records}
     second = scan_exceptional(8, 400, engine="e1", shards=4, checkpoint=ck)
     assert second == first and second.witnesses == first.witnesses
@@ -359,7 +357,7 @@ def test_scan_checkpoint_resume(tmp_path):
     start = data.index(b"\n") + 1
     assert data.startswith(b"scan 8 106 I 200 ") and data[start:start + 4] == words("I", [0])
     ck.write_bytes(data[:start] + words("I", [3]) + data[start + 4:])
-    assert sorted(_load_checkpoint(ck)) == _shard_ranges(8, 400, 4)[1:]
+    assert sorted(_load_checkpoint(ck, "I")) == _shard_ranges(8, 400, 4)[1:]
     third = scan_exceptional(8, 400, engine="e1", shards=4, checkpoint=ck)
     assert third == first
 
@@ -381,6 +379,42 @@ def test_a_rerun_with_every_shard_recorded_computes_none(tmp_path, monkeypatch, 
     assert ck.read_bytes() == written
 
 
+def test_a_record_in_the_other_word_type_is_neither_reused_nor_hides_the_runs_own(tmp_path, monkeypatch):
+    import zslen.cf as cf_module
+
+    # a 'Q' run in two shards and an 'I' run over the first of them alone
+    runs = {"Q": (2**33 - 1000, 2**33 + 999, 2), "I": (2**33 - 1000, 2**33 - 1, 1)}
+    fresh = {code: scan_exceptional(lo, hi, engine="e1", shards=shards)
+             for code, (lo, hi, shards) in runs.items()}
+    assert [report.smallest.typecode for report in fresh.values()] == ["Q", "I"]
+    ck = tmp_path / "scan.ck"
+    for lo, hi, shards in runs.values():
+        scan_exceptional(lo, hi, engine="e1", shards=shards, checkpoint=ck)
+    written = ck.read_bytes()
+    assert [r[:3] for r in read_checkpoint(written)] == [
+        *((*r, "Q") for r in _shard_ranges(*runs["Q"])), (*runs["I"][:2], "I")]
+    calls = []
+
+    def counted(lo, hi, typecode, sieve):
+        calls.append((lo, hi, typecode))
+        return _scan_direct_range(lo, hi, typecode, sieve)
+
+    monkeypatch.setattr(cf_module, "_scan_direct_range", counted)
+    for code in "QIQI":  # each rerun reuses its own records
+        lo, hi, shards = runs[code]
+        assert scan_exceptional(lo, hi, engine="e1", shards=shards, checkpoint=ck) == fresh[code]
+    assert calls == []
+    assert ck.read_bytes() == written
+    # a range whose only record is in the other word type is recomputed
+    q_first, q_second, i_only = _raw_records(written)
+    for code, records in (("Q", (i_only, q_second)), ("I", (q_first, q_second))):
+        ck.write_bytes(b"".join(records))
+        lo, hi, shards = runs[code]
+        assert scan_exceptional(lo, hi, engine="e1", shards=shards, checkpoint=ck) == fresh[code]
+        assert calls.pop() == (*_shard_ranges(lo, hi, shards)[0], code) and calls == []
+        assert ck.read_bytes() == b"".join(records) + (q_first if code == "Q" else i_only)
+
+
 def test_scan_resumes_after_torn_checkpoint_record(tmp_path):
     ck = tmp_path / "scan.ck"
     fresh = scan_exceptional(8, 3000, engine="e1", shards=4)
@@ -393,12 +427,12 @@ def test_scan_resumes_after_torn_checkpoint_record(tmp_path):
     for cut in (1, 40, 1000, 1493, 1560):
         ck.write_bytes(b"".join(whole)[:-cut])
         # loading cuts the torn tail off, so the next record starts on its own line
-        assert sorted(_load_checkpoint(ck)) == _shard_ranges(8, 3000, 4)[:3]
+        assert sorted(_load_checkpoint(ck, "I")) == _shard_ranges(8, 3000, 4)[:3]
         assert ck.read_bytes() == b"".join(whole[:3])
         resumed = scan_exceptional(8, 3000, engine="e1", shards=4, checkpoint=ck)
         assert resumed == fresh
         assert ck.read_bytes() == b"".join(whole)
-        assert len(_load_checkpoint(ck)) == 4
+        assert len(_load_checkpoint(ck, "I")) == 4
         third = scan_exceptional(8, 3000, engine="e1", shards=4, checkpoint=ck)
         assert third == fresh
 
@@ -421,10 +455,10 @@ def test_interrupted_scan_keeps_its_finished_shards(tmp_path, monkeypatch):
         scan_exceptional(8, 4000, engine="e1", shards=4, checkpoint=ck)
     monkeypatch.undo()
     # each shard is recorded when it finishes, not when the whole run ends
-    assert sorted(_load_checkpoint(ck)) == calls[:2]
+    assert sorted(_load_checkpoint(ck, "I")) == calls[:2]
     assert [(lo, hi) for lo, hi, *_ in _records(ck)] == calls[:2]
     assert scan_exceptional(8, 4000, engine="e1", shards=4, checkpoint=ck) == fresh
-    assert len(_load_checkpoint(ck)) == 4
+    assert len(_load_checkpoint(ck, "I")) == 4
 
 
 def test_scan_recomputes_a_record_with_a_forged_witness(tmp_path):
@@ -438,16 +472,16 @@ def test_scan_recomputes_a_record_with_a_forged_witness(tmp_path):
     start = data.index(b"\n") + 1
     assert data[start:start + 8] == words("I", [0, 3])
     ck.write_bytes(data[:start] + words("I", [0, 9]) + data[start + 8:])
-    assert sorted(_load_checkpoint(ck)) == _shard_ranges(8, 400, 2)[1:]
+    assert sorted(_load_checkpoint(ck, "I")) == _shard_ranges(8, 400, 2)[1:]
     assert scan_exceptional(8, 400, engine="e1", shards=2, checkpoint=ck) == fresh
     # resealed, the edit passes the seal, and the range check refuses it:
     # 9 exceeds 10 // 2
     [(lo, hi, code, raw)] = read_checkpoint(_raw_records(ck.read_bytes())[-1])
     assert (lo, hi, code) == (8, 204, "I")
     ck.write_bytes(checkpoint_record(lo, hi, code, raw))
-    assert sorted(_load_checkpoint(ck)) == [(8, 204)]
+    assert sorted(_load_checkpoint(ck, "I")) == [(8, 204)]
     ck.write_bytes(checkpoint_record(lo, hi, code, words("I", [0, 9]) + raw[8:]))
-    assert _load_checkpoint(ck) == {}
+    assert _load_checkpoint(ck, "I") == {}
 
 
 def test_scan_recomputes_a_record_in_the_exceptional_and_witness_map_format(tmp_path):
@@ -460,11 +494,11 @@ def test_scan_recomputes_a_record_in_the_exceptional_and_witness_map_format(tmp_
         "lo": 8, "hi": 204, "exceptional": list(old.exceptional),
         "witnesses": {str(n): w for n, w in old.witnesses.items()}}).encode()
     ck.write_bytes(line)
-    assert _load_checkpoint(ck) == {}
+    assert _load_checkpoint(ck, "I") == {}
     assert scan_exceptional(8, 400, engine="e1", shards=2, checkpoint=ck) == fresh
     # the old line stays, skipped, and the new records after it are read
     assert ck.read_bytes().startswith(line)
-    assert sorted(_load_checkpoint(ck)) == _shard_ranges(8, 400, 2)
+    assert sorted(_load_checkpoint(ck, "I")) == _shard_ranges(8, 400, 2)
 
 
 def test_scan_recomputes_a_record_in_the_object_format(tmp_path, monkeypatch):
@@ -476,8 +510,9 @@ def test_scan_recomputes_a_record_in_the_object_format(tmp_path, monkeypatch):
     # the record format before the sealed line: an object whose sha256 key
     # covers the other three keys as canonical JSON, its checksum valid
     ck.write_text("".join(object_checkpoint_line(
-        {"lo": lo, "hi": hi, "witnesses": _scan_direct_range(lo, hi).tolist()}) for lo, hi in ranges))
-    assert _load_checkpoint(ck) == {}
+        {"lo": lo, "hi": hi, "witnesses": scan_exceptional(lo, hi, engine="e1").smallest.tolist()})
+        for lo, hi in ranges))
+    assert _load_checkpoint(ck, "I") == {}
     calls = []
 
     def counted(lo, hi, typecode, sieve):
@@ -487,7 +522,7 @@ def test_scan_recomputes_a_record_in_the_object_format(tmp_path, monkeypatch):
     monkeypatch.setattr(cf_module, "_scan_direct_range", counted)
     assert scan_exceptional(8, 400, engine="e1", shards=2, checkpoint=ck) == fresh
     assert calls == ranges
-    assert len(_load_checkpoint(ck)) == 2
+    assert len(_load_checkpoint(ck, "I")) == 2
 
 
 def test_scan_recomputes_a_record_in_the_sealed_json_line_format(tmp_path, monkeypatch):
@@ -498,16 +533,16 @@ def test_scan_recomputes_a_record_in_the_sealed_json_line_format(tmp_path, monke
     ranges = _shard_ranges(8, 400, 2)
     # the record format before the binary one: the sha256 hex of the JSON
     # [lo, hi, witnesses], a space and that JSON, its seal valid
-    lines = "".join(sealed_checkpoint_line([lo, hi, _scan_direct_range(lo, hi).tolist()])
+    lines = "".join(sealed_checkpoint_line([lo, hi, scan_exceptional(lo, hi, engine="e1").smallest.tolist()])
                     for lo, hi in ranges).encode()
     ck.write_bytes(lines)
-    assert _load_checkpoint(ck) == {}
+    assert _load_checkpoint(ck, "I") == {}
     calls = []
     monkeypatch.setattr(cf_module, "_scan_direct_range", lambda *r: calls.append(r[:2]) or _scan_direct_range(*r))
     assert scan_exceptional(8, 400, engine="e1", shards=2, checkpoint=ck) == fresh
     assert calls == ranges
     assert ck.read_bytes().startswith(lines)
-    assert sorted(_load_checkpoint(ck)) == ranges
+    assert sorted(_load_checkpoint(ck, "I")) == ranges
 
 
 def _fails_on_third_shard(lo, hi, typecode, sieve):
@@ -533,9 +568,9 @@ def test_worker_shards_finished_around_a_failed_one_are_recorded(tmp_path, monke
         faulthandler.cancel_dump_traceback_later()
     monkeypatch.undo()
     ranges = _shard_ranges(8, 4000, 4)
-    assert sorted(_load_checkpoint(ck)) == ranges[:2] + ranges[3:]
+    assert sorted(_load_checkpoint(ck, "I")) == ranges[:2] + ranges[3:]
     assert scan_exceptional(8, 4000, engine="e1", shards=4, checkpoint=ck) == fresh
-    assert len(_load_checkpoint(ck)) == 4
+    assert len(_load_checkpoint(ck, "I")) == 4
 
 
 @pytest.mark.parametrize("shards, workers, kept, cpus, size", [
@@ -615,9 +650,9 @@ def test_scan_recomputes_past_a_checkpoint_line_that_is_not_utf8(tmp_path):
     ck = tmp_path / "scan.ck"
     fresh = scan_exceptional(8, 400, engine="e1", shards=2)
     ck.write_bytes(b"\xff\xfe\x00 not utf-8")
-    assert _load_checkpoint(ck) == {}
+    assert _load_checkpoint(ck, "I") == {}
     assert scan_exceptional(8, 400, engine="e1", shards=2, checkpoint=ck) == fresh
-    assert len(_load_checkpoint(ck)) == 2
+    assert len(_load_checkpoint(ck, "I")) == 2
 
 
 def test_scan_recomputes_a_checkpoint_in_the_old_two_file_layout(tmp_path):
@@ -627,9 +662,9 @@ def test_scan_recomputes_a_checkpoint_in_the_old_two_file_layout(tmp_path):
     ck.write_text(f"8 204 {fresh.digest()}\n205 400 {fresh.digest()}\n")
     ck.with_suffix(".ck.data").write_text(json.dumps(
         {"lo": 8, "hi": 204, "exceptional": [], "witnesses": {}}) + "\n")
-    assert _load_checkpoint(ck) == {}
+    assert _load_checkpoint(ck, "I") == {}
     assert scan_exceptional(8, 400, engine="e1", shards=2, checkpoint=ck) == fresh
-    assert len(_load_checkpoint(ck)) == 2
+    assert len(_load_checkpoint(ck, "I")) == 2
 
 
 def test_filters():
@@ -651,14 +686,14 @@ def test_filters_imply_witness():
 def test_inverted_engine_matches_direct_witnesses_to_30000():
     # every minimal witness, including those only a reversed list reaches;
     # E2 lists n // 2 from n = 0, so n = 8 is at index 4
-    direct = _scan_direct_range(8, 30000)
+    direct = scan_exceptional(8, 30000, engine="e1").smallest
     assert _scan_inverted(30000)[4:] == direct
     assert direct.count(0) == 25  # the exceptional orders, all below 3000
 
 
 def test_inverted_engine_equals_direct_engine_to_one_million():
     inverted = _scan_inverted(10**6)
-    assert inverted[4:] == _scan_direct_range(8, 10**6)
+    assert inverted[4:] == scan_exceptional(8, 10**6, engine="e1").smallest
     assert inverted.typecode == "I"
 
 
@@ -681,7 +716,7 @@ def test_inverted_engine_at_the_edge_of_its_walk(monkeypatch, cap, hi, pinned):
     monkeypatch.setattr(cf_module, "_E2_CAP", cap)
     inverted = _scan_inverted(hi)
     assert {n: inverted[n // 2] for n in pinned} == pinned
-    assert inverted[4:] == _scan_direct_range(8, hi)
+    assert inverted[4:] == scan_exceptional(8, hi, engine="e1").smallest
 
 
 def test_inverted_engine_calls_no_part_of_the_direct_engine(monkeypatch):
@@ -702,7 +737,7 @@ def _oracle_range(lo, hi):
 
 
 def test_direct_engine_matches_the_quotient_list_oracle():
-    assert _scan_direct_range(8, 20000).tolist() == _oracle_range(8, 20000)
+    assert scan_exceptional(8, 20000, engine="e1").smallest.tolist() == _oracle_range(8, 20000)
     # windows up to 300 wide sieve with a cutoff of 16: some lie below or
     # straddle 32, some above 10^6; lo takes both parities
     rng = random.Random(29)
@@ -710,7 +745,7 @@ def test_direct_engine_matches_the_quotient_list_oracle():
         base = rng.choice([rng.randint(8, 40), rng.randint(8, 10**6), rng.randint(10**6, 10**12)])
         lo = max(8, base - base % 2 + k % 2)
         hi = lo + rng.randint(0, 300)
-        assert _scan_direct_range(lo, hi).tolist() == _oracle_range(lo, hi), (lo, hi)
+        assert scan_exceptional(lo, hi, engine="e1").smallest.tolist() == _oracle_range(lo, hi), (lo, hi)
 
 
 def test_engine_mismatch_is_detectable(monkeypatch):
