@@ -265,12 +265,13 @@ def _zeros(seq: array) -> list[int]:
 def _sieve(cutoff: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     """E1's sieve table up to ``cutoff``: the triples (a, r, p) of the odd
     a in [3, cutoff], largest a first, each r in [1, a) coprime to a and
-    each prime p of T(a, r), the tail gcd of a/r.  Each triple is one
-    progression of the n that a witnesses; none depends on a range, so one
-    table serves every shard of a scan."""
+    each prime p of T(a, r), the tail gcd of a/r.  Past a/2 the first
+    quotient of a/r is 1, so T(a, r) = 1 and only r <= a // 2 are tried.
+    Each triple is one progression of the n that a witnesses; none depends
+    on a range, so one table serves every shard of a scan."""
     table = []
     for a in reversed(range(3, cutoff + 1, 2)):
-        for r in range(1, a):
+        for r in range(1, a // 2 + 1):
             if gcd(a, r) == 1 and (t := _tail_gcd(a, r)) > 1:
                 table.extend((a, r, p) for p in _factorint(t))
     return cutoff, tuple(table)

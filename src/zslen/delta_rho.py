@@ -15,7 +15,7 @@ distinct unions of those support classes.  Three facts keep it small:
 * a group automorphism keeps the minimum distance, so the walk may visit one
   canonical union per orbit.
 
-A source gives the walk its classes, the canonical classes it starts from
+A source gives the walk its classes, the classes it starts from
 (``roots``), a union's value and its canonical form.  Both sources value a
 union from the atoms over it alone.  For ``C_n`` nothing is enumerated up
 front: the atoms of length ``n`` are exactly ``g^n`` with ``ord g = n``
@@ -27,17 +27,22 @@ the atom DFS at every depth: it drops a node that one of them, or an
 inverse, maps to a lexicographically smaller sorted sequence.  The test
 compares additive position codes, one integer add per map at each node; it
 is exact on groups of order at most 128 and may drop fewer nodes on larger
-ones.  That keeps the least atom of every orbit, and the classes of the
-maximal-length atoms it finds, closed under the automorphisms, are all the
-classes.  A class is canonical as one representative of its orbit; any
-other union is its own canonical form.  A union's value from a prefix of
-its atoms equals ``min_delta`` of its support; the property suite checks
-this on every build.
+ones.  That keeps the least atom of every orbit, so the classes of the
+maximal-length atoms it finds meet every orbit of classes, and the walk
+starts from them.  A union's value divides the value of every class inside
+it, and an automorphism keeps values, so when every root is worth 1 no
+union is expanded and the walk needs no other class: the classes are
+closed under the automorphisms only when a union is expanded.  A class is
+then canonical as one representative of its orbit; any other union is its
+own canonical form.  A union's value from a prefix of its atoms equals
+``min_delta`` of its support; the property suite checks this on every
+build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from math import gcd
 
@@ -136,14 +141,17 @@ class _OrbitSource(_UnionValues):
 
     An automorphism maps atoms to atoms, so the atom DFS, pruned by the
     permutations and their inverses (``_atom_vectors``), still yields the
-    least atom of every orbit: it finds the Davenport constant, and its
-    maximal-length atoms give classes whose closure under the permutations
-    is every class.  The closure takes the generators alone, as their
+    least atom of every orbit: it finds the Davenport constant, and the
+    classes of its maximal-length atoms meet every orbit of classes.  The
+    roots are those classes, less each one that a permutation or an inverse
+    maps to a smaller class found: a chain of such steps descends to a root
+    of the same orbit.  ``rep``, ``class_masks`` and ``canonical`` close the
+    roots under the permutations on first use, which only the expansion of
+    a union needs; the closure takes the generators alone, as their
     inverses add nothing to an orbit.  ``canonical`` maps each class to one
-    representative of its orbit and leaves every other union as it is.  The
+    root of its orbit and leaves every other union as it is.  The
     permutations' entries, inverses included, count against ``max_nodes``
-    and the classes against ``max_supports``, so the budgets bound the
-    set-up too."""
+    and the closed classes against ``max_supports``."""
 
     def __init__(self, group: AbelianGroup, config: ResourceConfig):
         super().__init__(group, config)
@@ -154,19 +162,33 @@ class _OrbitSource(_UnionValues):
             if 2 * len(perms) * n > config.max_nodes:  # with their inverses
                 raise BudgetExceededError("automorphism permutation entries", config.max_nodes)
         inverses = [tuple(sorted(range(n), key=perm.__getitem__)) for perm in perms]
+        maps = perms + inverses
         bits = [1 << j for j in range(n)]
         neg_bits = [1 << group.index_of(group.neg(e)) for e in group.elements()]
         # the classes of the longest atoms so far; those of length D(G) at the end
         longest, found = 0, set()
-        for v in _atom_vectors(full_support(group), config, perms + inverses):
+        for v in _atom_vectors(full_support(group), config, maps):
             length = sum(v)
             if length > longest:
                 longest, found = length, set()
             if length == longest:
                 found.add(sum(compress(bits, v)) | sum(compress(neg_bits, v)))
-        self.rep = _orbits(found, perms, config.max_supports)
-        self.class_masks = sorted(self.rep)
-        self.roots = sorted(set(self.rep.values()))
+        self.perms = perms
+
+        def lower(mask):  # some map sends the class to a smaller one found
+            members = _set_bits(mask)
+            return any((image := sum(map(bits.__getitem__, map(perm.__getitem__, members)))) < mask
+                       and image in found for perm in maps)
+
+        self.roots = sorted(mask for mask in found if not lower(mask))
+
+    @cached_property
+    def rep(self) -> dict[int, int]:
+        return _orbits(self.roots, self.perms, self.config.max_supports)
+
+    @cached_property
+    def class_masks(self) -> list[int]:
+        return sorted(self.rep)
 
     def canonical(self, mask: int) -> int:
         return self.rep.get(mask, mask)
@@ -230,12 +252,14 @@ def delta_rho_star(group: AbelianGroup, *, config: ResourceConfig | None = None)
         current, frontier = frontier, []
         for u, value in current:
             divisors = divisor_closure([value])
+            if divisors <= values:
+                continue  # the values of u's supersets divide its own
             for s in source.class_masks:
-                if divisors <= values:
-                    break  # the values of u's supersets divide its own
                 merged = source.canonical(u | s)  # u itself when s lies inside u
                 if merged not in seen:
                     visit(merged)
+                    if divisors <= values:
+                        break
     return frozenset(values)
 
 

@@ -252,6 +252,21 @@ def test_sharded_scans_sharing_one_sieve_table_match_the_quotient_list_oracle(lo
     assert report.smallest.tolist() == _oracle_range(lo, hi)
 
 
+def test_the_sieve_table_equals_the_loop_over_every_r_below_a():
+    # T(a, r) from the quotient list of a/r, for every r in [1, a): the
+    # table tries only r <= a // 2, where the first quotient exceeds 1
+    full = []
+    for a in reversed(range(3, 401, 2)):
+        for r in range(1, a):
+            if gcd(a, r) == 1:
+                *head, last = cf_regular(a, r).quotients
+                t = gcd(*head, last - 1)
+                full.extend((a, r, p) for p in range(2, t + 1)
+                            if t % p == 0 and all(p % d for d in range(2, isqrt(p) + 1)))
+    for cutoff in range(1, 401):
+        assert _sieve(cutoff) == (cutoff, tuple(row for row in full if row[0] <= cutoff))
+
+
 def test_a_scan_builds_one_sieve_table_for_all_its_fresh_shards(tmp_path, monkeypatch):
     import zslen.cf as cf_module
 

@@ -235,6 +235,62 @@ def test_generator_orbits_on_classes_equal_brute_force_aut_orbits(name, count, o
     assert all(source.canonical(rep) == rep for rep in by_rep)
 
 
+_ROOTS_OF_VALUE_ONE = ["C3xC6", "C4xC4", "C5xC5", "C2xC2xC6", "C3xC3xC3", "C2xC4xC4"]
+
+
+@pytest.mark.parametrize("name", _ROOTS_OF_VALUE_ONE)
+def test_a_walk_whose_roots_are_worth_one_closes_no_class_orbit(name, monkeypatch):
+    # every root is worth 1, so no union is expanded and the closure of the
+    # classes under the permutations is never built
+    module = importlib.import_module("zslen.delta_rho")
+
+    def refuse(masks, perms, cap):
+        raise AssertionError("the class closure was built")
+
+    monkeypatch.setattr(module, "_orbits", refuse)
+    assert delta_rho_star(parse_group(name)) == {1}
+
+
+def test_a_walk_that_expands_closes_the_class_orbits_once(monkeypatch):
+    # the 168 classes of C2^4 form one orbit of value 3: the DFS leaves one
+    # root, and its expansion closes the orbit once, for the class list and
+    # every canonical form after it
+    module = importlib.import_module("zslen.delta_rho")
+    closure, calls = module._orbits, []
+
+    def counted(masks, perms, cap):
+        calls.append(len(masks))
+        return closure(masks, perms, cap)
+
+    monkeypatch.setattr(module, "_orbits", counted)
+    assert delta_rho_star(make_group([2, 2, 2, 2])) == {1, 3}
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("name", [*_ROOTS_OF_VALUE_ONE, "C2xC2xC2xC2"])
+def test_the_roots_meet_every_orbit_of_classes(name):
+    # the Aut(G) orbits of the roots, from every automorphism of the group,
+    # cover the classes of every atom of the whole group
+    group = parse_group(name)
+    source = _OrbitSource(group, default_config())
+    roots = _as_sets(group, source.roots)
+    classes = full_enumeration_classes(group)
+    assert set(roots) <= classes
+    covered = orbits_of_sets(roots, brute_force_automorphisms(group))
+    assert set().union(*covered) == classes
+
+
+def test_the_class_closure_counts_against_the_union_budget():
+    # one root of C2^4 is valued within any budget; closing its orbit of
+    # 168 classes passes a cap below 168
+    group = make_group([2, 2, 2, 2])
+    assert delta_rho_star(group, config=ResourceConfig(max_supports=168)) == {1, 3}
+    with pytest.raises(BudgetExceededError) as exc:
+        delta_rho_star(group, config=ResourceConfig(max_supports=167))
+    assert exc.value.what == "distinct support unions"
+    assert exc.traceback[-1].name == "_orbits"
+
+
 def test_budgets_stop_the_noncyclic_walk(monkeypatch):
     # every cap still stops the orbit source's enumeration or the walk, in
     # process and through the CLI
@@ -522,7 +578,7 @@ import os
 
 
 @pytest.mark.skipif(not os.environ.get("ZSLEN_STRETCH"),
-                    reason="C3xC3xC6 takes about 6 s; set ZSLEN_STRETCH=1")
+                    reason="C3xC3xC6 takes about 1 s in a child process; set ZSLEN_STRETCH=1")
 def test_star_set_of_c3_c3_c6_on_default_budgets():
     # on the default budgets (1M atoms, 10M nodes): the pruned DFS visits
     # 140,169 nodes, and the orbit source holds only the classes of the
@@ -537,6 +593,20 @@ def test_star_set_of_c3_c3_c6_on_default_budgets():
         _, status, usage = os.wait4(proc.pid, 0)
     assert (os.waitstatus_to_exitcode(status), out) == (0, b"[1]\n")
     assert usage.ru_maxrss < 100_000  # KiB
+
+
+def test_star_set_of_c2_c2_c2_c2_c4_on_default_budgets():
+    # closing all its classes passed the default cap of 500,000 unions;
+    # its 270 roots are each worth 1, so no orbit of classes is closed
+    assert delta_rho_star(parse_group("C2xC2xC2xC2xC4"), config=ResourceConfig()) == {1}
+
+
+@pytest.mark.skipif(not os.environ.get("ZSLEN_STRETCH"),
+                    reason="C2xC2xC4xC4 takes about 1 s; set ZSLEN_STRETCH=1")
+def test_star_set_of_c2_c2_c4_c4_on_default_budgets():
+    # like C2^4xC4: the class closure passed the union cap, the roots alone
+    # are each worth 1
+    assert delta_rho_star(parse_group("C2xC2xC4xC4"), config=ResourceConfig()) == {1}
 
 
 @pytest.mark.skipif(not os.environ.get("ZSLEN_STRETCH"),

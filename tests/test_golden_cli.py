@@ -61,6 +61,7 @@ COMMANDS = (
         ["min-delta", "--group", "C3xC3xC6", "--support", "(0,1,1),(1,0,5),(2,2,3),(1,1,2),(0,2,4)"],
         ["delta-rho", "--group", "C26"],
         ["fp", "--q", "2", "--gens", "1:1000000000,0:1", "profile"],
+        ["delta-rho", "--group", "C2xC2xC2xC2xC4"],
     ]
 )
 
