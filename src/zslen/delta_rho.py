@@ -25,18 +25,18 @@ the walk starts from ``{1, n - 1}``.  For other groups the
 elementary automorphisms (``AbelianGroup.automorphism_permutations``) prune
 the atom DFS at every depth: it drops a node that one of them, or an
 inverse, maps to a lexicographically smaller sorted sequence.  The test
-compares additive position codes, one integer add per map at each node; it
-is exact on groups of order at most 128 and may drop fewer nodes on larger
-ones.  That keeps the least atom of every orbit, so the classes of the
-maximal-length atoms it finds meet every orbit of classes, and the walk
-starts from them.  A union's value divides the value of every class inside
-it, and an automorphism keeps values, so when every root is worth 1 no
-union is expanded and the walk needs no other class: the classes are
-closed under the automorphisms only when a union is expanded.  A class is
-then canonical as one representative of its orbit; any other union is its
-own canonical form.  A union's value from a prefix of its atoms equals
-``min_delta`` of its support; the property suite checks this on every
-build.
+reads additive position codes, packed one field per map into one integer,
+so it costs one integer add at each node; it is exact on groups of order at
+most 128 and may drop fewer nodes on larger ones.  That keeps the least
+atom of every orbit, so the classes of the maximal-length atoms it finds
+meet every orbit of classes, and the walk starts from them.  A union's
+value divides the value of every class inside it, and an automorphism
+keeps values, so when every root is worth 1 no union is expanded and the
+walk needs no other class: the classes are closed under the automorphisms
+only when a union is expanded.  A class is then canonical as one
+representative of its orbit; any other union is its own canonical form.
+A union's value from a prefix of its atoms equals ``min_delta`` of its
+support; the property suite checks this on every build.
 """
 
 from __future__ import annotations
@@ -163,8 +163,8 @@ class _OrbitSource(_UnionValues):
                 raise BudgetExceededError("automorphism permutation entries", config.max_nodes)
         inverses = [tuple(sorted(range(n), key=perm.__getitem__)) for perm in perms]
         maps = perms + inverses
-        bits = [1 << j for j in range(n)]
-        neg_bits = [1 << group.index_of(group.neg(e)) for e in group.elements()]
+        # position j of the full support is the element of index j
+        positions, neg = list(range(n)), [group.index_of(group.neg(e)) for e in group.elements()]
         # the classes of the longest atoms so far; those of length D(G) at the end
         longest, found = 0, set()
         for v in _atom_vectors(full_support(group), config, maps):
@@ -172,12 +172,15 @@ class _OrbitSource(_UnionValues):
             if length > longest:
                 longest, found = length, set()
             if length == longest:
-                found.add(sum(compress(bits, v)) | sum(compress(neg_bits, v)))
+                mask = 0
+                for j in compress(positions, v):
+                    mask |= 1 << j | 1 << neg[j]
+                found.add(mask)
         self.perms = perms
 
         def lower(mask):  # some map sends the class to a smaller one found
             members = _set_bits(mask)
-            return any((image := sum(map(bits.__getitem__, map(perm.__getitem__, members)))) < mask
+            return any((image := sum(1 << perm[m] for m in members)) < mask
                        and image in found for perm in maps)
 
         self.roots = sorted(mask for mask in found if not lower(mask))

@@ -20,7 +20,8 @@ elements at or after its last position that lie outside it, one mask
 operation for all of them.  Bits are element indices (``groups`` owns that
 layout, in which a sorted support is in index order), so the walk takes them
 lowest bit first, in canonical order, and visits the same nodes as one that
-tests every child; only the child that is taken pays for the shifts to
+tests every child; only the child that is taken, and kept by the orderly
+test when there is one, pays for the shifts to
 ``-Σ₀(S·g) = -Σ₀(S) ∪ (-Σ₀(S) - g)``.  The same steps of ``s -> s - g``
 move the index of the negated sum, ``-Σ(S·g) = -Σ(S) - g``, one coordinate
 at a time, so the walk builds no table of translated indices.
@@ -31,7 +32,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
 from typing import Iterable, Iterator
 
 from .config import ResourceConfig, default_config
@@ -200,18 +200,25 @@ def _atom_vectors(support: SupportSet, cfg: ResourceConfig, perms=()) -> Iterato
     The test compares integer codes.  A multiset of positions is coded
     as ``Σ w[x]``, with ``w[x] = 2^(width·(top - 1 - x))``: each position
     owns a digit of ``width`` bits, the low positions the high digits, and
-    a zero-sum-free path has fewer than |G| terms, so no digit carries.
-    Then ``φ(P) < P`` exactly when ``code(φ(P)) > code(P)``: at the least
-    position where the two counts differ, ``φ(P)`` has more copies.  The
-    walk keeps the codes of each node on its path, its own code and then
-    that of its image under each map; a child at position p adds ``w[p]``
-    and each ``w[φ(p)]`` to its parent's, one integer add per map.  The
-    digits cover the positions below ``top = min(k, 128)`` and the others
-    weigh 0, so a code has at most 128 digits on any support.  On a larger
-    support the windowed codes compare the counts below ``top`` alone: a
-    test that fires still finds a true ``φ(P) < P``, so the walk drops no
-    node that the exact test keeps, yields the least atom of every orbit
-    and only visits more nodes.  Up to 128 positions the test is exact.
+    a zero-sum-free path has fewer than |G| terms, so no digit carries and
+    a code is below ``2^F``, ``F = width·top``.  Then ``φ(P) < P`` exactly
+    when ``code(φ(P)) > code(P)``: at the least position where the two
+    counts differ, ``φ(P)`` has more copies.  A node holds one packed
+    integer with a field of ``F + 1`` bits per map (:func:`_orderly_codes`):
+    field i is ``code(φ_i(P)) - code(P)`` plus the bias ``2^F - 1``, and
+    ``|code(φ_i(P)) - code(P)| < 2^F``, so no field borrows or carries and
+    the top bit of a field is set exactly when its difference is positive.
+    A child at position x adds the column of x, ``Σ_i (w[φ_i(x)] - w[x])``
+    in field i, to its parent's code, one integer add per node, and is
+    dropped when the sum meets ``high``, the top bits of every field.  Only
+    a node that passes the test moves ``-Σ₀`` and ``nsig`` to its own, so a
+    dropped node costs that add and its count.  The digits cover the
+    positions below ``top = min(k, 128)`` and the others weigh 0, so a code
+    has at most 128 digits on any support.  On a larger support the
+    windowed codes compare the counts below ``top`` alone: a test that
+    fires still finds a true ``φ(P) < P``, so the walk drops no node that
+    the exact test keeps, yields the least atom of every orbit and only
+    visits more nodes.  Up to 128 positions the test is exact.
     """
     G = support.group
     n = G.order()
@@ -232,36 +239,37 @@ def _atom_vectors(support: SupportSet, cfg: ResourceConfig, perms=()) -> Iterato
 
     counts = [0] * k
     if perms:
-        top, width = min(k, 128), n.bit_length()
-        w = [1 << width * (top - 1 - x) for x in range(top)] + [0] * (k - top)
-        # cols[x]: what a child at x adds to the codes of the node and of its images
-        cols = [[w[x]] + [w[perm[x]] for perm in perms] for x in range(k)]
-        # path[d + 1]: the codes of the node at depth d of the current path; the
+        cols, start, high = _orderly_codes(k, n, perms)
+        # path[d]: the packed code of the parent of a node at depth d; the
         # root has no position, so path[0] is minus the column its visit adds
-        path = [[-c for c in cols[0]]] + [None] * (n + 1)
-
-        def lowered(depth: int, x: int) -> bool:
-            codes = path[depth + 1] = list(map(add, path[depth], cols[x]))
-            return max(codes) > codes[0]
+        path = [start - cols[0]] + [0] * n
     nodes = atoms = 0
     # the current path, one frame per node with a zero-sum-free child (a leaf
     # pushes none): (position of its last element, its mask -Σ₀, its nsig,
     # mask of the children not yet taken); a child's mask is built only when
-    # the walk takes that child, and a frame keeps its own -Σ₀ (|G| bits)
-    # only while it has a child left, so a path of single children, as the
-    # powers of one element, holds no |G|-bit mask per node
+    # the walk takes that child and it passes the orderly test, and a frame
+    # keeps its own -Σ₀ (|G| bits) only while it has a child left, so a path
+    # of single children, as the powers of one element, holds no |G|-bit
+    # mask per node
     frames: list[tuple] = []
-    # the root, the empty sequence, takes its children from position 0 on, as
-    # a node ending there does; zero has index 0.  Its count is never read:
-    # the walk ends when it backs up past the root
-    last_pos, negs, nsig = 0, 1, 0
+    # the node: its last position, and its parent's -Σ₀ and nsig with the
+    # steps that move them to its own.  The root, the empty sequence, takes
+    # its children from position 0 on, as a node ending there does, and has
+    # no steps; zero has index 0.  Its count is never read: the walk ends
+    # when it backs up past the root
+    last_pos, negs, nsig, steps = 0, 1, 0, ()
     while True:
         nodes += 1
         if nodes > cfg.max_nodes:
             raise BudgetExceededError("enumeration nodes", cfg.max_nodes)
-        if perms and lowered(len(frames), last_pos):
+        if perms and (code := path[len(frames)] + cols[last_pos]) & high:
             free = 0  # some map sends the node's positions lower
         else:
+            shifted = negs
+            for keep, up, wrap, down in steps:
+                shifted = ((shifted & keep) << up) | ((shifted & wrap) >> down)
+                nsig = nsig + up if nsig % (up + down) < down else nsig - down
+            negs |= shifted
             p = pos_of[nsig]
             if p >= last_pos:  # p is -1 outside the support
                 atoms += 1
@@ -275,28 +283,42 @@ def _atom_vectors(support: SupportSet, cfg: ResourceConfig, perms=()) -> Iterato
             low = free & -free
             rest = free ^ low
             frames.append((last_pos, rest and negs, nsig, rest))
-            parent_negs = negs
+            if perms:
+                path[len(frames)] = code
         else:  # a leaf: back up to the deepest frame with a child left
             counts[last_pos] -= 1
             while frames:
-                last_pos, parent_negs, nsig, free = frames[-1]
+                last_pos, negs, nsig, free = frames[-1]
                 if free:
                     low = free & -free
                     rest = free ^ low
-                    frames[-1] = (last_pos, rest and parent_negs, nsig, rest)
+                    frames[-1] = (last_pos, rest and negs, nsig, rest)
                     break
                 frames.pop()
                 counts[last_pos] -= 1
             else:
                 break  # every frame is exhausted
-        p = pos_of[low.bit_length() - 1]
-        shifted = parent_negs
-        for keep, up, wrap, down in neg_shifts[p]:
-            shifted = ((shifted & keep) << up) | ((shifted & wrap) >> down)
-            nsig = nsig + up if nsig % (up + down) < down else nsig - down
-        negs = parent_negs | shifted
-        counts[p] += 1
-        last_pos = p
+        last_pos = pos_of[low.bit_length() - 1]
+        steps = neg_shifts[last_pos]
+        counts[last_pos] += 1
+
+
+def _orderly_codes(k: int, n: int, perms) -> tuple[list[int], int, int]:
+    """The packed orderly test of ``_atom_vectors`` over ``k`` support
+    positions of a group of order ``n``: ``cols[x]``, what a position ``x``
+    adds to a code, the code ``start`` of the empty multiset, and ``high``.
+    A multiset ``P`` of positions codes as ``start + Σ cols[x]``, and some
+    ``φ`` in ``perms`` maps it to a smaller sorted tuple exactly when
+    ``code & high`` is nonzero, for fewer than ``n`` positions in ``P``;
+    past 128 positions, only the counts of the first 128 are compared."""
+    top, width = min(k, 128), n.bit_length()
+    w = [1 << width * (top - 1 - x) for x in range(top)] + [0] * (k - top)
+    field = width * top + 1  # F + 1 bits, F those of the largest code
+    ones = sum(1 << field * i for i in range(len(perms)))
+    cols = [sum(w[perm[x]] - w[x] << field * i for i, perm in enumerate(perms)) for x in range(k)]
+    # each field holds its difference plus 2^F - 1, so its top bit is set
+    # exactly when the difference is positive
+    return cols, ((1 << field - 1) - 1) * ones, ones << field - 1
 
 
 def full_support(group: AbelianGroup) -> SupportSet:

@@ -339,9 +339,10 @@ def test_budgets_stop_the_setup_of_a_large_noncyclic_group(monkeypatch, capsys):
 def test_atom_cap_stops_a_large_noncyclic_set_up_in_bounded_memory():
     # C2xC4xC1000 has 8,000 positions: the pruned DFS codes only the first
     # 128 of them, so the codes on its path hold at most 128 digits; coding
-    # all 8,000 took the peak of this run to about 390 MB.  About 60 MB of
-    # the peak are the set-up's tables at the group's order (translation
-    # steps, support masks, permutations), which no prune test changes
+    # all 8,000 took the peak of this run to about 390 MB.  The peak is
+    # about 64 MB, most of it the set-up's tables at the group's order
+    # (translation steps, support masks, permutations), which no prune test
+    # changes
     group = parse_group("C2xC4xC1000")
     tracemalloc.start()
     try:
@@ -578,21 +579,24 @@ import os
 
 
 @pytest.mark.skipif(not os.environ.get("ZSLEN_STRETCH"),
-                    reason="C3xC3xC6 takes about 1 s in a child process; set ZSLEN_STRETCH=1")
+                    reason="C3xC3xC6 takes about 0.5 s in a child process; set ZSLEN_STRETCH=1")
 def test_star_set_of_c3_c3_c6_on_default_budgets():
     # on the default budgets (1M atoms, 10M nodes): the pruned DFS visits
     # 140,169 nodes, and the orbit source holds only the classes of the
-    # longest atoms; the child's own max RSS comes from wait4
-    code = ("from zslen.config import ResourceConfig; from zslen.delta_rho import delta_rho_star; "
+    # longest atoms.  The child reads its own peak RSS, VmHWM: the ru_maxrss
+    # of a forked child starts from the high-water mark of its parent
+    code = ("import pathlib; from zslen.config import ResourceConfig; from zslen.delta_rho import delta_rho_star; "
             "from zslen.groups import make_group; "
-            "print(sorted(delta_rho_star(make_group([3, 3, 6]), config=ResourceConfig())))")
+            "print(sorted(delta_rho_star(make_group([3, 3, 6]), config=ResourceConfig()))); "
+            "status = pathlib.Path('/proc/self/status').read_text().splitlines(); "
+            "print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))")
     src = os.path.dirname(os.path.dirname(sequences.__file__))
-    with subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
-                          env={**os.environ, "PYTHONPATH": src}) as proc:
-        out = proc.stdout.read()
-        _, status, usage = os.wait4(proc.pid, 0)
-    assert (os.waitstatus_to_exitcode(status), out) == (0, b"[1]\n")
-    assert usage.ru_maxrss < 100_000  # KiB
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    star, peak_kib = proc.stdout.decode().split()
+    assert star == "[1]"
+    assert int(peak_kib) < 100_000
 
 
 def test_star_set_of_c2_c2_c2_c2_c4_on_default_budgets():
@@ -602,7 +606,7 @@ def test_star_set_of_c2_c2_c2_c2_c4_on_default_budgets():
 
 
 @pytest.mark.skipif(not os.environ.get("ZSLEN_STRETCH"),
-                    reason="C2xC2xC4xC4 takes about 1 s; set ZSLEN_STRETCH=1")
+                    reason="C2xC2xC4xC4 takes about 0.5 s; set ZSLEN_STRETCH=1")
 def test_star_set_of_c2_c2_c4_c4_on_default_budgets():
     # like C2^4xC4: the class closure passed the union cap, the roots alone
     # are each worth 1

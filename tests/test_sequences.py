@@ -15,6 +15,7 @@ from zslen.sequences import (
     GSequence,
     SupportSet,
     _atom_vectors,
+    _orderly_codes,
     enumerate_atoms,
     full_support,
     is_atom,
@@ -253,7 +254,7 @@ def test_pruned_walk_yields_the_least_atom_of_every_orbit(name):
 
 @pytest.mark.parametrize("name, nodes", [("C2xC2xC2xC2", 131), ("C4xC4", 440), ("C3xC6", 877),
                                          ("C2xC2xC6", 4297), ("C5xC5", 2335), ("C3xC3xC3", 684),
-                                         ("C2xC4xC4", 5969)])
+                                         ("C2xC4xC4", 5969), ("C2xC10", 3508), ("C3xC9", 8715)])
 def test_pruned_walk_matches_the_orderly_oracle_node_for_node(name, nodes):
     # the oracle drops a node by sorting the images of its positions under
     # the maps that send its last position lower; the walk compares position
@@ -269,6 +270,70 @@ def test_pruned_walk_matches_the_orderly_oracle_node_for_node(name, nodes):
     assert exc.value.what == "enumeration nodes"
 
 
+def _window_counts(path, top):
+    counts = [0] * top
+    for x in path:
+        if x < top:
+            counts[x] += 1
+    return counts
+
+
+def _windowed_lower(perm, path, top):
+    # at the least position below top where the counts differ, the image
+    # has more copies
+    return _window_counts([perm[x] for x in path], top) > _window_counts(path, top)
+
+
+def _check_packed_test(G, paths):
+    # the automorphisms fix position 0, the zero element; the reversal, the
+    # swap of the last coded position with the last one and a shuffle do
+    # not, and reach the largest differences a field holds and a difference
+    # of exactly 1, which the test takes for any maps of the positions
+    k = G.order()
+    top = min(k, 128)
+    swap, shuffled = list(range(k)), list(range(k))
+    swap[top - 1], swap[k - 1] = k - 1, top - 1
+    random.Random(k).shuffle(shuffled)
+    perms = _pruning_perms(G) + [tuple(range(k - 1, -1, -1)), tuple(swap), tuple(shuffled)]
+    for maps in [perms] + [[perm] for perm in perms]:  # all in one code, and each alone
+        cols, start, high = _orderly_codes(k, k, maps)
+        for path in paths:
+            assert len(path) < k
+            fires = bool((start + sum(cols[x] for x in path)) & high)
+            assert fires == any(_windowed_lower(perm, path, top) for perm in maps), path
+            lower = any(sorted(perm[x] for x in path) < sorted(path) for perm in maps)
+            # exact up to 128 positions; past them a test that fires is still right
+            assert fires == lower if k <= 128 else lower or not fires, path
+
+
+def _extreme_paths(G):
+    # one position once, ord(g) - 1 times, as on a zero-sum-free path, and
+    # |G| - 1 times, where a field comes closest to carrying
+    n = G.order()
+    return [[x] * reps for x, g in enumerate(full_support(G).elements)
+            for reps in {1, G.element_order(g) - 1, n - 1}]
+
+
+@pytest.mark.parametrize("name", ["C2xC2xC6", "C3xC9", "C4xC4", "C2xC2xC2xC2"])
+def test_packed_orderly_test_matches_sorted_images(name):
+    # the packed code against sorted(φ(P)) < P, on the extremes and on
+    # random multisets of positions
+    G = parse_group(name)
+    n, rng = G.order(), random.Random(name)
+    paths = _extreme_paths(G) + [sorted(rng.choices(range(n), k=rng.randrange(1, n))) for _ in range(400)]
+    _check_packed_test(G, paths)
+
+
+def test_packed_orderly_test_reads_only_the_first_128_positions():
+    # 144 positions: only the counts below 128 are coded, so the test equals
+    # the windowed comparison, and each node it drops has a smaller image
+    G = parse_group("C12xC12")
+    n, rng = G.order(), random.Random(144)
+    paths = _extreme_paths(G) + [sorted(rng.choices(range(n), k=rng.randrange(1, n))) for _ in range(200)]
+    paths += [sorted(rng.choices(range(120, n), k=rng.randrange(1, 20))) for _ in range(200)]
+    _check_packed_test(G, paths)
+
+
 def _longest_pruned_atom(G):
     return max(map(sum, _atom_vectors(full_support(G), default_config(), _pruning_perms(G))))
 
@@ -281,7 +346,7 @@ def test_pruned_walk_finds_the_davenport_constant(factors):
 
 
 @pytest.mark.skipif(not os.environ.get("ZSLEN_STRETCH"),
-                    reason="the pruned walk over C2xC4xC8 takes about 15 s; set ZSLEN_STRETCH=1")
+                    reason="the pruned walk over C2xC4xC8 takes about 4 s; set ZSLEN_STRETCH=1")
 def test_pruned_walk_finds_the_davenport_constant_of_c2_c4_c8():
     assert _longest_pruned_atom(make_group([2, 4, 8])) == 12
 
