@@ -130,7 +130,7 @@ def cmd_cf_scan(args) -> int:
         "hi": report.hi,
         "engine": report.engine,
         "exceptionalCount": len(report.exceptional),
-        "witnessedCount": len(report.smallest) - len(report.exceptional),
+        "witnessedCount": len(report.witnesses),
         "sha256": report.digest(),
     }
     if args.format == "json":

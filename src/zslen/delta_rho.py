@@ -21,22 +21,21 @@ union from the atoms over it alone.  For ``C_n`` nothing is enumerated up
 front: the atoms of length ``n`` are exactly ``g^n`` with ``ord g = n``
 (Geroldinger and Halter-Koch 2006), so the classes are the unit pairs
 ``{u, n - u}``, and a union's canonical form is its least unit multiple, so
-the walk starts from ``{1, n - 1}``.  For other groups the
-elementary automorphisms (``AbelianGroup.automorphism_permutations``) prune
-the atom DFS at every depth: it drops a node that one of them, or an
-inverse, maps to a lexicographically smaller sorted sequence.  The test
-reads additive position codes, packed one field per map into one integer,
-so it costs one integer add at each node; it is exact on groups of order at
-most 128 and may drop fewer nodes on larger ones.  That keeps the least
-atom of every orbit, so the classes of the maximal-length atoms it finds
-meet every orbit of classes, and the walk starts from them.  A union's
-value divides the value of every class inside it, and an automorphism
-keeps values, so when every root is worth 1 no union is expanded and the
-walk needs no other class: the classes are closed under the automorphisms
-only when a union is expanded.  A class is then canonical as one
-representative of its orbit; any other union is its own canonical form.
-A union's value from a prefix of its atoms equals ``min_delta`` of its
-support; the property suite checks this on every build.
+the walk starts from ``{1, n - 1}``.  For other groups the elementary
+automorphisms and their inverses (``AbelianGroup.automorphism_permutations``)
+prune the atom DFS at every depth: it drops a node that one of them maps to
+a lexicographically smaller sorted sequence.  The test reads additive
+position codes, packed one field per map into one integer, so it costs one
+integer add at each node; it is exact on groups of order at most 128 and
+may drop fewer nodes on larger ones.  That keeps the least atom of every
+orbit, so the classes of the maximal-length atoms it finds meet every orbit
+of classes, and the walk starts from them.  A union's value divides the
+value of every class inside it, and an automorphism keeps values, so when
+every root is worth 1 no union is expanded and the walk needs no other
+class: the classes are closed under the automorphisms only when a union is
+expanded, and every union is its own canonical form.  A union's value from
+a prefix of its atoms equals ``min_delta`` of its support; the property
+suite checks this on every build.
 """
 
 from __future__ import annotations
@@ -112,57 +111,48 @@ class _UnionValues:
         return _functional_gcd(columns(), nrows)
 
 
-def _orbits(masks, perms, cap: int) -> dict[int, int]:
-    """Every image of ``masks`` under ``perms`` and their products, mapped to
-    the least of ``masks`` in its orbit; more than ``cap`` images raise
-    :class:`BudgetExceededError`, as distinct supports."""
-    bit_images = [[1 << image for image in perm] for perm in perms]
-    rep: dict[int, int] = {}
-    for least in sorted(masks):
-        if least in rep:
-            continue
-        rep[least] = least
-        orbit = [least]
-        for mask in orbit:  # grows while it is read
-            members = _set_bits(mask)
-            for bits in bit_images:
-                image = sum(map(bits.__getitem__, members))  # distinct bits: sum is OR
-                if image not in rep:
-                    rep[image] = least
-                    orbit.append(image)
-                    if len(rep) > cap:
-                        raise BudgetExceededError("distinct support unions", cap)
-    return rep
+def _orbits(masks, maps, cap: int) -> set[int]:
+    """``masks`` and every image of them under ``maps`` and their products;
+    more than ``cap`` images raise :class:`BudgetExceededError`, as distinct
+    supports."""
+    bit_images = [[1 << image for image in perm] for perm in maps]
+    closed = set(masks)
+    queue = list(closed)
+    for mask in queue:  # grows while it is read
+        members = _set_bits(mask)
+        for bits in bit_images:
+            image = sum(map(bits.__getitem__, members))  # distinct bits: sum is OR
+            if image not in closed:
+                closed.add(image)
+                queue.append(image)
+                if len(closed) > cap:
+                    raise BudgetExceededError("distinct support unions", cap)
+    return closed
 
 
 class _OrbitSource(_UnionValues):
     """The walk's source for a non-cyclic group, from the orbits of the
-    elementary automorphisms (``AbelianGroup.automorphism_permutations``).
+    elementary automorphisms and their inverses, the ``maps`` of
+    ``AbelianGroup.automorphism_permutations``.
 
-    An automorphism maps atoms to atoms, so the atom DFS, pruned by the
-    permutations and their inverses (``_atom_vectors``), still yields the
-    least atom of every orbit: it finds the Davenport constant, and the
-    classes of its maximal-length atoms meet every orbit of classes.  The
-    roots are those classes, less each one that a permutation or an inverse
-    maps to a smaller class found: a chain of such steps descends to a root
-    of the same orbit.  ``rep``, ``class_masks`` and ``canonical`` close the
-    roots under the permutations on first use, which only the expansion of
-    a union needs; the closure takes the generators alone, as their
-    inverses add nothing to an orbit.  ``canonical`` maps each class to one
-    root of its orbit and leaves every other union as it is.  The
-    permutations' entries, inverses included, count against ``max_nodes``
-    and the closed classes against ``max_supports``."""
+    An automorphism maps atoms to atoms, so the atom DFS, pruned by the maps
+    (``_atom_vectors``), still yields the least atom of every orbit: it finds
+    the Davenport constant, and the classes of its maximal-length atoms meet
+    every orbit of classes.  The roots are those classes, less each one that
+    a map sends to a smaller class found: a chain of such steps descends to
+    a root of the same orbit.  ``class_masks`` closes the roots under the
+    maps on first use, which only the expansion of a union needs, and
+    ``canonical`` leaves every union as it is.  The maps' entries count
+    against ``max_nodes`` and the closed classes against ``max_supports``."""
 
     def __init__(self, group: AbelianGroup, config: ResourceConfig):
         super().__init__(group, config)
         n = group.order()
-        perms = []
+        maps = self.maps = []
         for perm in group.automorphism_permutations():
-            perms.append(perm)
-            if 2 * len(perms) * n > config.max_nodes:  # with their inverses
+            maps.append(perm)
+            if len(maps) * n > config.max_nodes:
                 raise BudgetExceededError("automorphism permutation entries", config.max_nodes)
-        inverses = [tuple(sorted(range(n), key=perm.__getitem__)) for perm in perms]
-        maps = perms + inverses
         # position j of the full support is the element of index j
         positions, neg = list(range(n)), [group.index_of(group.neg(e)) for e in group.elements()]
         # the classes of the longest atoms so far; those of length D(G) at the end
@@ -176,7 +166,6 @@ class _OrbitSource(_UnionValues):
                 for j in compress(positions, v):
                     mask |= 1 << j | 1 << neg[j]
                 found.add(mask)
-        self.perms = perms
 
         def lower(mask):  # some map sends the class to a smaller one found
             members = _set_bits(mask)
@@ -186,15 +175,11 @@ class _OrbitSource(_UnionValues):
         self.roots = sorted(mask for mask in found if not lower(mask))
 
     @cached_property
-    def rep(self) -> dict[int, int]:
-        return _orbits(self.roots, self.perms, self.config.max_supports)
-
-    @cached_property
     def class_masks(self) -> list[int]:
-        return sorted(self.rep)
+        return sorted(_orbits(self.roots, self.maps, self.config.max_supports))
 
     def canonical(self, mask: int) -> int:
-        return self.rep.get(mask, mask)
+        return mask
 
 
 class _UnitClassScan(_UnionValues):

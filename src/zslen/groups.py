@@ -195,9 +195,11 @@ class AbelianGroup:
         return lcm(*(n // gcd(a, n) for a, n in zip(g, self.invariant_factors))) if g else 1
 
     def automorphism_permutations(self) -> Iterator[tuple[int, ...]]:
-        """Index permutations of elementary automorphisms, built one at a
-        time as they are taken: ``perm[i]`` is the index of the image of the
-        element of index ``i``.
+        """Index permutations of the elementary automorphisms and their
+        inverses, built one at a time as they are taken: ``perm[i]`` is the
+        index of the image of the element of index ``i``.  Each elementary
+        automorphism is followed by its inverse unless it is an involution,
+        so no permutation is listed twice.
 
         An automorphism is given by the images of the basis vectors ``e_i``:
         a unit ``u != 1`` times one of them, for ``u`` in a generating set of
@@ -223,10 +225,14 @@ class AbelianGroup:
                     generators.append(basis[:i] + [shear] + basis[i + 1:])
         # coordinate k of the image of x is sum_i x_i * images[i][k] mod n_k
         for images in generators:
-            yield tuple(
+            perm = tuple(
                 self.index_of([sum(map(mul, x, column)) % n for column, n in zip(zip(*images), factors)])
                 for x in self.elements()
             )
+            yield perm
+            inverse = tuple(sorted(range(len(perm)), key=perm.__getitem__))
+            if inverse != perm:
+                yield inverse
 
     # -- protocol ----------------------------------------------------------
 

@@ -24,6 +24,7 @@ from zslen.cli import main
 from zslen.config import ResourceConfig, default_config
 from zslen.delta_rho import (
     _OrbitSource,
+    _orbits,
     _UnitClassScan,
     delta_rho,
     delta_rho_star,
@@ -221,18 +222,17 @@ def test_orbit_source_classes_equal_full_enumeration_classes(name):
 @pytest.mark.parametrize("name, count, orbits", [("C4xC4", 96, 2), ("C3xC6", 48, 4),
                                                  ("C2xC2xC6", 336, 7), ("C2xC4xC4", 1536, 14)])
 def test_generator_orbits_on_classes_equal_brute_force_aut_orbits(name, count, orbits):
-    # the classes sharing a canonical form are the orbits of all of Aut(G)
+    # the closure of each class alone under the maps is its orbit under
+    # all of Aut(G)
     group = parse_group(name)
     source = _OrbitSource(group, default_config())
-    by_rep = {}
-    for mask in source.class_masks:
-        by_rep.setdefault(source.canonical(mask), []).append(mask)
-    ours = {frozenset(_as_sets(group, masks)) for masks in by_rep.values()}
+    cap = default_config().max_supports
+    ours = {frozenset(_as_sets(group, _orbits([mask], source.maps, cap))) for mask in source.class_masks}
     automorphisms = brute_force_automorphisms(group)
     assert len(automorphisms) == count
     assert ours == orbits_of_sets(_as_sets(group, source.class_masks), automorphisms)
     assert len(ours) == orbits
-    assert all(source.canonical(rep) == rep for rep in by_rep)
+    assert all(source.canonical(mask) == mask for mask in source.class_masks)
 
 
 _ROOTS_OF_VALUE_ONE = ["C3xC6", "C4xC4", "C5xC5", "C2xC2xC6", "C3xC3xC3", "C2xC4xC4"]
@@ -244,7 +244,7 @@ def test_a_walk_whose_roots_are_worth_one_closes_no_class_orbit(name, monkeypatc
     # classes under the permutations is never built
     module = importlib.import_module("zslen.delta_rho")
 
-    def refuse(masks, perms, cap):
+    def refuse(masks, maps, cap):
         raise AssertionError("the class closure was built")
 
     monkeypatch.setattr(module, "_orbits", refuse)
@@ -253,14 +253,14 @@ def test_a_walk_whose_roots_are_worth_one_closes_no_class_orbit(name, monkeypatc
 
 def test_a_walk_that_expands_closes_the_class_orbits_once(monkeypatch):
     # the 168 classes of C2^4 form one orbit of value 3: the DFS leaves one
-    # root, and its expansion closes the orbit once, for the class list and
-    # every canonical form after it
+    # root, and its expansion closes the orbit once: every union expanded
+    # after it reads the same class list
     module = importlib.import_module("zslen.delta_rho")
     closure, calls = module._orbits, []
 
-    def counted(masks, perms, cap):
+    def counted(masks, maps, cap):
         calls.append(len(masks))
-        return closure(masks, perms, cap)
+        return closure(masks, maps, cap)
 
     monkeypatch.setattr(module, "_orbits", counted)
     assert delta_rho_star(make_group([2, 2, 2, 2])) == {1, 3}
@@ -294,11 +294,13 @@ def test_the_class_closure_counts_against_the_union_budget():
 def test_budgets_stop_the_noncyclic_walk(monkeypatch):
     # every cap still stops the orbit source's enumeration or the walk, in
     # process and through the CLI
-    # (C2xC4xC4 has 8 permutations of 32 entries, 512 with their inverses,
-    # so 1,000 nodes pass the set-up and stop the pruned enumeration, which
-    # visits 5,969 nodes)
+    # (C2xC4xC4 has 10 maps of 32 entries, 320 in all, so 319 nodes stop
+    # the set-up, and 320 and 1,000 pass it and stop the pruned enumeration,
+    # which visits 5,969 nodes)
     group = parse_group("C2xC4xC4")
     caps = [("max_atoms", 10, "atom count"), ("max_nodes", 1000, "enumeration nodes"),
+            ("max_nodes", 320, "enumeration nodes"),
+            ("max_nodes", 319, "automorphism permutation entries"),
             ("max_nodes", 100, "automorphism permutation entries"),
             ("max_supports", 10, "distinct support unions")]
     for field, cap, what in caps:
@@ -323,10 +325,10 @@ def test_a_union_of_value_one_answers_once_its_gcd_settles(monkeypatch, capsys):
 
 
 def test_budgets_stop_the_setup_of_a_large_noncyclic_group(monkeypatch, capsys):
-    # C2xC4xC1000 (order 8,000): the set-up builds 10 permutations of 8,000
+    # C2xC4xC1000 (order 8,000): the set-up builds 15 maps of 8,000
     # entries, far below the default node cap, and no table quadratic in the
     # order, so the atom cap is reached as it is without the orbit source;
-    # a node cap below the permutations' entries stops the set-up itself
+    # a node cap below the maps' entries stops the set-up itself
     group = parse_group("C2xC4xC1000")
     with pytest.raises(BudgetExceededError) as exc:
         delta_rho_star(group, config=ResourceConfig(max_nodes=50_000))
@@ -340,8 +342,8 @@ def test_atom_cap_stops_a_large_noncyclic_set_up_in_bounded_memory():
     # C2xC4xC1000 has 8,000 positions: the pruned DFS codes only the first
     # 128 of them, so the codes on its path hold at most 128 digits; coding
     # all 8,000 took the peak of this run to about 390 MB.  The peak is
-    # about 64 MB, most of it the set-up's tables at the group's order
-    # (translation steps, support masks, permutations), which no prune test
+    # about 61 MB, most of it the set-up's tables at the group's order
+    # (translation steps, support masks, the 15 maps), which no prune test
     # changes
     group = parse_group("C2xC4xC1000")
     tracemalloc.start()

@@ -81,7 +81,11 @@ def test_automorphism_permutations_are_additive_bijections(name):
     elems = G.elements()
     perms = list(G.automorphism_permutations())
     assert perms
+    assert len(set(perms)) == len(perms)  # no permutation is listed twice
+    identity = tuple(range(G.order()))
     for perm in perms:
+        # some listed map undoes this one: the list holds every inverse
+        assert any(tuple(map(other.__getitem__, perm)) == identity for other in perms)
         assert sorted(perm) == list(range(G.order()))
         assert perm[0] == 0
         for a, g in enumerate(elems):

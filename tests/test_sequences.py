@@ -220,13 +220,6 @@ def test_davenport_lower_bound_and_known_equality():
             assert D == dstar
 
 
-def _pruning_perms(G):
-    """The elementary automorphism permutations and their inverses, as the
-    orbit source passes them to the walk."""
-    perms = list(G.automorphism_permutations())
-    return perms + [tuple(sorted(range(G.order()), key=perm.__getitem__)) for perm in perms]
-
-
 def _index_tuple(vector):
     return tuple(j for j, m in enumerate(vector) for _ in range(m))
 
@@ -240,7 +233,8 @@ def test_pruned_walk_yields_the_least_atom_of_every_orbit(name):
     # by the elementary automorphisms must yield it; all it yields are atoms
     G = parse_group(name)
     support = full_support(G)
-    pruned = {_index_tuple(v) for v in _atom_vectors(support, default_config(), _pruning_perms(G))}
+    maps = list(G.automorphism_permutations())
+    pruned = {_index_tuple(v) for v in _atom_vectors(support, default_config(), maps)}
     every = {_index_tuple(v) for v in enumerate_atoms(support).mult_vectors}
     assert pruned <= every and len(pruned) < len(every)
     where = {g: j for j, g in enumerate(support.elements)}
@@ -261,7 +255,7 @@ def test_pruned_walk_matches_the_orderly_oracle_node_for_node(name, nodes):
     # codes under every map, and must keep the same atoms in the same order
     # and visit the same nodes, so that it finishes on exactly that node cap
     G = parse_group(name)
-    support, perms = full_support(G), _pruning_perms(G)
+    support, perms = full_support(G), list(G.automorphism_permutations())
     want, visited = orderly_atoms(support, perms)
     assert visited == nodes
     assert list(_atom_vectors(support, ResourceConfig(max_nodes=nodes), perms)) == want
@@ -294,7 +288,7 @@ def _check_packed_test(G, paths):
     swap, shuffled = list(range(k)), list(range(k))
     swap[top - 1], swap[k - 1] = k - 1, top - 1
     random.Random(k).shuffle(shuffled)
-    perms = _pruning_perms(G) + [tuple(range(k - 1, -1, -1)), tuple(swap), tuple(shuffled)]
+    perms = list(G.automorphism_permutations()) + [tuple(range(k - 1, -1, -1)), tuple(swap), tuple(shuffled)]
     for maps in [perms] + [[perm] for perm in perms]:  # all in one code, and each alone
         cols, start, high = _orderly_codes(k, k, maps)
         for path in paths:
@@ -335,7 +329,8 @@ def test_packed_orderly_test_reads_only_the_first_128_positions():
 
 
 def _longest_pruned_atom(G):
-    return max(map(sum, _atom_vectors(full_support(G), default_config(), _pruning_perms(G))))
+    maps = list(G.automorphism_permutations())
+    return max(map(sum, _atom_vectors(full_support(G), default_config(), maps)))
 
 
 @pytest.mark.parametrize("factors", [[4, 4], [3, 3, 3], [2, 4, 4], [2, 2, 4, 4]])
