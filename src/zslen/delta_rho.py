@@ -8,16 +8,17 @@ distinct unions of those support classes.  Three facts keep it small:
 * enlarging a support divides its minimum distance, so a union is expanded
   only while some divisor of its value is missing from the star set, and its
   expansion stops as soon as none is;
-* the kernel reduction stops reading a union's atoms once the gcd it has
-  found is 1, and over a negation-closed support it is handed ``|U| - 2``
-  for every atom ``U`` as a lattice vector (pair off each element with its
-  negative), so most unions settle to 1 from a prefix of their atoms;
+* a union's value is :func:`lengths.min_delta` of its support, whose
+  kernel reduction stops reading the union's atoms once the gcd it has
+  found is 1; every union is negation-closed, so the reduction is also
+  handed ``|U| - 2`` for every atom ``U`` as a lattice vector (pair off each
+  element with its negative), and most unions settle to 1 from a prefix of
+  their atoms;
 * a group automorphism keeps the minimum distance, so the walk may visit one
   canonical union per orbit.
 
 A source gives the walk its classes, the classes it starts from
-(``roots``), a union's value and its canonical form.  Both sources value a
-union from the atoms over it alone.  For ``C_n`` nothing is enumerated up
+(``roots``) and a union's canonical form.  For ``C_n`` nothing is enumerated up
 front: the atoms of length ``n`` are exactly ``g^n`` with ``ord g = n``
 (Geroldinger and Halter-Koch 2006), so the classes are the unit pairs
 ``{u, n - u}``, and a union's canonical form is its least unit multiple, so
@@ -33,9 +34,7 @@ of classes, and the walk starts from them.  A union's value divides the
 value of every class inside it, and an automorphism keeps values, so when
 every root is worth 1 no union is expanded and the walk needs no other
 class: the classes are closed under the automorphisms only when a union is
-expanded, and every union is its own canonical form.  A union's value from
-a prefix of its atoms equals ``min_delta`` of its support; the property
-suite checks this on every build.
+expanded, and every union is its own canonical form.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from math import gcd
 from .config import ResourceConfig, default_config
 from .errors import BudgetExceededError, InputError
 from .groups import AbelianGroup, _factorint, cyclic, direct_sum_with_embeddings, make_group
-from .lengths import _functional_gcd, _set_bits
+from .lengths import _set_bits, min_delta
 from .sequences import SupportSet, _atom_vectors, full_support
 
 
@@ -83,34 +82,6 @@ class DeltaRhoResult:
     conjectured: frozenset[int] | None = None
 
 
-class _UnionValues:
-    """What both walk sources share: a union's value from the atoms over it
-    alone, read from the DFS stream by the kernel reduction, which stops once
-    its gcd is 1.  Every union is negation-closed, so ``U·(-U)`` is also the
-    product of the ``|U|`` atoms ``g·(-g)``, and ``(0, ..., 0, |U| - 2)`` lies
-    in the lattice: it goes in ahead of each atom ``U`` of length at least 3,
-    costs no reduction, and settles most odd-order unions before ``U`` is
-    reduced.  The atom and node budgets bound what is read.  Bit j of a mask
-    stands for the element of index j."""
-
-    def __init__(self, group: AbelianGroup, config: ResourceConfig):
-        self.group = group
-        self.config = config
-
-    def min_delta_of_mask(self, mask: int) -> int:
-        # bits in increasing order are elements in index order, which is sorted
-        support = SupportSet(self.group, tuple(map(self.group.element_at, _set_bits(mask))))
-        nrows = len(support.elements)
-
-        def columns():
-            for v in _atom_vectors(support, self.config):
-                if (length := sum(v)) >= 3:
-                    yield (0,) * nrows + (length - 2,)
-                yield v + (1,)
-
-        return _functional_gcd(columns(), nrows)
-
-
 def _orbits(masks, maps, cap: int) -> set[int]:
     """``masks`` and every image of them under ``maps`` and their products;
     more than ``cap`` images raise :class:`BudgetExceededError`, as distinct
@@ -130,7 +101,7 @@ def _orbits(masks, maps, cap: int) -> set[int]:
     return closed
 
 
-class _OrbitSource(_UnionValues):
+class _OrbitSource:
     """The walk's source for a non-cyclic group, from the orbits of the
     elementary automorphisms and their inverses, the ``maps`` of
     ``AbelianGroup.automorphism_permutations``.
@@ -142,11 +113,12 @@ class _OrbitSource(_UnionValues):
     a map sends to a smaller class found: a chain of such steps descends to
     a root of the same orbit.  ``class_masks`` closes the roots under the
     maps on first use, which only the expansion of a union needs, and
-    ``canonical`` leaves every union as it is.  The maps' entries count
-    against ``max_nodes`` and the closed classes against ``max_supports``."""
+    ``canonical`` leaves every union as it is.  Bit j of a mask stands for
+    the element of index j.  The maps' entries count against ``max_nodes``
+    and the closed classes against ``max_supports``."""
 
     def __init__(self, group: AbelianGroup, config: ResourceConfig):
-        super().__init__(group, config)
+        self.config = config
         n = group.order()
         maps = self.maps = []
         for perm in group.automorphism_permutations():
@@ -182,15 +154,14 @@ class _OrbitSource(_UnionValues):
         return mask
 
 
-class _UnitClassScan(_UnionValues):
+class _UnitClassScan:
     """The walk's source for a cyclic group of order n >= 3: the unit pairs
     ``{u, n - u}`` are the classes, and nothing is enumerated up front; bit j
     of a mask stands for the residue j, whose index is j.  Only the units
     are stored: each read of ``class_masks`` builds the n-bit masks one at a
     time, so the set-up holds no mask per class before any budget applies."""
 
-    def __init__(self, group: AbelianGroup, config: ResourceConfig):
-        super().__init__(group, config)
+    def __init__(self, group: AbelianGroup):
         n = self.n = group.order()
         self.units = [u for u in range(1, (n + 1) // 2) if gcd(u, n) == 1]
         self.roots = [(1 << 1) | (1 << (n - 1))]  # every class is a unit multiple of {1, n - 1}
@@ -221,7 +192,7 @@ def delta_rho_star(group: AbelianGroup, *, config: ResourceConfig | None = None)
     cfg = config or default_config()
     if group.order() <= 2:
         return frozenset()
-    source = _UnitClassScan(group, cfg) if group.is_cyclic else _OrbitSource(group, cfg)
+    source = _UnitClassScan(group) if group.is_cyclic else _OrbitSource(group, cfg)
     values: set[int] = set()
     seen: set[int] = set()
     frontier: list[tuple[int, int]] = []
@@ -230,7 +201,8 @@ def delta_rho_star(group: AbelianGroup, *, config: ResourceConfig | None = None)
         seen.add(mask)
         if len(seen) > cfg.max_supports:
             raise BudgetExceededError("distinct support unions", cfg.max_supports)
-        value = source.min_delta_of_mask(mask)
+        # bits in increasing order are elements in index order, which is sorted
+        value = min_delta(SupportSet(group, tuple(map(group.element_at, _set_bits(mask)))), config=cfg)
         values.add(value)
         frontier.append((mask, value))
 

@@ -8,6 +8,9 @@ equals the gcd of all distances, which is the minimum distance.  The gcd of a
 linear functional over a lattice is reached on any generating set, so no
 individual factorizations ever need to be expanded, and the reduction stops
 reading generators once the gcd of the kernel vectors found so far is 1.
+:func:`min_delta` reads them straight from the atom DFS, with no atom list,
+and adds one more lattice vector per atom on a support closed under
+negation; :func:`min_delta_of_atoms` reduces an atom list it is given.
 
 Sets of lengths count atoms in one step loop (:func:`_count_atoms`): every
 cell of a finite set is one bit of an int, one step ORs the shifted, masked
@@ -31,7 +34,7 @@ from math import gcd
 
 from .config import ResourceConfig, default_config
 from .errors import BudgetExceededError, InputError
-from .sequences import AtomSet, GSequence, SupportSet, enumerate_atoms
+from .sequences import AtomSet, GSequence, SupportSet, _atom_vectors
 
 
 @dataclass(frozen=True)
@@ -171,8 +174,28 @@ def min_delta_of_atoms(atoms: AtomSet) -> int | None:
 
 
 def min_delta(support: SupportSet, *, config: ResourceConfig | None = None) -> int | None:
-    """Exact min of the distance set of the support, or None when empty."""
-    return min_delta_of_atoms(enumerate_atoms(support, config=config))
+    """Exact min of the distance set of the support, or None when empty.
+
+    Reads the atoms from the DFS stream into the reduction, which stops once
+    its gcd is 1, so the atom and node budgets count only what is read.  On
+    a support closed under negation, ``U·(-U)`` is also the product of the
+    ``|U|`` atoms ``g·(-g)``, so ``(0, ..., 0, |U| - 2)`` lies in the
+    lattice: it goes in ahead of each atom ``U`` of length at least 3, costs
+    no reduction, and settles most odd-order supports before ``U`` is
+    reduced.
+    """
+    cfg = config or default_config()
+    elements = support.elements
+    nrows = len(elements)
+    symmetric = set(map(support.group.neg, elements)) == set(elements)
+
+    def columns():
+        for v in _atom_vectors(support, cfg):
+            if symmetric and (length := sum(v)) >= 3:
+                yield (0,) * nrows + (length - 2,)
+            yield v + (1,)
+
+    return _functional_gcd(columns(), nrows) or None
 
 
 # -- length sets -------------------------------------------------------------

@@ -94,18 +94,19 @@ def test_qualifying_supports_small():
                                   "C2xC2", "C2xC2xC2", "C2xC4", "C3xC3"])
 def test_star_scan_agrees_with_unpruned_enumeration(name):
     # the pruned union walk must match min deltas over the oracle's list of
-    # every union, each valued from atoms enumerated over that union alone
+    # every union, each valued by the kernel alone from every atom over that
+    # union, with none of the walk's lattice vectors (0, ..., 0, |U| - 2)
     G = parse_group(name)
     star = delta_rho_star(G)
-    unpruned = {min_delta(support) for support, _ in qualifying_supports(G)}
+    unpruned = {min_delta_of_atoms(enumerate_atoms(support)) for support, _ in qualifying_supports(G)}
     unpruned.discard(None)
     assert star == frozenset(unpruned)
 
 
 def _record_reductions(monkeypatch):
-    """The columns that reach the walk's kernel reduction, one list per call,
-    with the number of rows it was given."""
-    module = importlib.import_module("zslen.delta_rho")
+    """The columns that reach ``min_delta``'s kernel reduction, one list per
+    call, with the number of rows it was given."""
+    module = importlib.import_module("zslen.lengths")
     reduce = module._functional_gcd
     calls = []
 
@@ -145,10 +146,11 @@ _STOPPED_EARLY = {"C9": 3, "C2xC4": 5, "C2xC2xC2": 7, "C3xC6": 196, "C2xC2xC2xC2
 
 @pytest.mark.parametrize("name", list(_STOPPED_EARLY))
 def test_min_delta_of_mask_matches_min_delta_of_its_support(name, monkeypatch):
-    # the walk's valuation against the kernel alone on atoms enumerated
-    # afresh over the union, on every class and on the unions of two classes
-    # (a fixed sample of them for C2^4, whose 168 classes make 8,001); the
-    # C2^4 classes have value 3, so their reduction reads every column
+    # the walk's valuation, min_delta of a union, against the kernel alone
+    # on atoms enumerated afresh over the union, on every class and on the
+    # unions of two classes (a fixed sample of them for C2^4, whose 168
+    # classes make 8,001); the C2^4 classes have value 3, so their reduction
+    # reads every column
     G = parse_group(name)
     source = _OrbitSource(G, default_config())
     elems = G.elements()
@@ -159,13 +161,14 @@ def test_min_delta_of_mask_matches_min_delta_of_its_support(name, monkeypatch):
     settled = 0
     for m in source.class_masks + pairs:
         union = tuple(elems[j] for j in _set_bits(m))
+        kernel = min_delta_of_atoms(enumerate_atoms(SupportSet.of(G, union)))
         calls.clear()
-        value = source.min_delta_of_mask(m)
-        assert value == min_delta(SupportSet.of(G, union)), m
+        value = min_delta(SupportSet.of(G, union))
+        assert value == kernel, m
         settled += _reads_a_prefix(G, union, calls, value)
     assert settled == _STOPPED_EARLY[name]
     if name == "C2xC2xC2xC2":
-        assert source.min_delta_of_mask(source.class_masks[0]) == 3
+        assert min_delta(SupportSet.of(G, [elems[j] for j in _set_bits(source.class_masks[0])])) == 3
 
 
 @pytest.mark.parametrize("n, want, stopped", [
@@ -179,15 +182,16 @@ def test_cyclic_min_delta_of_mask_matches_min_delta_of_its_support(n, want, stop
     # never give 1, but with the atoms reduced so far they settle unions
     # before the end of their stream all the same
     G = cyclic(n)
-    source = _UnitClassScan(G, default_config())
+    source = _UnitClassScan(G)
     classes = list(source.class_masks)
     calls = _record_reductions(monkeypatch)
     values, settled = set(), 0
     for m in (sum(c) for k in (1, 2, 3) for c in combinations(classes, k)):
         union = [(j,) for j in _set_bits(m)]
+        kernel = min_delta_of_atoms(enumerate_atoms(SupportSet.of(G, union)))
         calls.clear()
-        value = source.min_delta_of_mask(m)
-        assert value == min_delta(SupportSet.of(G, union)), m
+        value = min_delta(SupportSet.of(G, union))
+        assert value == kernel, m
         settled += _reads_a_prefix(G, union, calls, value)
         values.add(value)
     assert (values, settled) == (want, stopped)
@@ -501,14 +505,14 @@ def test_support_union_budget_admits_exactly_the_walk(monkeypatch):
     # k unions visited, one value each: a budget of k completes the walk,
     # one less stops it at the last visit
     module = importlib.import_module("zslen.delta_rho")
-    value_of = module._UnitClassScan.min_delta_of_mask
+    value_of = module.min_delta
     visits = []
 
-    def counted(self, mask):
-        visits.append(mask)
-        return value_of(self, mask)
+    def counted(support, *, config):
+        visits.append(support.elements)
+        return value_of(support, config=config)
 
-    monkeypatch.setattr(module._UnitClassScan, "min_delta_of_mask", counted)
+    monkeypatch.setattr(module, "min_delta", counted)
     star = delta_rho_star(cyclic(12))
     k = len(visits)
     assert k == len(set(visits)) >= 2
@@ -519,12 +523,12 @@ def test_support_union_budget_admits_exactly_the_walk(monkeypatch):
 
 
 class _TableSource:
-    """A stub walk source: four classes as bits 1, 2, 4, 8, identity
-    canonical form, and a fixed value per union.  Each union's value divides
-    the values of its parts, as ``min Δ`` does.  The value 2 sits only at
-    the union of classes 4 and 8; the walk reaches it only by expanding one
-    of them, after the value 1 is known, and their value 6 was already seen
-    at class 2."""
+    """A stub walk source: four classes as bits 1, 2, 4, 8 and identity
+    canonical form, with a stub ``min_delta`` that gives a fixed value per
+    union.  Each union's value divides the values of its parts, as ``min Δ``
+    does.  The value 2 sits only at the union of classes 4 and 8; the walk
+    reaches it only by expanding one of them, after the value 1 is known,
+    and their value 6 was already seen at class 2."""
 
     class_masks = roots = [1, 2, 4, 8]
     values = {1: 1, 2: 6, 4: 6, 8: 6, 4 | 8: 2}  # every other union: 1
@@ -536,8 +540,10 @@ class _TableSource:
     def canonical(mask):
         return mask
 
-    def min_delta_of_mask(self, mask):
-        return self.values.get(mask, 1)
+    @classmethod
+    def min_delta(cls, support, *, config):
+        mask = sum(1 << support.group.index_of(g) for g in support.elements)
+        return cls.values.get(mask, 1)
 
 
 def test_star_walk_expands_past_one_and_past_repeated_values(monkeypatch):
@@ -546,6 +552,7 @@ def test_star_walk_expands_past_one_and_past_repeated_values(monkeypatch):
     # import_module because the package exports the function delta_rho
     module = importlib.import_module("zslen.delta_rho")
     monkeypatch.setattr(module, "_OrbitSource", _TableSource)
+    monkeypatch.setattr(module, "min_delta", _TableSource.min_delta)
     assert delta_rho_star(make_group([2, 2])) == frozenset({1, 2, 6})
 
 
@@ -555,14 +562,14 @@ def test_star_walk_stops_expanding_a_union_once_its_divisors_are_known(monkeypat
     # the class needs expanding further (the walk used to value all 168
     # classes and then the 167 unions with the first one)
     module = importlib.import_module("zslen.delta_rho")
-    value_of = module._OrbitSource.min_delta_of_mask
+    value_of = module.min_delta
     visits = []
 
-    def counted(self, mask):
-        visits.append(mask)
-        return value_of(self, mask)
+    def counted(support, *, config):
+        visits.append(support)
+        return value_of(support, config=config)
 
-    monkeypatch.setattr(module._OrbitSource, "min_delta_of_mask", counted)
+    monkeypatch.setattr(module, "min_delta", counted)
     assert delta_rho_star(make_group([2, 2, 2, 2])) == frozenset({1, 3})
     assert len(visits) == 2
 

@@ -62,6 +62,10 @@ COMMANDS = (
         ["delta-rho", "--group", "C26"],
         ["fp", "--q", "2", "--gens", "1:1000000000,0:1", "profile"],
         ["delta-rho", "--group", "C2xC2xC2xC2xC4"],
+        ["--budget-atoms", "100", "min-delta", "--group", "C3xC3xC3", "--support",
+         "(0,0,0),(0,0,1),(0,0,2),(0,1,0),(0,1,1),(0,1,2),(0,2,0),(0,2,1),(0,2,2),"
+         "(1,0,0),(1,0,1),(1,0,2),(1,1,0),(1,1,1),(1,1,2),(1,2,0),(1,2,1),(1,2,2),"
+         "(2,0,0),(2,0,1),(2,0,2),(2,1,0),(2,1,1),(2,1,2),(2,2,0),(2,2,1),(2,2,2)"],
     ]
 )
 

@@ -88,6 +88,34 @@ def test_min_delta_examples():
     assert min_delta(SupportSet.of(C2, [(1,)])) is None
 
 
+def test_min_delta_agrees_with_the_kernel_over_every_atom():
+    # the streamed route, with its (0, ..., 0, |U| - 2) vectors on supports
+    # closed under negation, against the kernel alone over the full atom
+    # list; half the supports are closed under negation, and on the others
+    # those vectors would be wrong
+    rng = random.Random(4040)
+    pool = verify.small_groups(16)
+    closed = 0
+    for i in range(400):
+        G = rng.choice(pool)
+        elems = rng.sample(G.elements(), rng.randint(1, min(4, G.order())))
+        if i % 2:
+            elems += [G.neg(g) for g in elems]
+        sup = SupportSet.of(G, elems)
+        closed += {G.neg(g) for g in sup.elements} == set(sup.elements)
+        assert min_delta(sup) == min_delta_of_atoms(enumerate_atoms(sup)), sup
+    assert closed >= 200
+
+
+def test_min_delta_counts_only_the_atoms_it_reads():
+    # the full support of C3^3 has 27,912 atoms; the gcd is 1 after a few
+    # of them, so an atom cap of 100 does not stop it
+    G = make_group([3, 3, 3])
+    assert min_delta(SupportSet.of(G, G.elements()), config=ResourceConfig(max_atoms=100)) == 1
+    with pytest.raises(BudgetExceededError):
+        enumerate_atoms(SupportSet.of(G, G.elements()), config=ResourceConfig(max_atoms=100))
+
+
 def _rank(rows) -> int:
     rows = [[Fraction(x) for x in row] for row in rows]
     rank = 0
